@@ -30,8 +30,8 @@ def is_test_path(path, globs=DEFAULT_TEST_GLOBS):
     return False
 
 
-def analyze_source(path: str, text: str, positions_only: bool = False) -> FileAnalysis:
-    """Parse one Java file; compute metrics unless ``positions_only``."""
+def analyze_source(path: str, text: str) -> FileAnalysis:
+    """Parse one Java file and compute the metrics of its elements."""
     stream = tokenize(text)
     code_lines = frozenset(
         line
@@ -44,9 +44,6 @@ def analyze_source(path: str, text: str, positions_only: bool = False) -> FileAn
     except ElementCollisionError as exc:
         return FileAnalysis(path=path, elements=[], code_lines=code_lines, error=str(exc))
     analysis = FileAnalysis(path=path, elements=elements, code_lines=code_lines)
-    if positions_only:
-        return analysis
-
     ctx = TokenContext(stream)
     methods = [e for e in elements if e.kind == "method"]
     classes = [e for e in elements if e.kind == "class"]
@@ -87,7 +84,7 @@ def _inside(inner, outer):
     )
 
 
-def analyze_tree(files, positions_only=False, test_globs=DEFAULT_TEST_GLOBS):
+def analyze_tree(files, test_globs=DEFAULT_TEST_GLOBS):
     """Analyze an iterable of ``(path, text)`` pairs, skipping test code.
 
     Returns ``{path: FileAnalysis}`` for every non-test ``.java`` file.
@@ -96,5 +93,5 @@ def analyze_tree(files, positions_only=False, test_globs=DEFAULT_TEST_GLOBS):
     for path, text in files:
         if not path.endswith(".java") or is_test_path(path, test_globs):
             continue
-        results[path] = analyze_source(path, text, positions_only=positions_only)
+        results[path] = analyze_source(path, text)
     return results

@@ -39,7 +39,12 @@ def _add_pipeline_args(p, need_out=True):
     p.add_argument("--seed", type=int, help="master seed (default 42)")
     p.add_argument("--repeats", type=int, help="under-sampling repeats per fold")
     p.add_argument("--folds", type=int, help="cross-validation folds (default 10)")
-    p.add_argument("--jobs", type=int, help="parallel analysis workers")
+    p.add_argument(
+        "--jobs",
+        type=int,
+        help="worker processes analysing distinct file versions; "
+        "git is read in the main process",
+    )
     p.add_argument(
         "--filter",
         dest="eval_filters",

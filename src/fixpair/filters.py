@@ -42,20 +42,31 @@ class ConflictGroup:
         return len(self.members) - self.n_buggy
 
 
+def _raw_features(entry) -> tuple:
+    return (entry.level, *map(entry.metrics.values.get, COLUMNS_BY_LEVEL[entry.level]))
+
+
+def _serialize(raw) -> tuple:
+    return (raw[0],) + tuple(map(format_metric, raw[1:]))
+
+
 def feature_key(entry) -> tuple:
     """Level plus the serialized metric vector; hash, fqn, and bug count are
     excluded so conflicts are defined purely on the features."""
-    cols = COLUMNS_BY_LEVEL[entry.level]
-    return (entry.level,) + tuple(format_metric(entry.metrics.get(c)) for c in cols)
+    return _serialize(_raw_features(entry))
 
 
 def group_entries(entries) -> list:
     groups = {}
+    keys = {}  # raw features -> feature key; equal numbers serialize alike
     for idx, e in enumerate(entries):
-        key = feature_key(e)
-        groups.setdefault(key, ConflictGroup(feature_key=key)).members.append(
-            (idx, e, e.bug_count > 0)
-        )
+        raw = _raw_features(e)
+        if raw not in keys:
+            keys[raw] = _serialize(raw)
+        key = keys[raw]
+        if key not in groups:
+            groups[key] = ConflictGroup(feature_key=key)
+        groups[key].members.append((idx, e, e.bug_count > 0))
     return list(groups.values())
 
 

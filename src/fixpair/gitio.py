@@ -1,13 +1,20 @@
 """Read-only access to commit trees via git plumbing.
 
-Never touches the working copy: listing uses ``ls-tree``, content uses one
-``cat-file --batch`` round trip per tree.
+Never touches the working copy.  A :class:`GitRepo` starts at most three git
+processes for its whole life: ``rev-parse`` once to check the path,
+``rev-list --all`` once (lazily) for reachability, and one long-lived
+``cat-file --batch`` (lazily) through which every tree and blob is read.
+Tree listings are cached by tree sha, so a subtree shared by many commits is
+read once.  Close the repository (or use it as a context manager) so no git
+process outlives it.
 """
 
 import subprocess
-from functools import lru_cache
 
 from .errors import CheckoutError, FixpairError
+
+_TREE_MODE = b"40000"
+_GITLINK_MODE = b"160000"
 
 
 class GitRepo:
@@ -16,13 +23,34 @@ class GitRepo:
         probe = self._run("rev-parse", "--git-dir", check=False)
         if probe.returncode != 0:
             raise FixpairError(f"{path} is not a git repository")
+        self._reachable = None
+        self._batch = None
+        self._trees = {}  # tree sha -> {relative path bytes: blob sha}
 
-    def _run(self, *args, check=True, input_bytes=None):
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def close(self):
+        """End the ``cat-file --batch`` process, if one was started."""
+        if self._batch is None:
+            return
+        batch, self._batch = self._batch, None
+        batch.stdin.close()
+        try:
+            batch.wait(timeout=10)
+        except subprocess.TimeoutExpired:
+            batch.kill()
+            batch.wait()
+        batch.stdout.close()
+
+    def _run(self, *args, check=True):
         proc = subprocess.run(
             ["git", "-C", self.path, *args],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            input=input_bytes,
         )
         if check and proc.returncode != 0:
             raise FixpairError(
@@ -31,55 +59,96 @@ class GitRepo:
             )
         return proc
 
-    @lru_cache(maxsize=1)
-    def _reachable(self):
-        out = self._run("rev-list", "--all").stdout.decode()
-        return frozenset(out.split())
+    def _is_reachable(self, commit_hash):
+        if self._reachable is None:
+            out = self._run("rev-list", "--all").stdout.decode()
+            self._reachable = frozenset(out.split())
+        return commit_hash in self._reachable
 
-    def object_exists(self, commit_hash):
-        return (
-            self._run("cat-file", "-e", f"{commit_hash}^{{commit}}", check=False)
-            .returncode
-            == 0
-        )
+    def _read(self, spec):
+        """``(sha, content)`` of one object, or ``None`` when git has no
+        object by that name."""
+        if "\n" in spec:
+            return None
+        if self._batch is None:
+            self._batch = subprocess.Popen(
+                ["git", "-C", self.path, "cat-file", "--batch"],
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.DEVNULL,
+            )
+        self._batch.stdin.write(spec.encode() + b"\n")
+        self._batch.stdin.flush()
+        header = self._batch.stdout.readline()
+        if not header:
+            raise FixpairError(f"git cat-file --batch ended while reading {spec}")
+        parts = header.split()
+        if len(parts) != 3:  # "<spec> missing" or "<spec> ambiguous"
+            return None
+        size = int(parts[2])
+        data = self._batch.stdout.read(size + 1)[:size]  # drop the trailing newline
+        return parts[0].decode(), data
 
-    def checkout_tree(self, commit_hash) -> dict:
-        """File tree of a commit as ``{path: bytes}``.
+    def _listing(self, tree_sha, data=None):
+        """Flattened ``{path bytes: blob sha}`` of a tree, cached by its sha.
+
+        Subtrees are read by sha and cached too; submodule entries are
+        skipped, as ``ls-tree -r`` lists them as commits, not blobs.
+        """
+        if tree_sha in self._trees:
+            return self._trees[tree_sha]
+        if data is None:
+            data = self.read_object(tree_sha)
+        listing = {}
+        sha_len = len(tree_sha) // 2
+        pos = 0
+        while pos < len(data):
+            space = data.index(b" ", pos)
+            nul = data.index(b"\x00", space)
+            mode, name = data[pos:space], data[space + 1 : nul]
+            sha = data[nul + 1 : nul + 1 + sha_len].hex()
+            pos = nul + 1 + sha_len
+            if mode == _TREE_MODE:
+                for sub, blob in self._listing(sha).items():
+                    listing[name + b"/" + sub] = blob
+            elif mode != _GITLINK_MODE:
+                listing[name] = sha
+        self._trees[tree_sha] = listing
+        return listing
+
+    def tree_blobs(self, commit_hash) -> dict:
+        """Blob shas of a commit's files as ``{path: sha}``.
 
         Raises :class:`CheckoutError` with kind ``unknown`` when no such
         commit object exists and kind ``unreachable`` when the object exists
         but no ref reaches it.
         """
-        if not self.object_exists(commit_hash):
-            raise CheckoutError(commit_hash, "unknown", "no such commit object")
-        if commit_hash not in self._reachable():
+        if not self._is_reachable(commit_hash):
+            if self._read(f"{commit_hash}^{{commit}}") is None:
+                raise CheckoutError(commit_hash, "unknown", "no such commit object")
             raise CheckoutError(
                 commit_hash, "unreachable", "object exists but no ref reaches it"
             )
-        listing = self._run("ls-tree", "-r", "-z", commit_hash).stdout
-        entries = []
-        for raw in listing.split(b"\x00"):
-            if not raw:
-                continue
-            meta, path = raw.split(b"\t", 1)
-            mode, otype, sha = meta.split()
-            if otype == b"blob":
-                entries.append((path.decode("utf-8", "replace"), sha.decode()))
-        if not entries:
-            return {}
-        batch_in = "".join(sha + "\n" for _, sha in entries).encode()
-        out = self._run("cat-file", "--batch", input_bytes=batch_in).stdout
-        blobs = {}
-        pos = 0
-        while pos < len(out):
-            nl = out.index(b"\n", pos)
-            header = out[pos:nl].decode()
-            parts = header.split()
-            sha, size = parts[0], int(parts[2])
-            start = nl + 1
-            blobs[sha] = out[start : start + size]
-            pos = start + size + 1  # skip the trailing newline
-        return {path: blobs[sha] for path, sha in entries}
+        tree_sha, data = self._read(f"{commit_hash}^{{tree}}")
+        return {
+            path.decode("utf-8", "replace"): sha
+            for path, sha in self._listing(tree_sha, data).items()
+        }
+
+    def read_object(self, sha) -> bytes:
+        """Content of one object (a blob's bytes) by its sha."""
+        obj = self._read(sha)
+        if obj is None:
+            raise FixpairError(f"no git object {sha}")
+        return obj[1]
+
+    def checkout_tree(self, commit_hash) -> dict:
+        """File tree of a commit as ``{path: bytes}`` (errors as
+        :meth:`tree_blobs`)."""
+        return {
+            path: self.read_object(sha)
+            for path, sha in self.tree_blobs(commit_hash).items()
+        }
 
     def java_sources(self, commit_hash):
         """Decoded ``(path, text)`` pairs for the commit's .java files."""

@@ -12,6 +12,8 @@ import csv
 import hashlib
 import json
 import os
+import shutil
+import subprocess
 from dataclasses import dataclass
 
 from . import dataset as ds
@@ -22,7 +24,7 @@ from .analyzer import (
     analyze_source,
     is_test_path,
 )
-from .errors import ConfigError, StageError
+from .errors import ConfigError, FixpairError, StageError
 from .filters import filter_entries
 from .gitio import GitRepo
 from .ingest import load_issue_specs, load_snapshot, save_snapshot, snapshot_from_local_repo
@@ -143,59 +145,50 @@ def _element_from_json(doc):
     )
 
 
-def analysis_to_json(commit_hash, mode, files):
-    doc = {
+def analysis_to_json(fa):
+    """One file version's analysis as a JSON document."""
+    return {
         "analyzer_version": ANALYZER_VERSION,
-        "commit": commit_hash,
-        "mode": mode,
-        "files": {},
+        "path": fa.path,
+        "error": fa.error,
+        "code_lines": sorted(fa.code_lines),
+        "elements": [_element_to_json(e) for e in fa.elements],
+        "vectors": {
+            f"{kind}|{fqn}": {"level": v.level, "values": v.values}
+            for (kind, fqn), v in sorted(fa.vectors.items())
+        },
     }
-    for path in sorted(files):
-        fa = files[path]
-        entry = {
-            "error": fa.error,
-            "code_lines": sorted(fa.code_lines),
-            "elements": [_element_to_json(e) for e in fa.elements],
-            "vectors": {
-                f"{kind}|{fqn}": {"level": v.level, "values": v.values}
-                for (kind, fqn), v in sorted(fa.vectors.items())
-            },
-        }
-        doc["files"][path] = entry
-    return doc
 
 
 def analysis_from_json(doc):
-    files = {}
-    for path, entry in doc["files"].items():
-        elements = [_element_from_json(e) for e in entry["elements"]]
-        by_fqn = {(e.kind, e.fqn): e for e in elements}
-        vectors = {}
-        for key, vdoc in entry["vectors"].items():
-            kind, fqn = key.split("|", 1)
-            vectors[(kind, fqn)] = MetricsVector(
-                level=vdoc["level"],
-                values=dict(vdoc["values"]),
-                element=by_fqn.get((kind, fqn)),
-            )
-        files[path] = FileAnalysis(
-            path=path,
-            elements=elements,
-            vectors=vectors,
-            code_lines=frozenset(entry["code_lines"]),
-            error=entry["error"],
+    elements = [_element_from_json(e) for e in doc["elements"]]
+    by_fqn = {(e.kind, e.fqn): e for e in elements}
+    vectors = {}
+    for key, vdoc in doc["vectors"].items():
+        kind, fqn = key.split("|", 1)
+        vectors[(kind, fqn)] = MetricsVector(
+            level=vdoc["level"],
+            values=dict(vdoc["values"]),
+            element=by_fqn.get((kind, fqn)),
         )
-    return doc["commit"], doc["mode"], files
+    return FileAnalysis(
+        path=doc["path"],
+        elements=elements,
+        vectors=vectors,
+        code_lines=frozenset(doc["code_lines"]),
+        error=doc["error"],
+    )
 
 
-def _analyze_commit(repo_path, commit_hash, mode, test_globs):
-    repo = GitRepo(repo_path)
-    files = {}
-    for path, text in repo.java_sources(commit_hash):
-        if is_test_path(path, test_globs):
-            continue
-        files[path] = analyze_source(path, text, positions_only=(mode == "pos"))
-    return analysis_to_json(commit_hash, mode, files)
+def analysis_key(path, blob_sha):
+    """Name of the analysis of one file version: the file's path and the
+    sha of its content both shape the result (element FQNs carry the path)."""
+    return hashlib.sha1(f"{blob_sha}\x00{path}".encode("utf-8")).hexdigest()
+
+
+def _analyze_file(source):
+    path, text = source
+    return analysis_to_json(analyze_source(path, text))
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +204,22 @@ def _digest_file(path):
         for chunk in iter(lambda: fh.read(65536), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def _digest_refs(repo):
+    """HEAD and every ref of a local repository, so a new commit (or a moved
+    branch) changes the snapshot fingerprint."""
+    proc = subprocess.run(
+        ["git", "-C", str(repo), "show-ref", "--head"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    return proc.returncode, hashlib.sha256(proc.stdout).hexdigest()
+
+
+def _read_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def _write_json(path, doc):
@@ -232,16 +241,17 @@ class _Stages:
 
     def run(self, name, fingerprint, artifacts, producer):
         """Run ``producer`` unless the stored fingerprint matches and every
-        artifact already exists."""
+        artifact already exists.  ``artifacts`` is a list of paths, or a
+        callable giving the list as the output directory stands."""
+        listed = artifacts if callable(artifacts) else lambda: artifacts
         state_path = os.path.join(self.state_dir, f"{name}.json")
         fp_doc = {"fingerprint": fingerprint}
         cached = False
         if os.path.exists(state_path):
-            with open(state_path, encoding="utf-8") as fh:
-                if json.load(fh) == fp_doc and all(
-                    os.path.exists(self.rel(a)) for a in artifacts
-                ):
-                    cached = True
+            if _read_json(state_path) == fp_doc and all(
+                os.path.exists(self.rel(a)) for a in listed()
+            ):
+                cached = True
         if not cached:
             try:
                 producer()
@@ -250,7 +260,7 @@ class _Stages:
             _write_json(state_path, fp_doc)
         self.manifest[name] = {
             "status": "cached" if cached else "fresh",
-            "artifacts": sorted(artifacts),
+            "artifacts": sorted(listed()),
         }
         return cached
 
@@ -308,8 +318,10 @@ def run_pipeline(config: PipelineConfig, stop_after=None) -> dict:
 
     # -- snapshot ----------------------------------------------------------
     snap_art = os.path.join("snapshot", "snapshot.json")
+    snapshot = None
 
     def produce_snapshot():
+        nonlocal snapshot
         if config.snapshot:
             snapshot = load_snapshot(config.snapshot)
         else:
@@ -326,12 +338,17 @@ def run_pipeline(config: PipelineConfig, stop_after=None) -> dict:
         snap_fp = _fingerprint("snapshot", _digest_file(config.snapshot))
     else:
         snap_fp = _fingerprint(
-            "local", _digest_file(config.issues), config.bug_labels, config.repo_id
+            "local",
+            _digest_file(config.issues),
+            config.bug_labels,
+            config.repo_id,
+            _digest_refs(config.repo),
         )
     stages.run("snapshot", snap_fp, [snap_art], produce_snapshot)
     if (m := done("snapshot")) is not None:
         return m
-    snapshot = load_snapshot(stages.rel(snap_art))
+    if snapshot is None:  # cached: the producer did not load it
+        snapshot = load_snapshot(stages.rel(snap_art))
     history = HistoryIndex(snapshot)
 
     # -- link ---------------------------------------------------------------
@@ -356,16 +373,30 @@ def run_pipeline(config: PipelineConfig, stop_after=None) -> dict:
     stages.run("link", link_fp, link_arts, produce_link)
     if (m := done("link")) is not None:
         return m
-    with open(stages.rel("link", "timelines.json"), encoding="utf-8") as fh:
-        timelines = [timeline_from_json(d) for d in json.load(fh)["timelines"]]
+    timelines = [
+        timeline_from_json(d)
+        for d in _read_json(stages.rel("link", "timelines.json"))["timelines"]
+    ]
 
     # -- analyze ------------------------------------------------------------
+    # One analysis/<key>.json per distinct (path, blob) version, plus an
+    # index commit -> {path: key}; a commit's mode only decides below
+    # whether its vectors feed metrics_by_commit.
     needed = _analysis_needs(snapshot, timelines)
-    analyze_arts = [
-        os.path.join("analysis", f"{h}.json") for h in sorted(needed)
-    ]
+    index_art = os.path.join("analysis", "index.json")
+
+    def analyze_arts():
+        if not os.path.exists(stages.rel(index_art)):
+            return [index_art]
+        keys = {
+            key
+            for files in _read_json(stages.rel(index_art)).values()
+            for key in files.values()
+        }
+        return [index_art] + [os.path.join("analysis", f"{k}.json") for k in keys]
+
     analyze_fp = _fingerprint(
-        "analyze",
+        "analyze-by-blob",
         ANALYZER_VERSION,
         sorted(needed.items()),
         config.test_globs,
@@ -375,39 +406,42 @@ def run_pipeline(config: PipelineConfig, stop_after=None) -> dict:
     def produce_analyze():
         if config.repo is None:
             raise ConfigError("analysis requires a local repository checkout")
-        items = sorted(needed.items())
-        if config.jobs > 1:
-            with concurrent.futures.ProcessPoolExecutor(config.jobs) as pool:
-                futures = {
-                    h: pool.submit(
-                        _analyze_commit, config.repo, h, mode, config.test_globs
-                    )
-                    for h, mode in items
-                }
-                docs = {h: f.result() for h, f in futures.items()}
-        else:
-            docs = {
-                h: _analyze_commit(config.repo, h, mode, config.test_globs)
-                for h, mode in items
-            }
-        for h in sorted(docs):
-            _write_json(stages.rel("analysis", f"{h}.json"), docs[h])
+        analysis_dir = stages.rel("analysis")
+        shutil.rmtree(analysis_dir, ignore_errors=True)
+        os.makedirs(analysis_dir)
+        index, versions = {}, {}
+        with GitRepo(config.repo) as repo:
+            for h in sorted(needed):
+                files = index[h] = {}
+                for path, sha in sorted(repo.tree_blobs(h).items()):
+                    if path.endswith(".java") and not is_test_path(
+                        path, config.test_globs
+                    ):
+                        files[path] = key = analysis_key(path, sha)
+                        versions[key] = (path, sha)
+            keys = sorted(versions)
+            sources = (
+                (path, repo.read_object(sha).decode("utf-8", "replace"))
+                for path, sha in map(versions.get, keys)
+            )
+
+            def write_all(docs):
+                for key, doc in zip(keys, docs):
+                    _write_json(os.path.join(analysis_dir, f"{key}.json"), doc)
+
+            if config.jobs > 1:
+                # the pool shuts down inside the reader's block: forked
+                # workers hold copies of its pipes, so they must exit before
+                # closing the reader's input can end it
+                with concurrent.futures.ProcessPoolExecutor(config.jobs) as pool:
+                    write_all(pool.map(_analyze_file, sources))
+            else:
+                write_all(map(_analyze_file, sources))
+        _write_json(stages.rel(index_art), index)
 
     stages.run("analyze", analyze_fp, analyze_arts, produce_analyze)
     if (m := done("analyze")) is not None:
         return m
-
-    analyses = {}
-    metrics_by_commit = {}
-    for h in sorted(needed):
-        with open(stages.rel("analysis", f"{h}.json"), encoding="utf-8") as fh:
-            commit_hash, mode, files = analysis_from_json(json.load(fh))
-        analyses[commit_hash] = files
-        if mode == "full":
-            merged = {}
-            for fa in files.values():
-                merged.update(fa.vectors)
-            metrics_by_commit[commit_hash] = merged
 
     # -- build --------------------------------------------------------------
     build_arts = [
@@ -419,6 +453,24 @@ def run_pipeline(config: PipelineConfig, stop_after=None) -> dict:
     )
 
     def produce_build():
+        decoded = {}  # key -> FileAnalysis, shared by every commit holding it
+
+        def load(key):
+            if key not in decoded:
+                decoded[key] = analysis_from_json(
+                    _read_json(stages.rel("analysis", f"{key}.json"))
+                )
+            return decoded[key]
+
+        analyses = {
+            h: {path: load(key) for path, key in files.items()}
+            for h, files in _read_json(stages.rel(index_art)).items()
+        }
+        metrics_by_commit = {
+            h: {k: v for fa in analyses[h].values() for k, v in fa.vectors.items()}
+            for h, mode in needed.items()
+            if mode == "full"
+        }
         live = [t for t in timelines if not t.degraded and t.orange]
         touch_sets = [
             ds.accumulate_issue_touches(
@@ -445,12 +497,12 @@ def run_pipeline(config: PipelineConfig, stop_after=None) -> dict:
         for strat in FILTER_DIRS
         for name in ("file.csv", "class.csv", "method.csv", "method-p.csv")
     ]
-    filter_fp = _fingerprint("filter", build_fp, config.seed)
+    filter_fp = _fingerprint("filter-with-parents", build_fp, config.seed)
 
     def produce_filter():
         entries_by_level = {
             level: ds.load_entries_csv(
-                stages.rel("dataset", "full", f"{level}.csv"), level
+                stages.rel("dataset", "full", _entries_csv(level)), level
             )
             for level in ds.LEVELS
         }
@@ -496,7 +548,7 @@ def run_pipeline(config: PipelineConfig, stop_after=None) -> dict:
                         repeats=config.repeats,
                         k=config.folds,
                     )
-                except Exception as exc:
+                except FixpairError as exc:
                     rows.append((strat, level, "-", "", "", "", f"skipped: {exc}"))
                     continue
                 for algo, res in result_set.items():
@@ -557,12 +609,16 @@ def _analysis_needs(snapshot, timelines) -> dict:
     return needed
 
 
+def _entries_csv(level):
+    """The exported file that holds every column of a level's entries."""
+    return "method-p.csv" if level == "method" else f"{level}.csv"
+
+
 def evaluate_level(dataset_dir, level, algorithms, seed, repeats, k=10):
     """Cross-validate every algorithm on one exported dataset level."""
     source_level = "method" if level == "projected" else level
-    name = "method-p.csv" if source_level == "method" else f"{source_level}.csv"
     entries = ds.load_entries_csv(
-        os.path.join(dataset_dir, name), source_level
+        os.path.join(dataset_dir, _entries_csv(source_level)), source_level
     )
     instances = instances_from_entries(entries, source_level)
     results = {}

@@ -244,6 +244,108 @@ def fixture_issue_specs(hashes):
     ]
 
 
+MOVER_A_V1 = """package p;
+
+public class A {
+
+    public int a(int x) {
+        return x + 1;
+    }
+}
+
+class B {
+
+    int b(int y) {
+        return y * 2;
+    }
+
+    int c() {
+        return 3;
+    }
+}
+"""
+
+MOVER_UTIL_V1 = """package p;
+
+public class Util {
+
+    public static int clamp(int v) {
+        return v;
+    }
+}
+"""
+
+
+def build_moved_class_repo(base):
+    """8 linear commits in which class ``p.B`` moves from A.java into its own
+    file between the first and the last fix of issue #1, while most file
+    versions repeat across commits; returns (repo path, hashes, issues)."""
+    b = RepoBuilder(os.path.join(base, "moved-class-repo"))
+    a_path = "src/main/java/p/A.java"
+    b.write(a_path, MOVER_A_V1)
+    b.write("src/main/java/p/Util.java", MOVER_UTIL_V1)
+    b.write("src/test/java/p/ATest.java", "package p;\n\nclass ATest {\n}\n")
+    b.write("README.md", README_V1)
+    b.commit("C1", "Initial import")
+
+    a_v2 = MOVER_A_V1.replace("return x + 1;", "return x + 2;")
+    b.write(a_path, a_v2)
+    b.commit("C2", "Tune a")
+
+    a_v3 = a_v2.replace(
+        "        return y * 2;",
+        "        if (y < 0) {\n            return 0;\n        }\n        return y * 2;",
+    )
+    b.write(a_path, a_v3)
+    b.commit("C3", "Guard b against negatives, refs #1")
+
+    split = a_v3.index("class B {")
+    b.write(a_path, a_v3[:split].rstrip("\n") + "\n")
+    b.write("src/main/java/p/B.java", "package p;\n\npublic " + a_v3[split:])
+    b.commit("C4", "Move B into its own file")
+
+    b.write("README.md", README_V1 + "\nMoved B.\n")
+    b.commit("C5", "Document the move")
+
+    b_v2 = ("package p;\n\npublic " + a_v3[split:]).replace("y < 0", "y <= 0")
+    b.write("src/main/java/p/B.java", b_v2)
+    b.commit("C6", "Finish b bounds, fixes #1")
+
+    b.write(
+        "src/main/java/p/Util.java",
+        MOVER_UTIL_V1.replace("return v;", "return v < 0 ? 0 : v;"),
+    )
+    b.commit("C7", "Clamp negatives in Util, closes #2")
+
+    b.write("README.md", README_V1 + "\nMoved B.\nClamped.\n")
+    b.commit("C8", "Tail docs")
+
+    h = b.hashes
+    issues = [
+        {
+            "id": 1, "state": "closed", "created_at": "2024-01-01T12:00:00Z",
+            "closed_at": "2024-01-06T12:00:00Z", "labels": ["bug"],
+            "fixing_commits": [h["C3"], h["C6"]],
+        },
+        {
+            "id": 2, "state": "closed", "created_at": "2024-01-05T12:00:00Z",
+            "closed_at": "2024-01-07T12:00:00Z", "labels": ["bug"],
+            "fixing_commits": [h["C7"]],
+        },
+    ]
+    return b.path, h, issues
+
+
+@pytest.fixture(scope="session")
+def moved_class_repo(tmp_path_factory):
+    base = tmp_path_factory.mktemp("moved")
+    repo, hashes, issues = build_moved_class_repo(str(base))
+    issues_path = os.path.join(str(base), "issues.json")
+    with open(issues_path, "w", encoding="utf-8") as fh:
+        json.dump(issues, fh, indent=1)
+    return {"repo": repo, "hashes": hashes, "issues": issues_path}
+
+
 @pytest.fixture(scope="session")
 def fixture_repo(tmp_path_factory):
     base = tmp_path_factory.mktemp("fixture")

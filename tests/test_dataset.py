@@ -275,7 +275,6 @@ def fixture_dataset(fixture_snapshot, fixture_repo):
 
     snap = fixture_snapshot
     hist = HistoryIndex(snap)
-    repo = GitRepo(fixture_repo["repo"])
     closed = [i for i in snap.issues if i.state == "closed"]
     timelines = [build_timeline(i, snap, hist) for i in closed]
     plan = select_analysis_commits(timelines, hist)
@@ -284,10 +283,8 @@ def fixture_dataset(fixture_snapshot, fixture_repo):
         for g in t.green:
             parent = snap.commit(g).parents[0]
             modes.setdefault(parent, False)
-    analyses = {
-        h: analyze_tree(repo.java_sources(h), positions_only=not full)
-        for h, full in modes.items()
-    }
+    with GitRepo(fixture_repo["repo"]) as repo:
+        analyses = {h: analyze_tree(repo.java_sources(h)) for h in modes}
     metrics = {
         h: {k: v for fa in files.values() for k, v in fa.vectors.items()}
         for h, files in analyses.items()

@@ -91,3 +91,54 @@ def test_java_sources_decoded_and_sorted(fixture_repo):
 def test_not_a_repo(tmp_path):
     with pytest.raises(FixpairError):
         GitRepo(tmp_path)
+
+
+@pytest.fixture
+def started_processes(monkeypatch):
+    """Every ``subprocess.Popen`` started while the test runs."""
+    started = []
+    real_popen = subprocess.Popen
+
+    class RecordingPopen(real_popen):
+        def __init__(self, args, *rest, **kwargs):
+            super().__init__(args, *rest, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", RecordingPopen)
+    return started
+
+
+def test_tree_blobs_match_ls_tree(fixture_repo):
+    with GitRepo(fixture_repo["repo"]) as repo:
+        for name, commit in fixture_repo["hashes"].items():
+            listing = subprocess.run(
+                ["git", "-C", fixture_repo["repo"], "ls-tree", "-r", commit],
+                stdout=subprocess.PIPE, check=True,
+            ).stdout.decode()
+            want = {}
+            for line in listing.splitlines():
+                meta, path = line.split("\t", 1)
+                _, otype, sha = meta.split()
+                if otype == "blob":
+                    want[path] = sha
+            assert repo.tree_blobs(commit) == want, name
+
+
+def test_at_most_three_git_processes_for_all_commits(fixture_repo, started_processes):
+    with GitRepo(fixture_repo["repo"]) as repo:
+        for commit in fixture_repo["hashes"].values():
+            repo.checkout_tree(commit)
+            repo.java_sources(commit)
+        with pytest.raises(CheckoutError):
+            repo.checkout_tree("0" * 40)
+    git = [p for p in started_processes if p.args[0] == "git"]
+    assert 1 <= len(git) <= 3
+
+
+def test_close_leaves_no_live_git_process(fixture_repo, started_processes):
+    repo = GitRepo(fixture_repo["repo"])
+    repo.checkout_tree(fixture_repo["hashes"]["C1"])
+    assert any(p.poll() is None for p in started_processes)  # the batch reader
+    repo.close()
+    assert all(p.poll() is not None for p in started_processes)
+    repo.close()  # closing twice is harmless

@@ -88,6 +88,15 @@ def test_method_p_has_parent_column(pipeline_out):
     assert all(r[2] for r in rows[1:])
 
 
+def test_filtered_method_p_keeps_parents(pipeline_out):
+    for strat in ("removal", "subtract", "single", "gcf"):
+        path = os.path.join(pipeline_out["out"], "dataset", strat, "method-p.csv")
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0][:3] == ["hash", "fqn", "parent_fqn"]
+        assert all(r[2] for r in rows[1:]), strat
+
+
 def test_eval_results_cover_requested_grid(pipeline_out):
     path = os.path.join(pipeline_out["out"], "eval", "results.csv")
     with open(path, newline="") as fh:
@@ -148,6 +157,124 @@ def test_parallel_analinstall_matches_serial(fixture_repo, tmp_path):
         a = open(os.path.join(serial_dir, name), "rb").read()
         b = open(os.path.join(par_dir, name), "rb").read()
         assert a == b, name
+
+
+def test_each_file_version_analyzed_once(fixture_repo, tmp_path, monkeypatch):
+    import hashlib
+    import json
+
+    from fixpair import pipeline
+    from fixpair.gitio import GitRepo
+
+    calls = []
+    real = pipeline.analyze_source
+
+    def counting(path, text):
+        blob = f"blob {len(text.encode())}\0{text}".encode()  # git's blob sha
+        calls.append((path, hashlib.sha1(blob).hexdigest()))
+        return real(path, text)
+
+    monkeypatch.setattr(pipeline, "analyze_source", counting)
+    out = tmp_path / "out"
+    config = PipelineConfig(
+        out=str(out), repo=fixture_repo["repo"], issues=fixture_repo["issues"], seed=7
+    )
+    quiet_run(config, stop_after="analyze")
+    assert len(calls) == len(set(calls))
+    index = json.loads((out / "analysis" / "index.json").read_text())
+    versions = set()
+    with GitRepo(fixture_repo["repo"]) as repo:
+        for commit, files in index.items():
+            blobs = repo.tree_blobs(commit)
+            assert "src/test/java/com/example/UtilTest.java" not in files
+            for path, key in files.items():
+                versions.add((path, blobs[path]))
+                assert key == pipeline.analysis_key(path, blobs[path])
+    assert set(calls) == versions
+    keys = {key for files in index.values() for key in files.values()}
+    assert sorted(os.listdir(out / "analysis")) == sorted(
+        [f"{k}.json" for k in keys] + ["index.json"]
+    )
+    # a cached rerun analyzes nothing
+    calls.clear()
+    manifest = quiet_run(config, stop_after="analyze")
+    assert manifest["stages"]["analyze"]["status"] == "cached" and not calls
+
+
+def test_moved_class_goldens(moved_class_repo, tmp_path):
+    out = str(tmp_path / "out")
+    config = PipelineConfig(
+        out=out, repo=moved_class_repo["repo"], issues=moved_class_repo["issues"],
+        seed=7,
+    )
+    quiet_run(config, stop_after="build")
+    golden = os.path.join(GOLDEN_DIR, "moved-class")
+    for name in DATASET_FILES:
+        got = open(os.path.join(out, "dataset", "full", name), "rb").read()
+        want = open(os.path.join(golden, name), "rb").read()
+        assert got == want, f"{name} diverges from the golden copy"
+    got = open(os.path.join(out, "plan.txt"), "rb").read()
+    assert got == open(os.path.join(golden, "plan.txt"), "rb").read()
+
+
+def test_fresh_snapshot_run_parses_snapshot_once(fixture_repo, tmp_path, monkeypatch):
+    from fixpair import pipeline
+
+    snap_path = str(tmp_path / "snap.json")
+    assert main([
+        "fetch", "--from-local", fixture_repo["repo"],
+        "--issues", fixture_repo["issues"], "--out", snap_path,
+    ]) == 0
+    loads = []
+    real = pipeline.load_snapshot
+
+    def counting(path):
+        loads.append(path)
+        return real(path)
+
+    monkeypatch.setattr(pipeline, "load_snapshot", counting)
+    config = PipelineConfig(
+        out=str(tmp_path / "out"), snapshot=snap_path, repo=fixture_repo["repo"]
+    )
+    quiet_run(config, stop_after="link")
+    assert loads == [snap_path]
+    loads.clear()
+    manifest = quiet_run(config, stop_after="link")
+    assert manifest["stages"]["snapshot"]["status"] == "cached"
+    assert len(loads) == 1  # the cached copy under --out
+
+
+def test_new_commit_invalidates_local_snapshot(fixture_repo, tmp_path):
+    import json
+    import subprocess
+    import sys
+
+    sys.path.insert(0, os.path.dirname(__file__))
+    from conftest import run_git
+
+    clone = str(tmp_path / "clone")
+    subprocess.run(
+        ["git", "clone", "-q", fixture_repo["repo"], clone], check=True
+    )
+    config = PipelineConfig(
+        out=str(tmp_path / "out"), repo=clone, issues=fixture_repo["issues"]
+    )
+    quiet_run(config, stop_after="link")
+    assert quiet_run(config, stop_after="link")["stages"]["snapshot"]["status"] == (
+        "cached"
+    )
+    env = dict(
+        os.environ,
+        GIT_AUTHOR_NAME="x", GIT_AUTHOR_EMAIL="x@x", GIT_COMMITTER_NAME="x",
+        GIT_COMMITTER_EMAIL="x@x",
+        GIT_AUTHOR_DATE="2024-02-01T00:00:00 +0000",
+        GIT_COMMITTER_DATE="2024-02-01T00:00:00 +0000",
+    )
+    run_git(clone, "commit", "-q", "--allow-empty", "-m", "fixes #1", env=env)
+    manifest = quiet_run(config, stop_after="link")
+    assert manifest["stages"]["snapshot"]["status"] == "fresh"
+    snap = json.loads((tmp_path / "out" / "snapshot" / "snapshot.json").read_text())
+    assert len(snap["commits"]) == 13
 
 
 def test_pipeline_with_no_bug_issues(tmp_path):
@@ -275,12 +402,10 @@ def test_analysis_cache_roundtrip():
         "        return 0;\n    }\n}\n"
     )
     fa = analyze_source("src/p/A.java", src)
-    doc = analysis_to_json("a" * 40, "full", {"src/p/A.java": fa})
     # must survive JSON text serialization
-    doc = _json.loads(_json.dumps(doc))
-    commit, mode, files = analysis_from_json(doc)
-    assert commit == "a" * 40 and mode == "full"
-    back = files["src/p/A.java"]
+    doc = _json.loads(_json.dumps(analysis_to_json(fa)))
+    back = analysis_from_json(doc)
+    assert back.path == "src/p/A.java" and back.error is None
     assert back.code_lines == fa.code_lines
     assert {(e.kind, e.fqn, e.start_line, e.end_line) for e in back.elements} == {
         (e.kind, e.fqn, e.start_line, e.end_line) for e in fa.elements
@@ -333,6 +458,37 @@ def test_cli_fetch_from_local_and_run(fixture_repo, tmp_path, capsys):
     captured = capsys.readouterr().out
     assert "evaluate: fresh" in captured
     assert os.path.exists(os.path.join(out_dir, "dataset", "subtract", "method.csv"))
+
+
+def test_cli_run_subtract_has_no_skipped_cell(fixture_repo, tmp_path):
+    out_dir = str(tmp_path / "out")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rc = main([
+            "run", "--out", out_dir,
+            "--repo", fixture_repo["repo"], "--issues", fixture_repo["issues"],
+            "--filter", "subtract", "--seed", "7",
+        ])
+    assert rc == 0
+    with open(os.path.join(out_dir, "eval", "results.csv"), newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {r["level"] for r in rows} == {"file", "class", "method", "projected"}
+    assert [r for r in rows if r["note"]] == []
+
+
+def test_cli_program_error_in_evaluate_exits_4(fixture_repo, tmp_path, monkeypatch):
+    from fixpair import pipeline
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("a program error, not a data error")
+
+    monkeypatch.setattr(pipeline, "evaluate_level", broken)
+    rc = main([
+        "run", "--out", str(tmp_path / "out"),
+        "--repo", fixture_repo["repo"], "--issues", fixture_repo["issues"],
+        "--level", "method", "--algo", "one_r",
+    ])
+    assert rc == 4
 
 
 def test_cli_evaluate_prints_table(pipeline_out, capsys):
