@@ -157,7 +157,7 @@ def _cmd_evaluate(args):
         )
         return EXIT_OK
 
-    from .pipeline import evaluate_level
+    from .pipeline import evaluate_levels
     from .learn.models import ALGORITHMS
 
     if not args.out:
@@ -170,15 +170,16 @@ def _cmd_evaluate(args):
     algos = tuple(args.algorithms) if args.algorithms else ALGORITHMS
     levels = tuple(args.levels) if args.levels else ("method",)
     print(f"{'level':10}{'algorithm':16}{'prec':>8}{'recall':>8}{'F':>8}")
-    for level in levels:
-        results = evaluate_level(
-            dataset_dir,
-            level,
-            algos,
-            seed=args.seed if args.seed is not None else 42,
-            repeats=args.repeats or 1,
-            k=args.folds or 10,
-        )
+    for level, results in evaluate_levels(
+        dataset_dir,
+        levels,
+        algos,
+        seed=args.seed if args.seed is not None else 42,
+        repeats=args.repeats or 1,
+        k=args.folds or 10,
+    ):
+        if isinstance(results, FixpairError):
+            raise results
         for algo, res in results.items():
             print(
                 f"{level:10}{algo:16}{res.precision:8.4f}{res.recall:8.4f}"

@@ -25,9 +25,6 @@ class IssueTouchSet:
     issue_id: int
     fqns_by_level: dict = field(default_factory=lambda: {l: set() for l in LEVELS})
 
-    def add_element(self, elem, parent_class_fqn=None, file_fqn=None):
-        self.fqns_by_level[elem.kind].add(elem.fqn)
-
     def is_empty(self):
         return not any(self.fqns_by_level.values())
 
@@ -118,12 +115,12 @@ class BuildResult:
     contributing_issues: set
 
 
-def build_entries(touch_sets, timelines, plan, metrics_by_commit, history) -> BuildResult:
+def build_entries(touch_sets, timelines, metrics_by_commit, history) -> BuildResult:
     """Before-fix and after-fix entries for every touched element.
 
     ``metrics_by_commit`` maps commit hash -> {(level, fqn) -> MetricsVector}
-    and must hold full metrics for every orange and last-green commit in the
-    plan.
+    and must hold full metrics for the orange and last-green commit of every
+    live timeline.
     """
     by_issue = {t.issue_id: t for t in timelines}
     live = []

@@ -48,12 +48,6 @@ class FileDiff:
         return self.new_path == "/dev/null"
 
     @property
-    def is_rename(self):
-        return (
-            not self.is_add and not self.is_delete and self.old_path != self.new_path
-        )
-
-    @property
     def path(self):
         return self.old_path if self.new_path == "/dev/null" else self.new_path
 

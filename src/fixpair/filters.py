@@ -16,6 +16,7 @@ entry whose label comes from a seeded coin; gcf keeps 1:1.  All survivor
 picks are deterministic under the seed.
 """
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -77,10 +78,11 @@ def _group_rng(key, seed):
 
 
 def _pick(members, count, rng):
-    """Deterministically keep ``count`` of the members (stable order)."""
+    """Deterministically keep ``count`` of the members (stable order);
+    ``rng()`` gives the group's generator, asked for only when drawing."""
     if count >= len(members):
         return list(members)
-    order = rng.permutation(len(members))[:count]
+    order = rng().permutation(len(members))[:count]
     keep = sorted(order.tolist())
     return [members[i] for i in keep]
 
@@ -109,7 +111,8 @@ def _filter_group(group, strategy, rng_seed):
     b, c = len(buggy), len(clean)
     if strategy == "none" or b == 0 or c == 0:
         return members
-    rng = _group_rng(group.feature_key, rng_seed)
+    # most groups never draw, so their generator is built on first use
+    rng = functools.cache(functools.partial(_group_rng, group.feature_key, rng_seed))
     major, minor = (buggy, clean) if b > c else (clean, buggy)
     if strategy == "removal":
         return [] if b == c else major
@@ -119,7 +122,7 @@ def _filter_group(group, strategy, rng_seed):
         return _pick(major, abs(b - c), rng)
     if strategy == "single":
         if b == c:
-            side = buggy if rng.integers(0, 2) == 1 else clean
+            side = buggy if rng().integers(0, 2) == 1 else clean
             return _pick(side, 1, rng)
         return _pick(major, 1, rng)
     if strategy == "gcf":

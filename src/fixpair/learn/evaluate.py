@@ -272,32 +272,32 @@ def project_to_class(method_predictions) -> ConfusionMatrix:
     return m
 
 
+def project_folds(result) -> EvalResult:
+    """Project a method-level CV result onto classes, fold by fold.
+
+    ``result.predictions`` holds each fold's test methods in fold order, so
+    each fold matrix's ``total()`` marks its slice of the predictions.
+    """
+    matrices, start = [], 0
+    for m in result.fold_matrices:
+        stop = start + m.total()
+        matrices.append(project_to_class(result.predictions[start:stop]))
+        start = stop
+    return EvalResult.from_matrices(
+        result.algorithm, "projected", matrices, result.repeats
+    )
+
+
 def cross_validate_projected(
     algorithm, instances, k=10, repeats=1, seed=0, hyperparameters=None
 ) -> EvalResult:
     """Method-level CV whose per-fold matrices are projected to class level."""
-    instances = list(instances)
-    folds = stratified_folds(instances, k, seed)
-    matrices = []
-    for r in range(repeats):
-        for fi, test_idx in enumerate(folds):
-            train_idx = [i for f in folds for i in f if f is not test_idx]
-            train_set = undersample(
-                [instances[i] for i in train_idx], rng_seed=seed * 7_919 + r * 101 + fi
-            )
-            X, y = _xy(train_set)
-            model = train(
-                algorithm, X, y, hyperparameters, rng_seed=seed * 31 + r * 7 + fi
-            )
-            test_set = [instances[i] for i in test_idx]
-            Xt, _ = _xy(test_set)
-            pred = model.predict(Xt)
-            rows = [
-                (inst.fqn, inst.parent_fqn, int(p), inst.label)
-                for inst, p in zip(test_set, pred)
-            ]
-            matrices.append(project_to_class(rows))
-    return EvalResult.from_matrices(algorithm, "projected", matrices, repeats)
+    return project_folds(
+        cross_validate(
+            algorithm, instances, k=k, repeats=repeats, seed=seed,
+            hyperparameters=hyperparameters,
+        )
+    )
 
 
 def load_predictions_csv(path) -> list:

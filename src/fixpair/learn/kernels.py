@@ -1,77 +1,22 @@
-"""Hot numeric kernels for tree training.
+"""Hot numeric kernel for tree training.
 
-Split search dominates the harness runtime, so it carries a numba-compiled
-implementation with a pure-numpy twin.  Set ``FIXPAIR_PURE_NUMPY=1`` to force
-the numpy path (or it is used automatically when numba is unavailable).  The
-two paths are arithmetically identical: same candidate order, same entropy
-expression, first-strict-improvement tie-breaking, so swapping the backend
-never changes a trained model.
-
-``best_split(X, y, feat_idx, min_leaf)`` returns ``(feature, threshold,
-weighted_entropy)`` or ``(-1, 0.0, inf)`` when no admissible split exists.
+Split search dominates the harness runtime.  ``best_split(X, y, feat_idx,
+min_leaf)`` scans every candidate threshold of each sampled feature with
+numpy and returns ``(feature, threshold, weighted_entropy)``, or
+``(-1, 0.0, inf)`` when no admissible split exists.  Ties keep the first
+candidate in scan order: features in ``feat_idx`` order, thresholds in
+ascending value order, replaced only by a strictly lower score.
 """
 
 import math
-import os
 
 import numpy as np
 
-_FORCE_NUMPY = os.environ.get("FIXPAIR_PURE_NUMPY", "") not in ("", "0")
-
-try:  # pragma: no cover - exercised via the selected backend
-    if _FORCE_NUMPY:
-        raise ImportError("numpy path forced by FIXPAIR_PURE_NUMPY")
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):  # no-op decorator stand-in
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
+KERNEL_BACKEND = "numpy"  # recorded with benchmark results
 
 
-def _best_split_impl(X, y, feat_idx, min_leaf):
-    n = X.shape[0]
-    best_feature = -1
-    best_threshold = 0.0
-    best_score = np.inf
-    total_pos = 0
-    for i in range(n):
-        total_pos += y[i]
-    for k in range(feat_idx.shape[0]):
-        f = feat_idx[k]
-        order = np.argsort(X[:, f], kind="mergesort")
-        pos_left = 0
-        for i in range(n - 1):
-            idx = order[i]
-            pos_left += y[idx]
-            v = X[idx, f]
-            v_next = X[order[i + 1], f]
-            if v == v_next:
-                continue
-            n_left = i + 1
-            n_right = n - n_left
-            if n_left < min_leaf or n_right < min_leaf:
-                continue
-            pos_right = total_pos - pos_left
-            score = (
-                n_left * _entropy_term(pos_left, n_left)
-                + n_right * _entropy_term(pos_right, n_right)
-            ) / n
-            if score < best_score:
-                best_score = score
-                best_feature = f
-                best_threshold = (v + v_next) / 2.0
-    return best_feature, best_threshold, best_score
-
-
-def _entropy_term_py(pos, n):
+def entropy(pos, n):
+    """Binary entropy of a ``pos``-of-``n`` split, in bits."""
     if pos == 0 or pos == n:
         return 0.0
     p = pos / n
@@ -79,21 +24,8 @@ def _entropy_term_py(pos, n):
     return -(p * math.log2(p) + q * math.log2(q))
 
 
-if _HAVE_NUMBA:
-    _entropy_term = njit(cache=True)(_entropy_term_py)
-    best_split_numba = njit(cache=True)(_best_split_impl)
-else:
-    _entropy_term = _entropy_term_py
-    best_split_numba = None
-
-
-def entropy(pos, n):
-    """Binary entropy of a ``pos``-of-``n`` split, in bits."""
-    return _entropy_term_py(pos, n)
-
-
-def best_split_numpy(X, y, feat_idx, min_leaf):
-    """Vectorized twin of the numba kernel; bit-identical results."""
+def best_split(X, y, feat_idx, min_leaf):
+    """Best weighted-entropy split over the features in ``feat_idx``."""
     n = X.shape[0]
     total_pos = int(y.sum())
     best_feature = -1
@@ -128,18 +60,3 @@ def _entropy_vec(pos, n):
     with np.errstate(divide="ignore", invalid="ignore"):
         h = -(p * np.log2(p) + q * np.log2(q))
     return np.where((pos == 0) | (pos == n), 0.0, h)
-
-
-if _HAVE_NUMBA:
-    KERNEL_BACKEND = "numba"
-    best_split = best_split_numba
-else:
-    KERNEL_BACKEND = "numpy"
-    best_split = best_split_numpy
-
-
-def warmup():
-    """Trigger JIT compilation outside of timed or tested sections."""
-    X = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 1.0], [3.0, 0.0]])
-    y = np.array([0, 0, 1, 1], dtype=np.int64)
-    best_split(X, y, np.array([0, 1], dtype=np.int64), 1)

@@ -30,12 +30,13 @@ from .gitio import GitRepo
 from .ingest import load_issue_specs, load_snapshot, save_snapshot, snapshot_from_local_repo
 from .java.structure import SourceElement
 from .learn import cross_validate, instances_from_entries
-from .learn.evaluate import cross_validate_projected, prf
+from .learn.evaluate import cross_validate_projected, prf, project_folds
 from .learn.models import ALGORITHMS
 from .linker import (
     BugFixTimeline,
     HistoryIndex,
     build_timeline,
+    read_plan,
     select_analysis_commits,
     write_plan,
 )
@@ -382,7 +383,7 @@ def run_pipeline(config: PipelineConfig, stop_after=None) -> dict:
     # One analysis/<key>.json per distinct (path, blob) version, plus an
     # index commit -> {path: key}; a commit's mode only decides below
     # whether its vectors feed metrics_by_commit.
-    needed = _analysis_needs(snapshot, timelines)
+    needed = _analysis_needs(snapshot, timelines, stages.rel("plan.txt"))
     index_art = os.path.join("analysis", "index.json")
 
     def analyze_arts():
@@ -478,9 +479,7 @@ def run_pipeline(config: PipelineConfig, stop_after=None) -> dict:
             )
             for t in live
         ]
-        result = ds.build_entries(
-            touch_sets, live, None, metrics_by_commit, history
-        )
+        result = ds.build_entries(touch_sets, live, metrics_by_commit, history)
         ds.export_dataset(result.entries_by_level, stages.rel("dataset", "full"))
         with open(stages.rel("build", "drop_log.txt"), "w", encoding="utf-8") as fh:
             for issue_id, commit, level, fqn, reason in result.drop_log:
@@ -538,18 +537,18 @@ def run_pipeline(config: PipelineConfig, stop_after=None) -> dict:
         rows, fold_rows = [], []
         for strat in config.eval_filters:
             strat_dir = "full" if strat in ("none", "full") else strat
-            for level in config.levels:
-                try:
-                    result_set = evaluate_level(
-                        stages.rel("dataset", strat_dir),
-                        level,
-                        config.algorithms,
-                        seed=config.seed,
-                        repeats=config.repeats,
-                        k=config.folds,
+            for level, result_set in evaluate_levels(
+                stages.rel("dataset", strat_dir),
+                config.levels,
+                config.algorithms,
+                seed=config.seed,
+                repeats=config.repeats,
+                k=config.folds,
+            ):
+                if isinstance(result_set, FixpairError):
+                    rows.append(
+                        (strat, level, "-", "", "", "", f"skipped: {result_set}")
                     )
-                except FixpairError as exc:
-                    rows.append((strat, level, "-", "", "", "", f"skipped: {exc}"))
                     continue
                 for algo, res in result_set.items():
                     rows.append(
@@ -592,9 +591,10 @@ def run_pipeline(config: PipelineConfig, stop_after=None) -> dict:
     return manifest
 
 
-def _analysis_needs(snapshot, timelines) -> dict:
-    """Commit -> mode map: plan commits plus green parents (positions)."""
-    plan = select_analysis_commits(timelines)
+def _analysis_needs(snapshot, timelines, plan_path) -> dict:
+    """Commit -> mode map: the link stage's plan commits plus green parents
+    (positions)."""
+    plan = read_plan(plan_path)
     needed = {e.commit_hash: ("full" if e.full_analysis else "pos") for e in plan.entries}
     for t in timelines:
         if t.degraded or t.orange is None:
@@ -621,16 +621,38 @@ def evaluate_level(dataset_dir, level, algorithms, seed, repeats, k=10):
         os.path.join(dataset_dir, _entries_csv(source_level)), source_level
     )
     instances = instances_from_entries(entries, source_level)
-    results = {}
-    for algo in algorithms:
-        if level == "projected":
-            res = cross_validate_projected(
-                algo, instances, k=k, repeats=repeats, seed=seed
-            )
-        else:
-            res = cross_validate(algo, instances, k=k, repeats=repeats, seed=seed)
-        results[algo] = res
-    return results
+    cv = cross_validate_projected if level == "projected" else cross_validate
+    return {
+        algo: cv(algo, instances, k=k, repeats=repeats, seed=seed)
+        for algo in algorithms
+    }
+
+
+def evaluate_levels(dataset_dir, levels, algorithms, seed, repeats, k=10):
+    """Yield ``(level, results)`` for each of ``levels``, in order.
+
+    ``results`` maps algorithm -> EvalResult, or is the ``FixpairError``
+    that stopped the level.  Each dataset file is cross-validated once:
+    ``projected`` is the class projection of the ``method`` folds, so a
+    failed method CV stops both levels, a failed projection only its own.
+    """
+    by_source = {}
+    for level in levels:
+        source = "method" if level == "projected" else level
+        if source not in by_source:
+            try:
+                by_source[source] = evaluate_level(
+                    dataset_dir, source, algorithms, seed=seed, repeats=repeats, k=k
+                )
+            except FixpairError as exc:
+                by_source[source] = exc
+        results = by_source[source]
+        if level == "projected" and not isinstance(results, FixpairError):
+            try:
+                results = {algo: project_folds(r) for algo, r in results.items()}
+            except FixpairError as exc:
+                results = exc
+        yield level, results
 
 
 def _write_results(eval_dir, rows, fold_rows):

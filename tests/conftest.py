@@ -366,11 +366,3 @@ def fixture_snapshot(fixture_repo):
         bug_labels=frozenset({"bug"}),
         repo_id="demo/fixture",
     )
-
-
-@pytest.fixture(scope="session")
-def kernels_warm():
-    from fixpair.learn import kernels
-
-    kernels.warmup()
-    return kernels

@@ -405,7 +405,7 @@ def _planted_instances(seed, n_classes=120, methods_per=3, d=10, shift=2.0, shuf
     return instances
 
 
-def test_criterion_9_planted_signal(kernels_warm):
+def test_criterion_9_planted_signal():
     t0 = time.perf_counter()
     instances = _planted_instances(424242)
     res = cross_validate("random_forest", instances, k=10, repeats=1, seed=99)

@@ -102,9 +102,7 @@ def test_touches_closure_and_both_sides():
 def test_deleted_method_yields_buggy_entry_and_drop_log():
     snap, analyses, metrics, timeline = make_scenario()
     touches = accumulate_issue_touches(timeline, snap, analyses)
-    result = build_entries(
-        [touches], [timeline], None, metrics, HistoryIndex(snap)
-    )
+    result = build_entries([touches], [timeline], metrics, HistoryIndex(snap))
     method_entries = {
         (e.commit_hash, e.fqn): e for e in result.entries_by_level["method"]
     }
@@ -118,7 +116,7 @@ def test_deleted_method_yields_buggy_entry_and_drop_log():
 def test_created_method_yields_fixed_only_entry():
     snap, analyses, metrics, timeline = make_scenario()
     touches = accumulate_issue_touches(timeline, snap, analyses)
-    result = build_entries([touches], [timeline], None, metrics, HistoryIndex(snap))
+    result = build_entries([touches], [timeline], metrics, HistoryIndex(snap))
     method_entries = {
         (e.commit_hash, e.fqn): e for e in result.entries_by_level["method"]
     }
@@ -130,7 +128,7 @@ def test_created_method_yields_fixed_only_entry():
 def test_isolated_bug_pairs():
     snap, analyses, metrics, timeline = make_scenario()
     touches = accumulate_issue_touches(timeline, snap, analyses)
-    result = build_entries([touches], [timeline], None, metrics, HistoryIndex(snap))
+    result = build_entries([touches], [timeline], metrics, HistoryIndex(snap))
     for level in ("class", "file"):
         entries = {e.commit_hash: e for e in result.entries_by_level[level]}
         assert entries[sha("a")].bug_count == 1
@@ -291,6 +289,6 @@ def fixture_dataset(fixture_snapshot, fixture_repo):
         if modes[h]
     }
     touch_sets = [accumulate_issue_touches(t, snap, analyses) for t in timelines]
-    result = build_entries(touch_sets, timelines, plan, metrics, hist)
+    result = build_entries(touch_sets, timelines, metrics, hist)
     assert result.contributing_issues == {1, 2, 3}
     return result.entries_by_level

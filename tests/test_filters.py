@@ -154,3 +154,14 @@ def test_groups_partition_dataset():
 def test_unknown_strategy_rejected():
     with pytest.raises(ValueError):
         apply_filter(group_entries(make_entries(1, 1)), "bogus")
+
+
+def test_removal_never_builds_a_generator(monkeypatch):
+    import fixpair.filters as filters
+
+    def no_rng(key, seed):
+        raise AssertionError("removal draws nothing, so it needs no generator")
+
+    monkeypatch.setattr(filters, "_group_rng", no_rng)
+    entries = make_entries(10, 20) + make_entries(5, 5, loc=9.0, start=30)
+    assert counts(filter_entries(entries, "removal", rng_seed=1)) == (0, 20)

@@ -15,10 +15,12 @@ from fixpair.learn.evaluate import (
     label_entries,
     load_predictions_csv,
     prf,
+    project_folds,
     project_to_class,
+    stratified_folds,
     undersample,
 )
-from fixpair.learn.kernels import best_split_numpy, entropy
+from fixpair.learn.kernels import best_split, entropy
 from fixpair.learn.models import (
     TRAINERS,
     ConstantModel,
@@ -44,51 +46,58 @@ def make_instances(n_buggy, n_clean, rng, d=4, shift=0.0, label_order=None):
 
 # --- kernels -------------------------------------------------------------------
 
-def test_kernel_backends_bit_identical(kernels_warm):
-    if kernels_warm.best_split_numba is None:
-        pytest.skip("numba unavailable or disabled")
+def _best_split_scalar(X, y, feat_idx, min_leaf):
+    """Plain-Python scan of every threshold: the oracle for ``best_split``."""
+    n = X.shape[0]
+    best_feature, best_threshold, best_score = -1, 0.0, math.inf
+    total_pos = int(y.sum())
+    for f in feat_idx:
+        order = np.argsort(X[:, f], kind="mergesort")
+        pos_left = 0
+        for i in range(n - 1):
+            idx = order[i]
+            pos_left += int(y[idx])
+            v, v_next = X[idx, f], X[order[i + 1], f]
+            if v == v_next:
+                continue
+            n_left = i + 1
+            n_right = n - n_left
+            if n_left < min_leaf or n_right < min_leaf:
+                continue
+            score = (
+                n_left * entropy(pos_left, n_left)
+                + n_right * entropy(total_pos - pos_left, n_right)
+            ) / n
+            if score < best_score:
+                best_feature, best_threshold, best_score = f, (v + v_next) / 2.0, score
+    return best_feature, best_threshold, best_score
+
+
+def test_kernel_matches_scalar_scan():
     rng = np.random.default_rng(5)
     for trial in range(25):
-        n = int(rng.integers(4, 120))
-        d = int(rng.integers(1, 9))
-        X = np.round(rng.normal(size=(n, d)), 2)  # rounding provokes ties
+        n = int(rng.integers(4, 60))
+        d = int(rng.integers(2, 9))
+        X = np.round(rng.normal(size=(n, d)), 1)  # rounding ties values
         y = rng.integers(0, 2, size=n).astype(np.int64)
-        feat_idx = np.arange(d, dtype=np.int64)
-        min_leaf = int(rng.integers(1, 3))
-        a = kernels_warm.best_split_numba(X, y, feat_idx, min_leaf)
-        b = best_split_numpy(X, y, feat_idx, min_leaf)
-        assert a[0] == b[0]
-        assert a[1] == b[1]  # bit-exact thresholds
-        assert a[2] == b[2] or (math.isinf(a[2]) and math.isinf(b[2]))
-
-
-def test_env_flag_selects_numpy_backend():
-    import os
-    import subprocess
-    import sys
-
-    probe = (
-        "from fixpair.learn import kernels\n"
-        "import numpy as np\n"
-        "print(kernels.KERNEL_BACKEND)\n"
-        "X = np.array([[0.,1.],[1.,0.],[2.,1.],[3.,0.]])\n"
-        "y = np.array([0,0,1,1])\n"
-        "print(kernels.best_split(X, y, np.arange(2), 1))\n"
-    )
-    env = dict(os.environ, FIXPAIR_PURE_NUMPY="1")
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env,
-        stdout=subprocess.PIPE, check=True,
-    ).stdout.decode()
-    lines = out.strip().splitlines()
-    assert lines[0] == "numpy"
-    assert lines[1] == "(0, 1.5, 0.0)"
+        if trial % 2 == 0:
+            # labels mirrored along column 0, so its thresholds tie in pairs
+            X[:, 0] = np.arange(n)
+            y = y | y[::-1]
+        X[:, -1] = X[:, 0]  # a copied column ties features
+        feat_idx = rng.permutation(d).astype(np.int64)
+        min_leaf = int(rng.integers(1, 4))
+        got = best_split(X, y, feat_idx, min_leaf)
+        want = _best_split_scalar(X, y, feat_idx, min_leaf)
+        assert got[0] == want[0], trial
+        assert got[1] == want[1], trial  # bit-exact thresholds
+        assert got[2] == want[2], trial
 
 
 def test_kernel_finds_obvious_split():
     X = np.array([[0.0], [1.0], [10.0], [11.0]])
     y = np.array([0, 0, 1, 1], dtype=np.int64)
-    f, thr, score = best_split_numpy(X, y, np.array([0], dtype=np.int64), 1)
+    f, thr, score = best_split(X, y, np.array([0], dtype=np.int64), 1)
     assert f == 0
     assert 1.0 < thr < 10.0
     assert score == 0.0
@@ -382,6 +391,28 @@ def test_projected_cross_validation_runs():
     res = cross_validate_projected("decision_tree", instances, k=4, seed=5)
     assert res.level == "projected"
     assert 0.0 <= res.f_measure <= 1.0
+
+
+@pytest.mark.parametrize("repeats", [1, 2])
+@pytest.mark.parametrize("algo", [
+    "one_r", "naive_bayes", "logistic", "decision_tree", "random_tree",
+    "random_forest",
+])
+def test_projected_folds_project_method_folds(algo, repeats):
+    rng = random.Random(17)
+    instances = make_instances(30, 30, rng, shift=1.0)
+    method = cross_validate(algo, instances, k=5, repeats=repeats, seed=3)
+    projected = cross_validate_projected(algo, instances, k=5, repeats=repeats, seed=3)
+    expected, start = [], 0
+    for fold in stratified_folds(instances, 5, 3) * repeats:
+        stop = start + len(fold)
+        expected.append(project_to_class(method.predictions[start:stop]))
+        start = stop
+    assert start == len(method.predictions)
+    assert len(projected.fold_matrices) == 5 * repeats
+    assert projected.fold_matrices == expected
+    assert project_folds(method).fold_matrices == expected
+    assert (projected.level, projected.repeats) == ("projected", repeats)
 
 
 # --- external predictions ---------------------------------------------------------

@@ -1,0 +1,27 @@
+"""The benchmark's tracer wraps fixpair's public calls by name, so renaming
+one of them breaks ``perfbench/run.py --trace 1``; this catches it here."""
+
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_tracer_instruments_the_source():
+    # in a child process: instrument() patches fixpair and subprocess for good
+    probe = (
+        "import sys\n"
+        "sys.path[:0] = sys.argv[1:]\n"
+        "import tracer\n"
+        "tracer.instrument(tracer.Tracer())\n"
+        "from fixpair.learn import kernels\n"
+        "print(kernels.best_split.__wrapped__.__module__)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe,
+         os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "src")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().strip() == "fixpair.learn.kernels"

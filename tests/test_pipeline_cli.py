@@ -1,10 +1,13 @@
 import csv
+import dataclasses
 import os
+import shutil
 import warnings
 
 import pytest
 
 from fixpair.cli import main
+from fixpair.errors import FixpairError
 from fixpair.pipeline import PipelineConfig, run_pipeline
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -489,6 +492,100 @@ def test_cli_program_error_in_evaluate_exits_4(fixture_repo, tmp_path, monkeypat
         "--level", "method", "--algo", "one_r",
     ])
     assert rc == 4
+
+
+def _evaluate_copy(pipeline_out, tmp_path, **changes):
+    """Evaluate a copy of the fixture run afresh with other settings (the
+    stages before evaluate stay cached); returns its results.csv rows."""
+    out = str(tmp_path / "out")
+    shutil.copytree(pipeline_out["out"], out)
+    config = dataclasses.replace(pipeline_out["config"], out=out, **changes)
+    stages = quiet_run(config)["stages"]
+    assert stages["filter"]["status"] == "cached"
+    assert stages["evaluate"]["status"] == "fresh"
+    with open(os.path.join(out, "eval", "results.csv"), newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def _no_parents(result):
+    raise FixpairError("method lacks a parent class")
+
+
+def test_evaluate_trains_each_method_model_once(pipeline_out, tmp_path, monkeypatch):
+    from fixpair.learn import models
+
+    calls = {}
+    for algo in ("one_r", "decision_tree"):
+        def counted(*args, _train=models.TRAINERS[algo], _algo=algo):
+            calls[_algo] = calls.get(_algo, 0) + 1
+            return _train(*args)
+
+        monkeypatch.setitem(models.TRAINERS, algo, counted)
+    rows = _evaluate_copy(
+        pipeline_out, tmp_path, levels=("projected", "method"),
+        algorithms=("one_r", "decision_tree"), folds=2, repeats=2,
+    )
+    assert [(r["level"], r["algorithm"], r["note"]) for r in rows] == [
+        ("projected", "one_r", ""), ("projected", "decision_tree", ""),
+        ("method", "one_r", ""), ("method", "decision_tree", ""),
+    ]
+    assert calls == {"one_r": 2 * 2, "decision_tree": 2 * 2}  # folds x repeats
+
+
+def test_failed_projection_skips_only_projected(pipeline_out, tmp_path, monkeypatch):
+    from fixpair import pipeline
+
+    monkeypatch.setattr(pipeline, "project_folds", _no_parents)
+    rows = _evaluate_copy(
+        pipeline_out, tmp_path, levels=("method", "projected", "file"),
+        algorithms=("one_r",),
+    )
+    assert [(r["level"], r["algorithm"], r["note"]) for r in rows] == [
+        ("method", "one_r", ""),
+        ("projected", "-", "skipped: method lacks a parent class"),
+        ("file", "one_r", ""),
+    ]
+
+
+def test_failed_method_cv_skips_both_method_levels(pipeline_out, tmp_path, monkeypatch):
+    from fixpair import pipeline
+
+    evaluated, real = [], pipeline.evaluate_level
+
+    def no_methods(dataset_dir, level, *args, **kwargs):
+        evaluated.append(level)
+        if level == "method":
+            raise FixpairError("too few methods")
+        return real(dataset_dir, level, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "evaluate_level", no_methods)
+    rows = _evaluate_copy(
+        pipeline_out, tmp_path, levels=("projected", "class", "method"),
+        algorithms=("one_r",),
+    )
+    assert evaluated == ["method", "class"]
+    assert [(r["level"], r["algorithm"], r["note"]) for r in rows] == [
+        ("projected", "-", "skipped: too few methods"),
+        ("class", "one_r", ""),
+        ("method", "-", "skipped: too few methods"),
+    ]
+
+
+def test_cli_evaluate_fails_on_failed_projection(pipeline_out, monkeypatch, capsys):
+    from fixpair import pipeline
+
+    monkeypatch.setattr(pipeline, "project_folds", _no_parents)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rc = main([
+            "evaluate", "--out", pipeline_out["out"], "--filter", "subtract",
+            "--level", "method", "--level", "projected", "--algo", "one_r",
+        ])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert "method    one_r" in captured.out
+    assert "projected" not in captured.out
+    assert "lacks a parent class" in captured.err
 
 
 def test_cli_evaluate_prints_table(pipeline_out, capsys):
