@@ -33,25 +33,20 @@ def is_test_path(path, globs=DEFAULT_TEST_GLOBS):
 def analyze_source(path: str, text: str) -> FileAnalysis:
     """Parse one Java file and compute the metrics of its elements."""
     stream = tokenize(text)
-    code_lines = frozenset(
-        line
-        for t in stream.tokens
-        if t.is_code
-        for line in range(t.line, t.end_line + 1)
-    )
+    ctx = TokenContext(stream)
+    code_lines = frozenset(ctx.code_lines)
     try:
         elements = parse_elements(path, stream)
     except ElementCollisionError as exc:
         return FileAnalysis(path=path, elements=[], code_lines=code_lines, error=str(exc))
     analysis = FileAnalysis(path=path, elements=elements, code_lines=code_lines)
-    ctx = TokenContext(stream)
     methods = [e for e in elements if e.kind == "method"]
     classes = [e for e in elements if e.kind == "class"]
     file_elem = next(e for e in elements if e.kind == "file")
 
     method_vecs = {}
     for m in methods:
-        vec = method_metrics(m, stream, ctx)
+        vec = method_metrics(m, ctx)
         method_vecs[m.fqn] = vec
         analysis.vectors[("method", m.fqn)] = vec
 
@@ -66,13 +61,11 @@ def analyze_source(path: str, text: str) -> FileAnalysis:
             class_vecs[d.fqn] for d in classes
             if d.parent_fqn == c.fqn and d.fqn in class_vecs
         ]
-        vec = class_metrics(c, members, stream, ctx, nested_classes=nested)
+        vec = class_metrics(c, members, nested, ctx)
         class_vecs[c.fqn] = vec
         analysis.vectors[("class", c.fqn)] = vec
 
-    analysis.vectors[("file", file_elem.fqn)] = file_metrics(
-        file_elem, stream, ctx, elements
-    )
+    analysis.vectors[("file", file_elem.fqn)] = file_metrics(file_elem, elements, ctx)
     return analysis
 
 

@@ -162,29 +162,33 @@ def _cmd_evaluate(args):
 
     if not args.out:
         raise ConfigError("--out is required")
-    strat = args.eval_filters[0] if args.eval_filters else "subtract"
-    strat_dir = "full" if strat in ("none", "full") else strat
-    dataset_dir = os.path.join(args.out, "dataset", strat_dir)
-    if not os.path.isdir(dataset_dir):
-        raise SnapshotFormatError(f"dataset directory missing: {dataset_dir}")
+    strategies = args.eval_filters or ("subtract",)
+    dataset_dirs = [
+        os.path.join(args.out, "dataset", "full" if s in ("none", "full") else s)
+        for s in strategies
+    ]
+    for dataset_dir in dataset_dirs:
+        if not os.path.isdir(dataset_dir):
+            raise SnapshotFormatError(f"dataset directory missing: {dataset_dir}")
     algos = tuple(args.algorithms) if args.algorithms else ALGORITHMS
     levels = tuple(args.levels) if args.levels else ("method",)
-    print(f"{'level':10}{'algorithm':16}{'prec':>8}{'recall':>8}{'F':>8}")
-    for level, results in evaluate_levels(
-        dataset_dir,
-        levels,
-        algos,
-        seed=args.seed if args.seed is not None else 42,
-        repeats=args.repeats or 1,
-        k=args.folds or 10,
-    ):
-        if isinstance(results, FixpairError):
-            raise results
-        for algo, res in results.items():
-            print(
-                f"{level:10}{algo:16}{res.precision:8.4f}{res.recall:8.4f}"
-                f"{res.f_measure:8.4f}"
-            )
+    print(f"{'filter':10}{'level':10}{'algorithm':16}{'prec':>8}{'recall':>8}{'F':>8}")
+    for strat, dataset_dir in zip(strategies, dataset_dirs):
+        for level, results in evaluate_levels(
+            dataset_dir,
+            levels,
+            algos,
+            seed=args.seed if args.seed is not None else 42,
+            repeats=args.repeats or 1,
+            k=args.folds or 10,
+        ):
+            if isinstance(results, FixpairError):
+                raise results
+            for algo, res in results.items():
+                print(
+                    f"{strat:10}{level:10}{algo:16}{res.precision:8.4f}"
+                    f"{res.recall:8.4f}{res.f_measure:8.4f}"
+                )
     return EXIT_OK
 
 

@@ -15,7 +15,9 @@ downstream consumers:
   ``;``) are not emitted.
 * Annotation type declarations (``@interface``) count as classes.
 * Element ranges run from the first token of the declaration (including
-  modifiers and annotations) to the matching closing brace.
+  modifiers and annotations) to the matching closing brace, as matched by
+  the stream's :class:`~.tokenizer.CodeView` (which also fixes the rule for
+  unbalanced input).
 """
 
 from dataclasses import dataclass, field
@@ -62,8 +64,8 @@ class SourceElement:
     name: str = ""
     modifiers: tuple = ()
     decl_index: int = -1  # full-stream index of the first declaration token
-    body_open: int = -1  # full-stream index of '{' (-1 when degraded)
-    body_close: int = -1  # full-stream index of matching '}'
+    body_open: int = -1  # code-view index of '{' (-1 for the file element)
+    body_close: int = -1  # code-view index where the body's group ends
     param_types: tuple = ()
     return_type: str = ""
     fields: list = field(default_factory=list)  # FieldDecl, classes only
@@ -87,46 +89,15 @@ class _Parser:
     def __init__(self, path, stream):
         self.path = path
         self.stream = stream
-        # Code view: (token, full_index) with comments/whitespace dropped.
-        self.code = [
-            (t, i) for i, t in enumerate(stream.tokens) if t.is_code
-        ]
+        self.view = stream.code_view
+        self.code = self.view.tokens
         self.n = len(self.code)
-        self.degraded = False
         self.elements = []
         self.package = ""
-        self._match = self._match_pairs()
+        self.match = self.view.match  # every '(' and '{' has an entry
 
     def tok(self, i):
-        return self.code[i][0]
-
-    def full_index(self, i):
-        return self.code[i][1]
-
-    def _match_pairs(self):
-        """Map opener index -> closer index for () and {} over code tokens."""
-        match = {}
-        stack = []
-        for i in range(self.n):
-            lex = self.tok(i).lexeme
-            if lex in "({":
-                stack.append((lex, i))
-            elif lex in ")}":
-                want = "(" if lex == ")" else "{"
-                # pop through mismatched openers so one stray bracket cannot
-                # derail the rest of the file
-                while stack and stack[-1][0] != want:
-                    opener, oi = stack.pop()
-                    match[oi] = i - 1 if i > oi else oi
-                    self.degraded = True
-                if stack:
-                    match[stack.pop()[1]] = i
-                else:
-                    self.degraded = True
-        while stack:
-            match[stack.pop()[1]] = self.n - 1
-            self.degraded = True
-        return match
+        return self.code[i]
 
     # -- helpers over a run of code-token indices --------------------------
 
@@ -138,7 +109,7 @@ class _Parser:
             while i + 1 < end and self.tok(i).lexeme == "." and self.tok(i + 1).kind == "identifier":
                 i += 2
         if i < end and self.tok(i).lexeme == "(":
-            i = self._match.get(i, end - 1) + 1
+            i = self.match[i] + 1
         return i
 
     def _skip_angles(self, i, end):
@@ -183,9 +154,7 @@ class _Parser:
 
     def _parse_params(self, open_idx):
         """Parameter list of the paren group opening at ``open_idx``."""
-        close = self._match.get(open_idx)
-        if close is None:
-            return None
+        close = self.match[open_idx]
         groups = [[]]
         i = open_idx + 1
         angle = 0
@@ -193,7 +162,7 @@ class _Parser:
             t = self.tok(i)
             lex = t.lexeme
             if lex == "(":
-                i = self._match.get(i, close) + 1
+                i = self.match[i] + 1
                 continue
             if t.kind == "operator" and set(lex) <= set("<>") and lex not in ("<>",):
                 angle += lex.count("<") - lex.count(">")
@@ -259,7 +228,7 @@ class _Parser:
         while i < end:
             t = self.tok(i)
             if t.lexeme == "(":
-                i = self._match.get(i, end - 1) + 1
+                i = self.match[i] + 1
                 continue
             if t.kind == "keyword" and t.lexeme in CLASS_KEYWORDS:
                 if i > start and self.tok(i - 1).lexeme == ".":
@@ -332,7 +301,7 @@ class _Parser:
         if params is None:
             return None
         # after the ')', only a throws clause may precede the body
-        close = self._match[paren]
+        close = self.match[paren]
         k = close + 1
         if k < end:
             if not (self.tok(k).kind == "keyword" and self.tok(k).lexeme == "throws"):
@@ -350,12 +319,10 @@ class _Parser:
             start_line=1,
             end_line=total,
             decl_index=0,
-            body_open=-1,
-            body_close=-1,
         )
         self.elements.append(file_elem)
         self._walk(0, self.n, parent=None, class_names=())
-        file_elem.degraded = self.degraded
+        file_elem.degraded = self.view.degraded
         self._check_collisions()
         return self.elements
 
@@ -385,7 +352,7 @@ class _Parser:
             lex = t.lexeme
 
             if lex == "(":
-                i = self._match.get(i, end - 1) + 1
+                i = self.match[i] + 1
                 continue
 
             if lex == ";":
@@ -400,7 +367,7 @@ class _Parser:
                 continue
 
             if lex == "{":
-                close = self._match.get(i, end - 1)
+                close = self.match[i]
                 handled = self._classify_brace(
                     run_start, i, close, parent, class_names, in_class
                 )
@@ -474,8 +441,8 @@ class _Parser:
             if lex == "(":
                 if not saw_assign and since_separator >= 2:
                     return  # method declaration without a body
-                close = self._match.get(rest[k])
-                while k < len(rest) and (close is None or rest[k] <= close):
+                close = self.match[rest[k]]
+                while k < len(rest) and rest[k] <= close:
                     k += 1
                 continue
             if t.kind == "operator" and set(lex) <= set("<>") and lex != "<>":
@@ -525,9 +492,9 @@ class _Parser:
                     parent_fqn=parent.fqn if parent is not None else None,
                     name=cname,
                     modifiers=modifiers,
-                    decl_index=self.full_index(run_start),
-                    body_open=self.full_index(open_i),
-                    body_close=self.full_index(close_i),
+                    decl_index=self.view.index[run_start],
+                    body_open=open_i,
+                    body_close=close_i,
                 )
                 self.elements.append(elem)
                 self._walk(open_i + 1, close_i, parent=elem, class_names=names)
@@ -547,9 +514,9 @@ class _Parser:
                     parent_fqn=parent.fqn,
                     name=name,
                     modifiers=modifiers,
-                    decl_index=self.full_index(run_start),
-                    body_open=self.full_index(open_i),
-                    body_close=self.full_index(close_i),
+                    decl_index=self.view.index[run_start],
+                    body_open=open_i,
+                    body_close=close_i,
                     param_types=params,
                     return_type=ret,
                 )

@@ -7,6 +7,7 @@ end of input and recorded as diagnostics.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 KEYWORDS = frozenset(
     """abstract assert boolean break byte case catch char class const continue
@@ -53,12 +54,58 @@ class Token:
 
 
 @dataclass
+class CodeView:
+    """The code tokens of one stream and the matching of their brackets.
+
+    ``match`` maps the code index of every ``(`` and ``{`` to the code index
+    where its group ends.  Unbalanced input degrades instead of failing: an
+    opener popped by a closer of the other kind ends at the code token just
+    before that closer, an opener never closed ends at the last code token,
+    and either case (or a closer with no opener) sets ``degraded``.
+    """
+
+    tokens: list  # code tokens, comments and whitespace dropped
+    index: list  # full-stream index of each code token
+    match: dict
+    degraded: bool
+
+    @classmethod
+    def of(cls, stream_tokens):
+        index = [i for i, t in enumerate(stream_tokens) if t.is_code]
+        tokens = [stream_tokens[i] for i in index]
+        match = {}
+        stack = []
+        degraded = False
+        for i, t in enumerate(tokens):
+            lex = t.lexeme
+            if lex in "({":
+                stack.append((lex, i))
+            elif lex in ")}":
+                want = "(" if lex == ")" else "{"
+                # pop through mismatched openers so one stray bracket cannot
+                # derail the rest of the file
+                while stack and stack[-1][0] != want:
+                    match[stack.pop()[1]] = i - 1
+                    degraded = True
+                if stack:
+                    match[stack.pop()[1]] = i
+                else:
+                    degraded = True
+        while stack:
+            match[stack.pop()[1]] = len(tokens) - 1
+            degraded = True
+        return cls(tokens, index, match, degraded)
+
+
+@dataclass
 class TokenStream:
     tokens: list = field(default_factory=list)
     diagnostics: list = field(default_factory=list)
 
-    def code_tokens(self):
-        return [t for t in self.tokens if t.is_code]
+    @cached_property
+    def code_view(self):
+        """The :class:`CodeView` of this stream, built on first use."""
+        return CodeView.of(self.tokens)
 
     @property
     def text(self):

@@ -64,12 +64,12 @@ class MetricsVector:
 # ---------------------------------------------------------------------------
 
 class TokenContext:
-    """Precomputed line/code views over one file's token stream."""
+    """Line sets and doc comments of one file; code tokens and bracket
+    matching come from the stream's code view, shared with the parser."""
 
     def __init__(self, stream):
         self.stream = stream
-        self.code = [(t, i) for i, t in enumerate(stream.tokens) if t.is_code]
-        self.code_pos = {full: ci for ci, (_, full) in enumerate(self.code)}
+        self.view = stream.code_view
         self.code_lines = set()
         self.comment_lines = set()
         for t in stream.tokens:
@@ -77,31 +77,6 @@ class TokenContext:
                 self.comment_lines.update(range(t.line, t.end_line + 1))
             elif t.kind != "whitespace":
                 self.code_lines.update(range(t.line, t.end_line + 1))
-        self._match = self._match_pairs()
-
-    def _match_pairs(self):
-        match = {}
-        stack = []
-        for ci, (t, _) in enumerate(self.code):
-            if t.lexeme in "({":
-                stack.append((t.lexeme, ci))
-            elif t.lexeme in ")}":
-                want = "(" if t.lexeme == ")" else "{"
-                while stack and stack[-1][0] != want:
-                    match[stack.pop()[1]] = ci
-                if stack:
-                    match[stack.pop()[1]] = ci
-        while stack:
-            match[stack.pop()[1]] = len(self.code) - 1
-        return match
-
-    def body_code_range(self, elem):
-        """Code-token index window strictly inside the element body braces."""
-        if elem.body_open < 0 or elem.body_open not in self.code_pos:
-            return 0, 0
-        start = self.code_pos[elem.body_open] + 1
-        end = self.code_pos.get(elem.body_close, len(self.code))
-        return start, end
 
     def doc_comment(self, elem):
         """The javadoc token attached to the declaration, or None."""
@@ -130,24 +105,31 @@ def _density(comment, logical):
     return comment / total if total > 0 else 0.0
 
 
-def _is_wildcard(ctx, ci):
+def _body_range(elem):
+    """Code-view index window strictly inside the element body braces."""
+    if elem.body_open < 0:
+        return 0, 0
+    return elem.body_open + 1, elem.body_close
+
+
+def _is_wildcard(code, ci):
     """Generic wildcard '?' as opposed to a ternary operator."""
-    prev_lex = ctx.code[ci - 1][0].lexeme if ci > 0 else ""
-    next_lex = ctx.code[ci + 1][0].lexeme if ci + 1 < len(ctx.code) else ""
+    prev_lex = code[ci - 1].lexeme if ci > 0 else ""
+    next_lex = code[ci + 1].lexeme if ci + 1 < len(code) else ""
     if prev_lex in ("<", ","):
         return True
     return next_lex in ("extends", "super", ",", ">", ">>", ">>>")
 
 
-def _decision_points(ctx, start, end):
+def _decision_points(code, start, end):
     count = 0
     for ci in range(start, end):
-        t = ctx.code[ci][0]
+        t = code[ci]
         if t.kind == "keyword" and t.lexeme in DECISION_KEYWORDS:
             count += 1
         elif t.kind == "operator" and t.lexeme in DECISION_OPERATORS:
             count += 1
-        elif t.lexeme == "?" and not _is_wildcard(ctx, ci):
+        elif t.lexeme == "?" and not _is_wildcard(code, ci):
             count += 1
     return count
 
@@ -157,8 +139,9 @@ def _decision_points(ctx, start, end):
 # ---------------------------------------------------------------------------
 
 class _StatementScan:
-    def __init__(self, ctx, start, end):
-        self.ctx = ctx
+    def __init__(self, view, start, end):
+        self.code = view.tokens
+        self.match = view.match
         self.start = start
         self.end = end
         self.count = 0
@@ -170,14 +153,21 @@ class _StatementScan:
         return self.count, self.max_nl, self.max_nle
 
     def _lex(self, i):
-        return self.ctx.code[i][0].lexeme
+        return self.code[i].lexeme
 
     def _kind(self, i):
-        return self.ctx.code[i][0].kind
+        return self.code[i].kind
 
     def _skip_group(self, i):
         """i at '(' or '{': index just past the matching closer."""
-        return self.ctx._match.get(i, self.end - 1) + 1
+        return self.match[i] + 1
+
+    def _braced_block(self, i, end, nl, nle):
+        """i at '{': scan the block's statements, clipped to ``end``;
+        return the index just past the block."""
+        close = self.match[i]
+        self._block(i + 1, min(close, end), nl, nle)
+        return min(close + 1, end)
 
     def _skip_to_semicolon(self, i):
         while i < self.end:
@@ -204,9 +194,7 @@ class _StatementScan:
             self.count += 1
             return i + 1
         if lex == "{":
-            close = self.ctx._match.get(i, end - 1)
-            self._block(i + 1, min(close, end), nl, nle)
-            return min(close, end - 1) + 1
+            return self._braced_block(i, end, nl, nle)
         if lex == "}":
             return i + 1  # stray closer, tolerated
 
@@ -221,9 +209,7 @@ class _StatementScan:
                     i = self._skip_group(i)
                 if lex == "switch":
                     if i < end and self._lex(i) == "{":
-                        close = self.ctx._match.get(i, end - 1)
-                        self._block(i + 1, min(close, end), nl + 1, nle + 1)
-                        return min(close, end - 1) + 1
+                        return self._braced_block(i, end, nl + 1, nle + 1)
                     return i
                 return self._statement(i, end, nl + 1, nle + 1) if i < end else i
             if lex == "do":
@@ -254,7 +240,7 @@ class _StatementScan:
                 while i < end and self._lex(i) != "{":
                     i += 1
                 if i < end:
-                    return min(self.ctx._match.get(i, end - 1), end - 1) + 1
+                    return min(self.match[i] + 1, end)
                 return end
             if lex in STATEMENT_KEYWORDS:
                 self.count += 1
@@ -309,17 +295,13 @@ class _StatementScan:
         if i < end and self._lex(i) == "(":  # try-with-resources
             i = self._skip_group(i)
         if i < end and self._lex(i) == "{":
-            close = self.ctx._match.get(i, end - 1)
-            self._block(i + 1, min(close, end), nl + 1, nle + 1)
-            i = min(close, end - 1) + 1
+            i = self._braced_block(i, end, nl + 1, nle + 1)
         while i < end and self._lex(i) in ("catch", "finally"):
             i += 1
             if i < end and self._lex(i) == "(":
                 i = self._skip_group(i)
             if i < end and self._lex(i) == "{":
-                close = self.ctx._match.get(i, end - 1)
-                self._block(i + 1, min(close, end), nl + 1, nle + 1)
-                i = min(close, end - 1) + 1
+                i = self._braced_block(i, end, nl + 1, nle + 1)
         return i
 
 
@@ -335,11 +317,11 @@ def _ln_or_zero(x):
     return math.log(x) if x > 0 else 0.0
 
 
-def _halstead(ctx, start, end):
+def _halstead(code, start, end):
     operators = {}
     operands = {}
     for ci in range(start, end):
-        t = ctx.code[ci][0]
+        t = code[ci]
         if t.kind in ("identifier", "literal"):
             operands[t.lexeme] = operands.get(t.lexeme, 0) + 1
         else:  # keyword, operator, brace
@@ -383,10 +365,9 @@ def _maintainability(hvol, mccc, lloc, cd):
 # per-level entry points
 # ---------------------------------------------------------------------------
 
-def method_metrics(elem: SourceElement, tokens, ctx: TokenContext = None) -> MetricsVector:
+def method_metrics(elem: SourceElement, ctx: TokenContext) -> MetricsVector:
     """Full metric vector for a method element."""
     assert elem.kind == "method"
-    ctx = ctx or TokenContext(tokens)
     v = {}
     doc = ctx.doc_comment(elem)
     dloc = (doc.end_line - doc.line + 1) if doc is not None else 0
@@ -399,16 +380,24 @@ def method_metrics(elem: SourceElement, tokens, ctx: TokenContext = None) -> Met
     v["CD"] = _density(cloc, lloc)
     v["TCD"] = _density(cloc + dloc, lloc)
 
-    body_start, body_end = ctx.body_code_range(elem)
-    nos, nl, nle = _StatementScan(ctx, body_start, body_end).run()
+    body_start, body_end = _body_range(elem)
+    nos, nl, nle = _StatementScan(ctx.view, body_start, body_end).run()
     v["NOS"], v["TNOS"] = float(nos), float(nos)
     v["NL"], v["NLE"] = float(nl), float(nle)
     v["NUMPAR"] = float(len(elem.param_types))
-    v["McCC"] = float(1 + _decision_points(ctx, body_start, body_end))
-    v.update(_halstead(ctx, body_start, body_end))
+    code = ctx.view.tokens
+    v["McCC"] = float(1 + _decision_points(code, body_start, body_end))
+    v.update(_halstead(code, body_start, body_end))
     v.update(_maintainability(v["HVOL"], v["McCC"], v["LLOC"], v["CD"]))
     ordered = {k: v[k] for k in METHOD_COLUMNS if k in v}
     return MetricsVector(level="method", values=ordered, element=elem)
+
+
+def _documented_public(ctx, elements):
+    """(PDA, PUA): public elements with and without an attached doc comment."""
+    public = [e for e in elements if e.is_public]
+    pda = sum(1 for e in public if ctx.doc_comment(e) is not None)
+    return float(pda), float(len(public) - pda)
 
 
 def _is_getter(m):
@@ -425,11 +414,7 @@ def _is_setter(m):
 
 
 def class_metrics(
-    elem: SourceElement,
-    members,
-    tokens,
-    ctx: TokenContext = None,
-    nested_classes=(),
+    elem: SourceElement, members, nested_classes, ctx: TokenContext
 ) -> MetricsVector:
     """Metric vector for a class.
 
@@ -438,7 +423,6 @@ def class_metrics(
     the already-computed vectors of directly nested classes.
     """
     assert elem.kind == "class"
-    ctx = ctx or TokenContext(tokens)
     v = {}
     direct = [m for m in members if m.element.parent_fqn == elem.fqn]
     nested = list(nested_classes)
@@ -486,45 +470,28 @@ def class_metrics(
     v["TNA"] = v["TNLA"] = float(na + sum(n.values["TNA"] for n in nested))
     v["TNPA"] = v["TNLPA"] = float(npa + sum(n.values["TNPA"] for n in nested))
 
-    pda = pua = 0
-    for m in direct:
-        if m.element.is_public:
-            if ctx.doc_comment(m.element) is not None:
-                pda += 1
-            else:
-                pua += 1
-    for n in nested:
-        if n.element.is_public:
-            if ctx.doc_comment(n.element) is not None:
-                pda += 1
-            else:
-                pua += 1
-    v["PDA"], v["PUA"] = float(pda), float(pua)
+    pda, pua = _documented_public(ctx, [x.element for x in direct + nested])
+    v["PDA"], v["PUA"] = pda, pua
     v["AD"] = pda / (pda + pua) if (pda + pua) > 0 else 0.0
 
     ordered = {k: v[k] for k in CLASS_COLUMNS if k in v}
     return MetricsVector(level="class", values=ordered, element=elem)
 
 
-def file_metrics(elem: SourceElement, tokens, ctx: TokenContext = None, elements=()) -> MetricsVector:
+def file_metrics(elem: SourceElement, elements, ctx: TokenContext) -> MetricsVector:
     """Metric vector for a file element.
 
     ``elements`` (all elements parsed from the file) feed the public-API
     documentation counts.
     """
     assert elem.kind == "file"
-    ctx = ctx or TokenContext(tokens)
     v = {}
     loc, lloc, cloc = _line_counts(ctx, elem.start_line, elem.end_line)
     v["LOC"], v["LLOC"], v["CLOC"] = float(loc), float(lloc), float(cloc)
-    v["McCC"] = float(1 + _decision_points(ctx, 0, len(ctx.code)))
-    pda = pua = 0
-    for e in elements:
-        if e.kind in ("class", "method") and e.is_public:
-            if ctx.doc_comment(e) is not None:
-                pda += 1
-            else:
-                pua += 1
-    v["PDA"], v["PUA"] = float(pda), float(pua)
+    code = ctx.view.tokens
+    v["McCC"] = float(1 + _decision_points(code, 0, len(code)))
+    v["PDA"], v["PUA"] = _documented_public(
+        ctx, [e for e in elements if e.kind in ("class", "method")]
+    )
     ordered = {k: v[k] for k in FILE_COLUMNS if k in v}
     return MetricsVector(level="file", values=ordered, element=elem)

@@ -254,6 +254,10 @@ class _Stages:
             ):
                 cached = True
         if not cached:
+            # a producer that fails part-way may leave artifacts of another
+            # fingerprint behind; without a state file they never look cached
+            if os.path.exists(state_path):
+                os.remove(state_path)
             try:
                 producer()
             except Exception as exc:

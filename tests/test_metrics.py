@@ -360,6 +360,52 @@ def test_monotonicity_appending_statement():
         assert v2[metric] >= v1[metric]
 
 
+# Unbalanced brackets: a mismatched opener ends at the code token before the
+# closer that popped it, an unclosed one at the last code token (METRICS.md).
+DEGRADED_CASES = [
+    (
+        "class A { void m() { f( { ) ; } }",
+        [("file", "src/A.java", 1, 1), ("class", "A", 1, 1),
+         ("method", "A.m()void", 1, 1)],
+        {"A.m()void": (1, 1, 5)},
+    ),
+    (
+        "class A { void m() { try { x( } y(); } }",
+        [("file", "src/A.java", 1, 1), ("class", "A", 1, 1),
+         ("method", "A.m()void", 1, 1)],
+        {"A.m()void": (3, 1, 9)},
+    ),
+    (  # a deleted ')'
+        "class A {\n  void m() {\n    if (a { b(); }\n  }\n"
+        "  void n() { c(); }\n}\n",
+        [("file", "src/A.java", 1, 6), ("class", "A", 1, 6),
+         ("method", "A.m()void", 2, 4), ("method", "A.n()void", 5, 5)],
+        {"A.m()void": (1, 2, 9), "A.n()void": (1, 1, 4)},
+    ),
+    (  # '(' swapped for '{': the class ends before the stray ')'
+        "class A {\n  void m() {\n    g{ 1 ); h();\n  }\n"
+        "  int n() { return 0; }\n}\n",
+        [("file", "src/A.java", 1, 6), ("class", "A", 1, 3),
+         ("method", "A.m()void", 2, 3)],
+        {"A.m()void": (1, 1, 2)},
+    ),
+]
+
+
+@pytest.mark.parametrize("src,elements,methods", DEGRADED_CASES)
+def test_degraded_input_ranges_and_metrics(src, elements, methods):
+    fa = analyzed(src)
+    assert fa.error is None
+    assert [(e.kind, e.fqn, e.start_line, e.end_line) for e in fa.elements] == elements
+    assert [e.degraded for e in fa.elements] == [True] + [False] * (len(elements) - 1)
+    got = {
+        fqn: tuple(vec.values[m] for m in ("NOS", "McCC", "HPL"))
+        for (kind, fqn), vec in fa.vectors.items()
+        if kind == "method"
+    }
+    assert got == methods
+
+
 @pytest.mark.parametrize("seed", range(60))
 def test_fuzzed_invariants(seed):
     src = make_class(seed)

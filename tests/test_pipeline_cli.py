@@ -7,8 +7,8 @@ import warnings
 import pytest
 
 from fixpair.cli import main
-from fixpair.errors import FixpairError
-from fixpair.pipeline import PipelineConfig, run_pipeline
+from fixpair.errors import FixpairError, StageError
+from fixpair.pipeline import PipelineConfig, _Stages, run_pipeline
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 DATASET_FILES = ("file.csv", "class.csv", "method.csv", "method-p.csv")
@@ -135,6 +135,25 @@ def test_stage_resume_after_artifact_removal(fixture_repo, tmp_path):
     assert statuses["analyze"] == "cached"
     assert statuses["build"] == "fresh"
     assert os.path.exists(os.path.join(out, "dataset", "full", "method.csv"))
+
+
+def test_failed_stage_is_not_cached_on_resume(tmp_path):
+    stages = _Stages(str(tmp_path))
+    artifact = tmp_path / "artifact.txt"
+
+    def producer(text, fail=False):
+        def produce():
+            artifact.write_text(text)
+            if fail:
+                raise RuntimeError("killed after writing")
+        return produce
+
+    assert not stages.run("s", "fp-A", ["artifact.txt"], producer("A"))
+    with pytest.raises(StageError):
+        stages.run("s", "fp-B", ["artifact.txt"], producer("B", fail=True))
+    assert not stages.run("s", "fp-A", ["artifact.txt"], producer("A"))
+    assert stages.manifest["s"]["status"] == "fresh"
+    assert artifact.read_text() == "A"
 
 
 def test_parallel_analinstall_matches_serial(fixture_repo, tmp_path):
@@ -605,6 +624,21 @@ def test_cli_evaluate_prints_table(pipeline_out, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "one_r" in out and "method" in out
+
+
+def test_cli_evaluate_every_filter(pipeline_out, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rc = main([
+            "evaluate", "--out", pipeline_out["out"], "--filter", "subtract",
+            "--filter", "gcf", "--level", "method", "--algo", "one_r",
+        ])
+    assert rc == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [r.split()[:3] for r in rows] == [
+        ["subtract", "method", "one_r"], ["gcf", "method", "one_r"],
+    ]
+    assert all("method    one_r" in r for r in rows)
 
 
 def test_cli_evaluate_external_predictions(tmp_path, capsys):

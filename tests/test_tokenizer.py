@@ -135,5 +135,8 @@ def test_total_coverage_property(src):
 
 def test_token_stream_code_tokens():
     ts = tokenize("int a; // c")
-    assert all(t.is_code for t in ts.code_tokens())
-    assert len(ts.code_tokens()) == 3
+    view = ts.code_view
+    assert all(t.is_code for t in view.tokens)
+    assert len(view.tokens) == 3
+    assert [ts.tokens[i] for i in view.index] == view.tokens
+    assert ts.code_view is view  # built once per stream
