@@ -8,7 +8,7 @@ from .java.tokenizer import tokenize
 from .metrics import TokenContext, class_metrics, file_metrics, method_metrics
 
 # Bump when counting rules change; cache entries are keyed by this.
-ANALYZER_VERSION = "1"
+ANALYZER_VERSION = "2"
 
 DEFAULT_TEST_GLOBS = ("**/test/**",)
 

@@ -87,18 +87,20 @@ def accumulate_issue_touches(
                     continue
             if not diff.is_add and parent_hash is not None:
                 old_elems = _elements_for(analyses, parent_hash, diff.old_path)
-                for fqn in elements_touched(modified_ranges(diff, "old"), old_elems):
-                    elem = next(e for e in old_elems if e.fqn == fqn)
-                    _add_with_closure(touches, elem, old_elems)
+                _add_touched(touches, modified_ranges(diff, "old"), old_elems)
             if not diff.is_delete:
                 new_elems = _elements_for(analyses, green_hash, diff.new_path)
-                for fqn in elements_touched(modified_ranges(diff, "new"), new_elems):
-                    elem = next(e for e in new_elems if e.fqn == fqn)
-                    _add_with_closure(touches, elem, new_elems)
+                _add_touched(touches, modified_ranges(diff, "new"), new_elems)
     return touches
 
 
-def _add_with_closure(touches, elem, file_elements):
+def _add_touched(touches, ranges, file_elements):
+    first = {e.fqn: e for e in reversed(file_elements)}  # first element per FQN
+    for fqn in elements_touched(ranges, file_elements):
+        _add_with_closure(touches, first[fqn])
+
+
+def _add_with_closure(touches, elem):
     touches.fqns_by_level[elem.kind].add(elem.fqn)
     if elem.kind == "method":
         if elem.parent_fqn:
@@ -130,17 +132,16 @@ def build_entries(touch_sets, timelines, metrics_by_commit, history) -> BuildRes
             continue
         live.append((t, ts))
 
-    intervals = {
-        t.issue_id: buggy_interval_positions(t, history) for t, _ in live
-    }
+    intervals_by_element = {}  # (level, fqn) -> buggy intervals of its issues
+    for t, ts in live:
+        interval = buggy_interval_positions(t, history)
+        for level in LEVELS:
+            for fqn in ts.fqns_by_level[level]:
+                intervals_by_element.setdefault((level, fqn), []).append(interval)
 
     def bug_count(commit_hash, level, fqn):
         pos = history.resolve(commit_hash)
-        n = 0
-        for t, ts in live:
-            if pos in intervals[t.issue_id] and fqn in ts.fqns_by_level[level]:
-                n += 1
-        return n
+        return sum(pos in iv for iv in intervals_by_element.get((level, fqn), ()))
 
     drop_log = []
     contributing = set()

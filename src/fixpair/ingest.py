@@ -17,6 +17,12 @@ snapshot file instead of live data.  Format (UTF-8 JSON, version 1):
 Commits are listed head-first: the first entry is the head of the default
 branch.  Every ``patch`` is one file's unified diff against the commit's
 first parent.
+
+A snapshot of a local clone (:func:`snapshot_from_local_repo`) runs two git
+processes whatever the length of the history: one ``git log`` for the
+commits and one ``git diff-tree --stdin`` that diffs every commit against its
+first parent.  ``diff-tree`` is plumbing, so the patches do not depend on
+the user's porcelain ``diff.*`` settings.
 """
 
 import json
@@ -24,6 +30,8 @@ import os
 import re
 import subprocess
 import tempfile
+import threading
+from contextlib import closing
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 
@@ -116,12 +124,6 @@ class ProjectSnapshot:
     def head(self):
         """Default-branch head: the first commit in the stored list."""
         return self.commits[0] if self.commits else None
-
-    def external_parents(self):
-        known = self._by_hash()
-        return {
-            p for c in self.commits for p in c.parents if p not in known
-        }
 
     def validate(self):
         problems = []
@@ -323,7 +325,7 @@ def load_snapshot(path) -> ProjectSnapshot:
 # snapshot from a local clone (offline ingestion used by fixtures and CI)
 # ---------------------------------------------------------------------------
 
-_EMPTY_TREE = "4b825dc642cb6eb9a060e54bf8d69288fbee4904"
+_HEADER_RE = re.compile(rb"(?:[0-9a-f]{40}|[0-9a-f]{64})\n")  # a bare commit id
 
 
 def _git(repo, *args):
@@ -337,6 +339,78 @@ def _git(repo, *args):
             f"git {' '.join(args)} failed: {proc.stderr.decode('utf-8', 'replace')}"
         )
     return proc.stdout.decode("utf-8", "replace")
+
+
+def _first_parent_patches(repo, commits):
+    """Yield the patch text of each ``(sha, parents)`` in ``commits``, in order.
+
+    One ``git diff-tree --stdin`` process diffs every commit against its first
+    parent (a root against the empty tree).  ``--always`` prints a header for
+    every commit, even one with an empty diff, so the headers must come back
+    in input order.  Stdin is written from a thread and stdout is read as a
+    stream, so neither pipe can block the other and the whole output is never
+    held at once.
+    """
+    args = ["diff-tree", "--stdin", "--root", "--always", "-p", "--no-color",
+            "--no-renames"]
+    with tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen(
+            ["git", "-C", str(repo), *args],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=err,
+        )
+
+        def feed():
+            try:
+                with proc.stdin:
+                    for sha, parents in commits:
+                        line = f"{sha} {parents[0]}\n" if parents else f"{sha}\n"
+                        proc.stdin.write(line.encode("ascii"))
+            except BrokenPipeError:
+                pass  # git exited early; its status and stderr say why
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        try:
+            due = (sha for sha, _ in commits)
+            sha, lines = None, []
+            for line in proc.stdout:
+                if _HEADER_RE.fullmatch(line):
+                    if sha is not None:
+                        yield b"".join(lines).decode("utf-8", "replace")
+                    sha, lines = line[:-1].decode("ascii"), []
+                    want = next(due, None)
+                    if sha != want:
+                        raise SnapshotFormatError(
+                            f"git diff-tree printed commit {sha} where {want} "
+                            "was due"
+                        )
+                elif sha is None:
+                    raise SnapshotFormatError(
+                        f"git diff-tree printed {line[:80]!r} before any commit"
+                    )
+                else:
+                    lines.append(line)
+            if proc.wait() != 0:
+                err.seek(0)
+                raise SnapshotFormatError(
+                    f"git {' '.join(args)} failed: "
+                    f"{err.read().decode('utf-8', 'replace')}"
+                )
+            missing = next(due, None)
+            if missing is not None:
+                raise SnapshotFormatError(
+                    f"git diff-tree printed no header for commit {missing}"
+                )
+            if sha is not None:
+                yield b"".join(lines).decode("utf-8", "replace")
+        finally:
+            proc.stdout.close()
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait()
+            writer.join()
 
 
 def snapshot_from_local_repo(
@@ -355,29 +429,27 @@ def snapshot_from_local_repo(
     log = _git(
         repo_path, "log", "--date-order", "--format=%H%x01%P%x01%an%x01%cI%x01%B%x02"
     )
-    commits = []
-    by_hash = {}
+    logged = []
     for chunk in log.split("\x02"):
         chunk = chunk.lstrip("\n")
         if not chunk.strip():
             continue
         sha, parents, author, date, message = chunk.split("\x01", 4)
-        parent_list = tuple(parents.split()) if parents.strip() else ()
-        base = parent_list[0] if parent_list else _EMPTY_TREE
-        patch_text = _git(
-            repo_path, "diff", "--no-color", "--no-renames", base, sha
-        )
-        file_diffs = tuple(parse_unified_diff(patch_text))
-        record = CommitRecord(
-            hash=sha,
-            parents=parent_list,
-            author_id=author,
-            timestamp=parse_utc(date),
-            message=message.rstrip("\n"),
-            file_diffs=file_diffs,
-        )
-        commits.append(record)
-        by_hash[sha] = record
+        logged.append((sha, tuple(parents.split()), author, date, message))
+    commits = []
+    by_hash = {}
+    with closing(_first_parent_patches(repo_path, [c[:2] for c in logged])) as patches:
+        for (sha, parents, author, date, message), patch_text in zip(logged, patches):
+            record = CommitRecord(
+                hash=sha,
+                parents=parents,
+                author_id=author,
+                timestamp=parse_utc(date),
+                message=message.rstrip("\n"),
+                file_diffs=tuple(parse_unified_diff(patch_text)),
+            )
+            commits.append(record)
+            by_hash[sha] = record
 
     resolved_issues = []
     for issue in issues:

@@ -61,7 +61,8 @@ class CodeView:
     where its group ends.  Unbalanced input degrades instead of failing: an
     opener popped by a closer of the other kind ends at the code token just
     before that closer, an opener never closed ends at the last code token,
-    and either case (or a closer with no opener) sets ``degraded``.
+    and a closer with no opener of its kind on the stack pops nothing.  Each
+    of these sets ``degraded``.
     """
 
     tokens: list  # code tokens, comments and whitespace dropped
@@ -82,15 +83,15 @@ class CodeView:
                 stack.append((lex, i))
             elif lex in ")}":
                 want = "(" if lex == ")" else "{"
+                if not any(kind == want for kind, _ in reversed(stack)):
+                    degraded = True  # a stray closer closes nothing
+                    continue
                 # pop through mismatched openers so one stray bracket cannot
                 # derail the rest of the file
-                while stack and stack[-1][0] != want:
+                while stack[-1][0] != want:
                     match[stack.pop()[1]] = i - 1
                     degraded = True
-                if stack:
-                    match[stack.pop()[1]] = i
-                else:
-                    degraded = True
+                match[stack.pop()[1]] = i
         while stack:
             match[stack.pop()[1]] = len(tokens) - 1
             degraded = True

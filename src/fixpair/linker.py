@@ -17,7 +17,9 @@ reachable.
 """
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import FixpairError
 
@@ -84,23 +86,34 @@ def extract_issue_refs(message: str, keywords_only: bool = False) -> set:
 
 
 class HistoryIndex:
-    """First-parent chain positions plus merge-resolution for side commits."""
+    """First-parent chain positions plus merge-resolution for side commits.
+
+    It also answers which commits reference an issue: the message of every
+    commit is scanned once per ``keywords_only`` mode, on first use.
+    """
 
     def __init__(self, snapshot):
         self.snapshot = snapshot
         chain = []
+        timestamps = []
         cursor = snapshot.head
         seen = set()
         while cursor is not None and cursor.hash not in seen:
             chain.append(cursor.hash)
+            timestamps.append(cursor.timestamp)
             seen.add(cursor.hash)
             cursor = (
                 snapshot.commit(cursor.parents[0]) if cursor.parents else None
             )
         chain.reverse()  # position 0 = root, last = head
+        timestamps.reverse()
         self.chain = chain
+        self.timestamps = timestamps
+        # latest[p]: the latest timestamp at positions 0..p, nondecreasing
+        self.latest = list(accumulate(timestamps, max))
         self.position = {h: i for i, h in enumerate(chain)}
         self.resolved = dict(self.position)
+        self._referencing = {}  # keywords_only -> {issue id: [commit hash]}
         # ascending walk assigns each off-chain commit the earliest chain
         # position from which it is reachable: its merge commit's position
         visited = set(chain)
@@ -116,6 +129,17 @@ class HistoryIndex:
                 visited.add(ph)
                 self.resolved[ph] = idx
                 stack.extend(commit.parents)
+
+    def referencing(self, issue_id, keywords_only=False):
+        """Hashes of the snapshot's commits whose messages reference the issue."""
+        refs = self._referencing.get(keywords_only)
+        if refs is None:
+            refs = {}
+            for c in self.snapshot.commits:
+                for ref in extract_issue_refs(c.message, keywords_only=keywords_only):
+                    refs.setdefault(ref, []).append(c.hash)
+            self._referencing[keywords_only] = refs
+        return refs.get(issue_id, ())
 
     def resolve(self, commit_hash):
         return self.resolved.get(commit_hash)
@@ -147,10 +171,6 @@ class BugFixTimeline:
     def last_green(self):
         return self.green[-1] if self.green else None
 
-    @property
-    def first_green(self):
-        return self.green[0] if self.green else None
-
 
 def build_timeline(issue, snapshot, history=None, keywords_only=False) -> BugFixTimeline:
     """Classify commits around one closed issue per the role definitions."""
@@ -162,11 +182,7 @@ def build_timeline(issue, snapshot, history=None, keywords_only=False) -> BugFix
     notes = []
 
     tracker_greens = {h for h, _ in issue.fixing_commits}
-    message_greens = {
-        c.hash
-        for c in snapshot.commits
-        if issue.id in extract_issue_refs(c.message, keywords_only=keywords_only)
-    }
+    message_greens = set(history.referencing(issue.id, keywords_only))
     silent = sorted(tracker_greens - message_greens)
     if silent:
         notes.append(
@@ -206,12 +222,14 @@ def build_timeline(issue, snapshot, history=None, keywords_only=False) -> BugFix
         history.at(p)
         for p in range(p_first + 1, p_last)
         if p not in green_positions
-        and history.at(p) not in greens
     ]
+    # every commit before the first position whose latest timestamp reaches
+    # the creation is older than the issue
+    first_blue = bisect_left(history.latest, issue.created_at, 0, p_first)
     blue = [
         history.at(p)
-        for p in range(0, p_first)
-        if snapshot.commit(history.at(p)).timestamp >= issue.created_at
+        for p in range(first_blue, p_first)
+        if history.timestamps[p] >= issue.created_at
     ]
     return BugFixTimeline(
         issue_id=issue.id,
@@ -250,12 +268,6 @@ class AnalysisPlan:
     @property
     def hashes(self):
         return [e.commit_hash for e in self.entries]
-
-    def needs_full(self, commit_hash):
-        for e in self.entries:
-            if e.commit_hash == commit_hash:
-                return e.full_analysis
-        return False
 
 
 def select_analysis_commits(timelines, history=None) -> AnalysisPlan:

@@ -336,6 +336,21 @@ def build_moved_class_repo(base):
     return b.path, h, issues
 
 
+@pytest.fixture
+def started_processes(monkeypatch):
+    """Every ``subprocess.Popen`` started while the test runs."""
+    started = []
+    real_popen = subprocess.Popen
+
+    class RecordingPopen(real_popen):
+        def __init__(self, args, *rest, **kwargs):
+            super().__init__(args, *rest, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", RecordingPopen)
+    return started
+
+
 @pytest.fixture(scope="session")
 def moved_class_repo(tmp_path_factory):
     base = tmp_path_factory.mktemp("moved")

@@ -93,21 +93,6 @@ def test_not_a_repo(tmp_path):
         GitRepo(tmp_path)
 
 
-@pytest.fixture
-def started_processes(monkeypatch):
-    """Every ``subprocess.Popen`` started while the test runs."""
-    started = []
-    real_popen = subprocess.Popen
-
-    class RecordingPopen(real_popen):
-        def __init__(self, args, *rest, **kwargs):
-            super().__init__(args, *rest, **kwargs)
-            started.append(self)
-
-    monkeypatch.setattr(subprocess, "Popen", RecordingPopen)
-    return started
-
-
 def test_tree_blobs_match_ls_tree(fixture_repo):
     with GitRepo(fixture_repo["repo"]) as repo:
         for name, commit in fixture_repo["hashes"].items():

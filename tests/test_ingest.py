@@ -1,21 +1,26 @@
 import json
 import os
+import subprocess
 from datetime import datetime, timezone
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fixpair.diffs import parse_unified_diff
 from fixpair.errors import SnapshotFormatError, SnapshotInvariantError
 from fixpair.ingest import (
     CommitRecord,
     IssueRecord,
     ProjectSnapshot,
+    _first_parent_patches,
     filter_bug_issues,
     load_snapshot,
     save_snapshot,
+    snapshot_from_local_repo,
     snapshot_to_json,
 )
+from fixpair.linker import HistoryIndex
 
 UTC = timezone.utc
 
@@ -139,10 +144,15 @@ def test_head_is_first_commit():
     assert snap.head.hash == "b" * 40
 
 
-def test_external_parents_detected():
-    orphan_parent = make_commit("c", ("9",), day=3)
-    snap = make_snapshot(commits=(orphan_parent, make_commit("a", day=1)))
-    assert snap.external_parents() == {"9" * 40}
+def test_outside_parent_validates_and_ends_the_chain():
+    # a shallow history: the oldest stored commit names a parent it lacks
+    snap = make_snapshot(
+        commits=(make_commit("d", ("c",), day=4), make_commit("c", ("9",), day=3))
+    )
+    assert snap.validate() is snap
+    hist = HistoryIndex(snap)
+    assert hist.chain == ["c" * 40, "d" * 40]
+    assert hist.resolve("9" * 40) is None
 
 
 # --- filter_bug_issues -------------------------------------------------------
@@ -219,3 +229,115 @@ def test_snapshot_from_local_repo(fixture_snapshot, fixture_repo):
     assert issue1.fixing_commits[0][0] == fixture_repo["hashes"]["C10"]
     assert issue1.fixing_commits[0][1] == ts(10)
     snap.validate()
+
+
+EMPTY_TREE = "4b825dc642cb6eb9a060e54bf8d69288fbee4904"
+
+
+@pytest.fixture(scope="module")
+def odd_repo(tmp_path_factory):
+    """A root commit, an empty commit, a merge, a binary file and non-ASCII
+    paths and messages."""
+    from conftest import RepoBuilder, run_git
+
+    b = RepoBuilder(str(tmp_path_factory.mktemp("odd") / "repo"))
+    b.write("a.txt", "one\ntwo\n")
+    b.write("src/Main.java", "class Main {}\n")
+    b.commit("root", "root")
+    b.commit("empty", "nothing changes, see #1")
+    run_git(b.path, "checkout", "-q", "-b", "side")
+    b.write("src/Ünïcödé.java", "class U {}\n")
+    with open(os.path.join(b.path, "logo.bin"), "wb") as fh:
+        fh.write(bytes(range(256)) * 4)
+    b.commit("side", "Fix #1: naïve café ☕")
+    run_git(b.path, "checkout", "-q", "master")
+    b.write("a.txt", "one\n2\ntwo\n")
+    b.commit("main", "main line")
+    run_git(b.path, "merge", "-q", "--no-ff", "--no-commit", "side")
+    b.commit("merge", "Merge branch 'side'")
+    with open(os.path.join(b.path, "logo.bin"), "wb") as fh:
+        fh.write(bytes(range(255, -1, -1)) * 4)
+    os.remove(os.path.join(b.path, "a.txt"))
+    b.commit("tail", "swap the logo, drop a.txt")
+    return b.path, b.hashes
+
+
+def _captured(repo):
+    return snapshot_from_local_repo(repo, [], repo_id="demo/odd")
+
+
+def test_captured_patches_match_git_diff(odd_repo):
+    repo, hashes = odd_repo
+    snap = _captured(repo)
+    assert {c.hash for c in snap.commits} == set(hashes.values())
+    # plain git settings for the oracle, whatever the user's config says
+    env = dict(os.environ, GIT_CONFIG_NOSYSTEM="1", GIT_CONFIG_GLOBAL=os.devnull)
+    listed = [(c.hash, c.parents) for c in snap.commits]
+    patches = {}
+    for (sha, parents), patch in zip(listed, _first_parent_patches(repo, listed)):
+        want = subprocess.run(
+            ["git", "-C", repo, "diff", "--no-color", "--no-renames",
+             parents[0] if parents else EMPTY_TREE, sha],
+            stdout=subprocess.PIPE, check=True, env=env,
+        ).stdout.decode("utf-8", "replace")
+        assert patch == want, sha
+        assert snap.commit(sha).file_diffs == tuple(parse_unified_diff(want)), sha
+        patches[sha] = patch
+    by_name = {name: snap.commit(sha) for name, sha in hashes.items()}
+    assert by_name["root"].parents == ()
+    assert patches[hashes["empty"]] == "" and by_name["empty"].file_diffs == ()
+    assert len(by_name["merge"].parents) == 2
+    assert "Binary files /dev/null and b/logo.bin differ" in patches[hashes["merge"]]
+    assert "Binary files a/logo.bin and b/logo.bin differ" in patches[hashes["tail"]]
+    assert '"b/src/\\303\\234n' in patches[hashes["side"]]
+    assert by_name["side"].message == "Fix #1: naïve café ☕"
+
+
+def test_capture_ignores_porcelain_diff_settings(odd_repo, tmp_path, monkeypatch):
+    repo, _ = odd_repo
+    before = snapshot_to_json(_captured(repo))
+    cfg = tmp_path / "gitconfig"
+    cfg.write_text("[diff]\n\tnoprefix = true\n\tcontext = 1\n")
+    monkeypatch.setenv("GIT_CONFIG_GLOBAL", str(cfg))
+    assert snapshot_to_json(_captured(repo)) == before
+
+
+@pytest.mark.parametrize("which,commits", [("odd", 6), ("fixture", 12)])
+def test_capture_starts_two_git_processes(
+    which, commits, odd_repo, fixture_repo, started_processes
+):
+    repo = odd_repo[0] if which == "odd" else fixture_repo["repo"]
+    assert len(_captured(repo).commits) == commits
+    git = [p for p in started_processes if p.args[0] == "git"]
+    assert len(git) <= 2
+    assert all(p.poll() is not None for p in git)
+
+
+def test_capture_rejects_a_missing_or_misordered_commit(odd_repo):
+    repo, hashes = odd_repo
+    ghost = "0" * 40
+    with pytest.raises(SnapshotFormatError, match="no header for commit " + ghost):
+        list(_first_parent_patches(repo, [(hashes["root"], ()), (ghost, ())]))
+    # git prints nothing for the unknown commit, so the next header is early
+    with pytest.raises(SnapshotFormatError, match="where " + ghost + " was due"):
+        list(_first_parent_patches(repo, [(ghost, ()), (hashes["root"], ())]))
+    with pytest.raises(SnapshotFormatError, match="before any commit"):
+        list(_first_parent_patches(repo, [(hashes["root"][:12], ())]))
+
+
+def test_capture_reads_sha256_headers(tmp_path):
+    from conftest import run_git
+
+    repo = str(tmp_path / "repo")
+    run_git(tmp_path, "init", "-q", "--object-format=sha256", repo)
+    ident = ("-c", "user.name=Dev", "-c", "user.email=dev@example.com")
+    run_git(repo, *ident, "commit", "-q", "--allow-empty", "-m", "root")
+    (tmp_path / "repo" / "f.txt").write_text("x\n")
+    run_git(repo, "add", "f.txt")
+    run_git(repo, *ident, "commit", "-q", "-m", "add f")
+    log = run_git(repo, "log", "--format=%H %P").splitlines()
+    listed = [(sha, tuple(parents)) for sha, *parents in map(str.split, log)]
+    assert all(len(sha) == 64 for sha, _ in listed)
+    patches = list(_first_parent_patches(repo, listed))
+    assert patches[0].startswith("diff --git a/f.txt b/f.txt\nnew file mode")
+    assert patches[1] == ""

@@ -1,4 +1,5 @@
-from datetime import datetime, timezone
+import time
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings
@@ -339,7 +340,7 @@ def test_plan_dedup_and_promotion():
     hashes = plan.hashes
     assert len(hashes) == len(set(hashes))
     # b is t's intermediate green but t2's last green: promoted to full
-    assert plan.needs_full(sha("b"))
+    assert {e.commit_hash: e.full_analysis for e in plan.entries}[sha("b")]
 
 
 def test_plan_empty():
@@ -352,11 +353,12 @@ def test_plan_superset_and_order(fixture_snapshot):
     timelines = [build_timeline(i, fixture_snapshot, hist) for i in closed]
     plan = select_analysis_commits(timelines, hist)
     hashes = set(plan.hashes)
+    full = {e.commit_hash: e.full_analysis for e in plan.entries}
     for t in timelines:
         assert t.orange in hashes
         assert t.last_green in hashes
-        assert plan.needs_full(t.orange)
-        assert plan.needs_full(t.last_green)
+        assert full[t.orange]
+        assert full[t.last_green]
         # orange precedes every green in history order
         for g in t.green:
             assert hist.resolve(t.orange) < hist.resolve(g)
@@ -375,3 +377,55 @@ def test_plan_file_roundtrip(tmp_path, fixture_snapshot):
     lines = path.read_text().strip().splitlines()
     assert all(line.endswith((" full", " pos")) for line in lines)
     assert read_plan(path) == plan
+
+
+# --- scale -------------------------------------------------------------------
+
+def test_linking_scales_with_history_and_issues():
+    """20 000 commits and 2 000 issues, linked in both modes.
+
+    Issue ``k + 1`` is mentioned at position ``10k + 2`` and fixed at
+    ``10k + 5``.  Each message is read once per mode, so this takes about a
+    second; rescanning every message for each issue took minutes.
+    """
+    n_commits, n_issues = 20_000, 2_000
+    start = datetime(2020, 1, 1, tzinfo=UTC)
+    when = [start + timedelta(minutes=i) for i in range(n_commits)]
+    hashes = [f"{i:040x}" for i in range(n_commits)]
+    messages = ["work"] * n_commits
+    for k in range(n_issues):
+        messages[10 * k + 2] = f"part of #{k + 1}"
+        messages[10 * k + 5] = f"Fixes #{k + 1}, like octo/other#{k + 2}"
+    commits = [
+        CommitRecord(
+            hash=hashes[i], parents=(hashes[i - 1],) if i else (),
+            author_id="dev", timestamp=when[i], message=messages[i],
+        )
+        for i in reversed(range(n_commits))
+    ]
+    issues = [
+        IssueRecord(
+            id=k + 1, state="closed", created_at=when[10 * k],
+            closed_at=when[10 * k + 5], labels=frozenset({"bug"}),
+            fixing_commits=((hashes[10 * k + 5], when[10 * k + 5]),),
+        )
+        for k in range(n_issues)
+    ]
+    snap = snapshot(commits, issues)
+
+    began = time.perf_counter()
+    hist = HistoryIndex(snap)
+    linked = [build_timeline(i, snap, hist) for i in issues]
+    keyworded = [build_timeline(i, snap, hist, keywords_only=True) for i in issues]
+    elapsed = time.perf_counter() - began
+
+    for k, (t, kw) in enumerate(zip(linked, keyworded)):
+        p = 10 * k
+        assert t.green == (hashes[p + 2], hashes[p + 5])
+        assert (t.orange, t.gray, t.blue) == (
+            hashes[p + 1], (hashes[p + 3], hashes[p + 4]), (hashes[p], hashes[p + 1])
+        )
+        assert kw.green == (hashes[p + 5],)
+        assert (kw.orange, kw.gray, kw.blue) == (hashes[p + 4], (), tuple(hashes[p:p + 5]))
+        assert not t.degraded and not kw.degraded and not t.notes
+    assert elapsed < 20, f"linking took {elapsed:.1f} s"

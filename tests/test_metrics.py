@@ -382,12 +382,20 @@ DEGRADED_CASES = [
          ("method", "A.m()void", 2, 4), ("method", "A.n()void", 5, 5)],
         {"A.m()void": (1, 2, 9), "A.n()void": (1, 1, 4)},
     ),
-    (  # '(' swapped for '{': the class ends before the stray ')'
+    (  # '(' swapped for '{': the stray ')' closes nothing, and the '{'
+       # closes at line 4, so m() runs to the last '}' and holds n()
         "class A {\n  void m() {\n    g{ 1 ); h();\n  }\n"
         "  int n() { return 0; }\n}\n",
-        [("file", "src/A.java", 1, 6), ("class", "A", 1, 3),
-         ("method", "A.m()void", 2, 3)],
-        {"A.m()void": (1, 1, 2)},
+        [("file", "src/A.java", 1, 6), ("class", "A", 1, 6),
+         ("method", "A.m()void", 2, 6)],
+        {"A.m()void": (1, 1, 19)},
+    ),
+    (  # an inserted ')': it closes nothing, every range is as without it
+        "class A {\n  void m() {\n    g(1)); h();\n  }\n"
+        "  int n() { return 0; }\n}\n",
+        [("file", "src/A.java", 1, 6), ("class", "A", 1, 6),
+         ("method", "A.m()void", 2, 4), ("method", "A.n()int", 5, 5)],
+        {"A.m()void": (2, 1, 10), "A.n()int": (1, 1, 3)},
     ),
 ]
 

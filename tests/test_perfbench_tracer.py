@@ -15,8 +15,12 @@ def test_tracer_instruments_the_source():
         "sys.path[:0] = sys.argv[1:]\n"
         "import tracer\n"
         "tracer.instrument(tracer.Tracer())\n"
+        "from fixpair import ingest, linker, pipeline\n"
         "from fixpair.learn import kernels\n"
-        "print(kernels.best_split.__wrapped__.__module__)\n"
+        "for f in (kernels.best_split, ingest.snapshot_from_local_repo,\n"
+        "          pipeline.snapshot_from_local_repo, linker.build_timeline,\n"
+        "          pipeline.build_timeline, linker.HistoryIndex.__init__):\n"
+        "    print(f.__wrapped__.__module__, f.__wrapped__.__qualname__)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe,
@@ -24,4 +28,11 @@ def test_tracer_instruments_the_source():
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=ROOT,
     )
     assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout.decode().strip() == "fixpair.learn.kernels"
+    assert proc.stdout.decode().splitlines() == [
+        "fixpair.learn.kernels best_split",
+        "fixpair.ingest snapshot_from_local_repo",
+        "fixpair.ingest snapshot_from_local_repo",
+        "fixpair.linker build_timeline",
+        "fixpair.linker build_timeline",
+        "fixpair.linker HistoryIndex.__init__",
+    ]
