@@ -75,16 +75,3 @@ def _inside(inner, outer):
         and outer.start_line <= inner.start_line
         and inner.end_line <= outer.end_line
     )
-
-
-def analyze_tree(files, test_globs=DEFAULT_TEST_GLOBS):
-    """Analyze an iterable of ``(path, text)`` pairs, skipping test code.
-
-    Returns ``{path: FileAnalysis}`` for every non-test ``.java`` file.
-    """
-    results = {}
-    for path, text in files:
-        if not path.endswith(".java") or is_test_path(path, test_globs):
-            continue
-        results[path] = analyze_source(path, text)
-    return results

@@ -6,6 +6,7 @@ problem, 4 stage failure.
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -79,9 +80,9 @@ def _config_from_args(args):
     from .pipeline import PipelineConfig
 
     overrides = {
-        k: getattr(args, k, None)
-        for k in PipelineConfig.CONFIG_KEYS
-        if hasattr(args, k)
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(PipelineConfig)
+        if hasattr(args, f.name)
     }
     for key in ("bug_labels", "levels", "algorithms", "eval_filters", "test_globs"):
         if overrides.get(key) is not None:

@@ -12,6 +12,7 @@ import csv
 import os
 from dataclasses import dataclass, field
 
+from .atomic import atomic_open
 from .diffs import elements_touched, modified_ranges
 from .errors import AnalysisMissingError
 from .linker import buggy_interval_positions
@@ -213,8 +214,7 @@ def export_csv(entries, level, path, parent_column=False) -> None:
         header.append("parent_fqn")
     header.extend(columns)
     header.append("bug_count")
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for e in entries:
@@ -259,7 +259,6 @@ def load_entries_csv(path, level) -> list:
 
 def export_dataset(entries_by_level, directory) -> dict:
     """Write file.csv, class.csv, method.csv, method-p.csv under ``directory``."""
-    os.makedirs(directory, exist_ok=True)
     paths = {}
     for level in LEVELS:
         path = os.path.join(directory, f"{level}.csv")

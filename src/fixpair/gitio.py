@@ -149,12 +149,3 @@ class GitRepo:
             path: self.read_object(sha)
             for path, sha in self.tree_blobs(commit_hash).items()
         }
-
-    def java_sources(self, commit_hash):
-        """Decoded ``(path, text)`` pairs for the commit's .java files."""
-        tree = self.checkout_tree(commit_hash)
-        return [
-            (path, data.decode("utf-8", "replace"))
-            for path, data in sorted(tree.items())
-            if path.endswith(".java")
-        ]

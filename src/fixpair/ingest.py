@@ -35,11 +35,12 @@ from contextlib import closing
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 
+from .atomic import atomic_open
 from .diffs import parse_unified_diff, render_unified
 from .errors import SnapshotFormatError, SnapshotInvariantError
 
 SNAPSHOT_VERSION = 1
-_HASH_RE = re.compile(r"^[0-9a-f]{40}$")
+_HASH_RE = re.compile(r"^(?:[0-9a-f]{40}|[0-9a-f]{64})$")
 
 
 def parse_utc(value, *, path=None, field_name=None):
@@ -95,7 +96,7 @@ class CommitRecord:
     def check(self):
         bad = []
         if not _HASH_RE.match(self.hash):
-            bad.append(f"commit hash {self.hash!r} is not 40-hex")
+            bad.append(f"commit hash {self.hash!r} is not 40- or 64-hex")
         for p in self.parents:
             if not _HASH_RE.match(p):
                 bad.append(f"commit {self.hash}: bad parent hash {p!r}")
@@ -217,18 +218,9 @@ def snapshot_to_json(snapshot) -> dict:
 def save_snapshot(snapshot, path) -> None:
     """Write atomically: a failed write never leaves a partial snapshot."""
     doc = snapshot_to_json(snapshot)
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, ensure_ascii=False, indent=1)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_open(path) as fh:
+        json.dump(doc, fh, ensure_ascii=False, indent=1)
+        fh.write("\n")
 
 
 def _require(doc, key, kind, path, where):

@@ -21,6 +21,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 
+from .atomic import atomic_open
 from .errors import FixpairError
 
 ISSUE_KEYWORDS = (
@@ -296,7 +297,7 @@ def select_analysis_commits(timelines, history=None) -> AnalysisPlan:
 
 
 def write_plan(plan, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for e in plan.entries:
             fh.write(f"{e.commit_hash} {'full' if e.full_analysis else 'pos'}\n")
 

@@ -1,18 +1,19 @@
 """Pipeline orchestration: fetch -> link -> analyze -> build -> filter ->
 evaluate -> stats, with cached, resumable stage outputs.
 
-Every stage writes its artifacts under the output directory plus a
-fingerprint of its inputs; a rerun with unchanged inputs reports the stage
-as cached.  Given fixed seeds the whole artifact tree is byte-identical
+Every stage writes its artifacts under the output directory, each whole
+through :func:`atomic_open`, plus a state file with a fingerprint of its
+inputs and the files it wrote; a rerun with unchanged inputs reports the
+stage as cached.  Given fixed seeds the whole artifact tree is byte-identical
 across runs (no timestamps or absolute paths are ever written).
 """
 
 import concurrent.futures
 import csv
+import dataclasses
 import hashlib
 import json
 import os
-import shutil
 import subprocess
 from dataclasses import dataclass
 
@@ -24,13 +25,14 @@ from .analyzer import (
     analyze_source,
     is_test_path,
 )
+from .atomic import atomic_open
 from .errors import ConfigError, FixpairError, StageError
 from .filters import filter_entries
 from .gitio import GitRepo
 from .ingest import load_issue_specs, load_snapshot, save_snapshot, snapshot_from_local_repo
 from .java.structure import SourceElement
 from .learn import cross_validate, instances_from_entries
-from .learn.evaluate import cross_validate_projected, prf, project_folds
+from .learn.evaluate import prf, project_folds
 from .learn.models import ALGORITHMS
 from .linker import (
     BugFixTimeline,
@@ -67,17 +69,11 @@ class PipelineConfig:
     keywords_only: bool = False
     ignore_comment_only: bool = False
 
-    CONFIG_KEYS = (
-        "out", "repo", "snapshot", "issues", "repo_id", "bug_labels", "levels",
-        "algorithms", "eval_filters", "seed", "repeats", "folds", "jobs",
-        "test_globs", "keywords_only", "ignore_comment_only",
-    )
-
     @classmethod
     def from_file(cls, path, overrides=None):
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        unknown = set(doc) - set(cls.CONFIG_KEYS)
+        unknown = set(doc) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         doc.update({k: v for k, v in (overrides or {}).items() if v is not None})
@@ -224,48 +220,56 @@ def _read_json(path):
 
 
 def _write_json(path, doc):
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write ``doc`` whole to ``path``; returns ``path``."""
+    with atomic_open(path) as fh:
         json.dump(doc, fh, indent=1, sort_keys=True, ensure_ascii=False)
         fh.write("\n")
+    return path
 
 
 class _Stages:
     def __init__(self, out):
         self.out = out
         self.state_dir = os.path.join(out, ".stages")
-        os.makedirs(self.state_dir, exist_ok=True)
         self.manifest = {}
 
     def rel(self, *parts):
         return os.path.join(self.out, *parts)
 
-    def run(self, name, fingerprint, artifacts, producer):
+    def run(self, name, fingerprint, producer):
         """Run ``producer`` unless the stored fingerprint matches and every
-        artifact already exists.  ``artifacts`` is a list of paths, or a
-        callable giving the list as the output directory stands."""
-        listed = artifacts if callable(artifacts) else lambda: artifacts
+        artifact the state records still exists.
+
+        The producer returns the paths it wrote; the state records them
+        relative to the output directory, and a fresh run deletes what the
+        previous state recorded that this run did not write.
+        """
         state_path = os.path.join(self.state_dir, f"{name}.json")
-        fp_doc = {"fingerprint": fingerprint}
-        cached = False
-        if os.path.exists(state_path):
-            if _read_json(state_path) == fp_doc and all(
-                os.path.exists(self.rel(a)) for a in listed()
-            ):
-                cached = True
+        state = _read_json(state_path) if os.path.exists(state_path) else {}
+        recorded = state.get("artifacts", [])
+        cached = (
+            state.get("fingerprint") == fingerprint
+            and "artifacts" in state  # older states recorded no artifacts
+            and all(os.path.exists(self.rel(a)) for a in recorded)
+        )
         if not cached:
-            # a producer that fails part-way may leave artifacts of another
-            # fingerprint behind; without a state file they never look cached
-            if os.path.exists(state_path):
-                os.remove(state_path)
+            # until the producer returns, the state has no fingerprint, so a
+            # run that fails part-way never looks cached
+            if state:
+                _write_json(state_path, {"artifacts": recorded})
             try:
-                producer()
+                written = producer()
             except Exception as exc:
                 raise StageError(name, exc) from exc
-            _write_json(state_path, fp_doc)
+            artifacts = sorted({os.path.relpath(p, self.out) for p in written})
+            for stale in set(recorded) - set(artifacts):
+                if os.path.exists(self.rel(stale)):
+                    os.remove(self.rel(stale))
+            _write_json(state_path, {"fingerprint": fingerprint, "artifacts": artifacts})
+            recorded = artifacts
         self.manifest[name] = {
             "status": "cached" if cached else "fresh",
-            "artifacts": sorted(listed()),
+            "artifacts": recorded,
         }
         return cached
 
@@ -338,6 +342,7 @@ def run_pipeline(config: PipelineConfig, stop_after=None) -> dict:
                 repo_id=config.repo_id,
             )
         save_snapshot(snapshot, stages.rel(snap_art))
+        return [stages.rel(snap_art)]
 
     if config.snapshot:
         snap_fp = _fingerprint("snapshot", _digest_file(config.snapshot))
@@ -349,7 +354,7 @@ def run_pipeline(config: PipelineConfig, stop_after=None) -> dict:
             config.repo_id,
             _digest_refs(config.repo),
         )
-    stages.run("snapshot", snap_fp, [snap_art], produce_snapshot)
+    stages.run("snapshot", snap_fp, produce_snapshot)
     if (m := done("snapshot")) is not None:
         return m
     if snapshot is None:  # cached: the producer did not load it
@@ -357,7 +362,6 @@ def run_pipeline(config: PipelineConfig, stop_after=None) -> dict:
     history = HistoryIndex(snapshot)
 
     # -- link ---------------------------------------------------------------
-    link_arts = ["plan.txt", os.path.join("link", "timelines.json")]
     link_fp = _fingerprint(
         "link", _digest_file(stages.rel(snap_art)), config.keywords_only
     )
@@ -370,12 +374,15 @@ def run_pipeline(config: PipelineConfig, stop_after=None) -> dict:
         ]
         plan = select_analysis_commits(timelines, history)
         write_plan(plan, stages.rel("plan.txt"))
-        _write_json(
-            stages.rel("link", "timelines.json"),
-            {"timelines": [timeline_to_json(t) for t in timelines]},
-        )
+        return [
+            stages.rel("plan.txt"),
+            _write_json(
+                stages.rel("link", "timelines.json"),
+                {"timelines": [timeline_to_json(t) for t in timelines]},
+            ),
+        ]
 
-    stages.run("link", link_fp, link_arts, produce_link)
+    stages.run("link", link_fp, produce_link)
     if (m := done("link")) is not None:
         return m
     timelines = [
@@ -389,17 +396,6 @@ def run_pipeline(config: PipelineConfig, stop_after=None) -> dict:
     # whether its vectors feed metrics_by_commit.
     needed = _analysis_needs(snapshot, timelines, stages.rel("plan.txt"))
     index_art = os.path.join("analysis", "index.json")
-
-    def analyze_arts():
-        if not os.path.exists(stages.rel(index_art)):
-            return [index_art]
-        keys = {
-            key
-            for files in _read_json(stages.rel(index_art)).values()
-            for key in files.values()
-        }
-        return [index_art] + [os.path.join("analysis", f"{k}.json") for k in keys]
-
     analyze_fp = _fingerprint(
         "analyze-by-blob",
         ANALYZER_VERSION,
@@ -411,9 +407,6 @@ def run_pipeline(config: PipelineConfig, stop_after=None) -> dict:
     def produce_analyze():
         if config.repo is None:
             raise ConfigError("analysis requires a local repository checkout")
-        analysis_dir = stages.rel("analysis")
-        shutil.rmtree(analysis_dir, ignore_errors=True)
-        os.makedirs(analysis_dir)
         index, versions = {}, {}
         with GitRepo(config.repo) as repo:
             for h in sorted(needed):
@@ -431,28 +424,26 @@ def run_pipeline(config: PipelineConfig, stop_after=None) -> dict:
             )
 
             def write_all(docs):
-                for key, doc in zip(keys, docs):
-                    _write_json(os.path.join(analysis_dir, f"{key}.json"), doc)
+                return [
+                    _write_json(stages.rel("analysis", f"{key}.json"), doc)
+                    for key, doc in zip(keys, docs)
+                ]
 
             if config.jobs > 1:
                 # the pool shuts down inside the reader's block: forked
                 # workers hold copies of its pipes, so they must exit before
                 # closing the reader's input can end it
                 with concurrent.futures.ProcessPoolExecutor(config.jobs) as pool:
-                    write_all(pool.map(_analyze_file, sources))
+                    written = write_all(pool.map(_analyze_file, sources))
             else:
-                write_all(map(_analyze_file, sources))
-        _write_json(stages.rel(index_art), index)
+                written = write_all(map(_analyze_file, sources))
+        return written + [_write_json(stages.rel(index_art), index)]
 
-    stages.run("analyze", analyze_fp, analyze_arts, produce_analyze)
+    stages.run("analyze", analyze_fp, produce_analyze)
     if (m := done("analyze")) is not None:
         return m
 
     # -- build --------------------------------------------------------------
-    build_arts = [
-        os.path.join("dataset", "full", name)
-        for name in ("file.csv", "class.csv", "method.csv", "method-p.csv")
-    ] + [os.path.join("build", "drop_log.txt")]
     build_fp = _fingerprint(
         "build", analyze_fp, config.ignore_comment_only
     )
@@ -484,22 +475,20 @@ def run_pipeline(config: PipelineConfig, stop_after=None) -> dict:
             for t in live
         ]
         result = ds.build_entries(touch_sets, live, metrics_by_commit, history)
-        ds.export_dataset(result.entries_by_level, stages.rel("dataset", "full"))
-        with open(stages.rel("build", "drop_log.txt"), "w", encoding="utf-8") as fh:
+        written = ds.export_dataset(
+            result.entries_by_level, stages.rel("dataset", "full")
+        )
+        drop_log = stages.rel("build", "drop_log.txt")
+        with atomic_open(drop_log) as fh:
             for issue_id, commit, level, fqn, reason in result.drop_log:
                 fh.write(f"{issue_id}\t{commit}\t{level}\t{fqn}\t{reason}\n")
+        return [*written.values(), drop_log]
 
-    os.makedirs(stages.rel("build"), exist_ok=True)
-    stages.run("build", build_fp, build_arts, produce_build)
+    stages.run("build", build_fp, produce_build)
     if (m := done("build")) is not None:
         return m
 
     # -- filter -------------------------------------------------------------
-    filter_arts = [
-        os.path.join("dataset", strat, name)
-        for strat in FILTER_DIRS
-        for name in ("file.csv", "class.csv", "method.csv", "method-p.csv")
-    ]
     filter_fp = _fingerprint("filter-with-parents", build_fp, config.seed)
 
     def produce_filter():
@@ -509,23 +498,20 @@ def run_pipeline(config: PipelineConfig, stop_after=None) -> dict:
             )
             for level in ds.LEVELS
         }
+        written = []
         for strat in FILTER_DIRS:
             filtered = {
                 level: filter_entries(entries, strat, rng_seed=config.seed)
                 for level, entries in entries_by_level.items()
             }
-            ds.export_dataset(filtered, stages.rel("dataset", strat))
+            written += ds.export_dataset(filtered, stages.rel("dataset", strat)).values()
+        return written
 
-    stages.run("filter", filter_fp, filter_arts, produce_filter)
+    stages.run("filter", filter_fp, produce_filter)
     if (m := done("filter")) is not None:
         return m
 
     # -- evaluate -----------------------------------------------------------
-    eval_arts = [
-        os.path.join("eval", "results.csv"),
-        os.path.join("eval", "folds.csv"),
-        os.path.join("eval", "results.txt"),
-    ]
     eval_fp = _fingerprint(
         "evaluate",
         filter_fp,
@@ -575,20 +561,19 @@ def run_pipeline(config: PipelineConfig, stop_after=None) -> dict:
                                 f"{p.f_measure:.6f}",
                             )
                         )
-        _write_results(stages.rel("eval"), rows, fold_rows)
+        return _write_results(stages.rel("eval"), rows, fold_rows)
 
-    stages.run("evaluate", eval_fp, eval_arts, produce_evaluate)
+    stages.run("evaluate", eval_fp, produce_evaluate)
     if (m := done("evaluate")) is not None:
         return m
 
     # -- stats --------------------------------------------------------------
-    stats_arts = [os.path.join("stats", "summary.txt")]
     stats_fp = _fingerprint("stats", eval_fp)
 
     def produce_stats():
-        emit_stats_tables(stages.rel("eval", "folds.csv"), stages.rel("stats"))
+        return emit_stats_tables(stages.rel("eval", "folds.csv"), stages.rel("stats"))
 
-    stages.run("stats", stats_fp, stats_arts, produce_stats)
+    stages.run("stats", stats_fp, produce_stats)
 
     manifest = {"stages": stages.manifest}
     _write_json(stages.rel("manifest.json"), manifest)
@@ -620,14 +605,10 @@ def _entries_csv(level):
 
 def evaluate_level(dataset_dir, level, algorithms, seed, repeats, k=10):
     """Cross-validate every algorithm on one exported dataset level."""
-    source_level = "method" if level == "projected" else level
-    entries = ds.load_entries_csv(
-        os.path.join(dataset_dir, _entries_csv(source_level)), source_level
-    )
-    instances = instances_from_entries(entries, source_level)
-    cv = cross_validate_projected if level == "projected" else cross_validate
+    entries = ds.load_entries_csv(os.path.join(dataset_dir, _entries_csv(level)), level)
+    instances = instances_from_entries(entries, level)
     return {
-        algo: cv(algo, instances, k=k, repeats=repeats, seed=seed)
+        algo: cross_validate(algo, instances, k=k, repeats=repeats, seed=seed)
         for algo in algorithms
     }
 
@@ -660,12 +641,16 @@ def evaluate_levels(dataset_dir, levels, algorithms, seed, repeats, k=10):
 
 
 def _write_results(eval_dir, rows, fold_rows):
-    os.makedirs(eval_dir, exist_ok=True)
-    with open(os.path.join(eval_dir, "results.csv"), "w", newline="", encoding="utf-8") as fh:
+    """Write results.csv, folds.csv and results.txt; returns their paths."""
+    paths = [
+        os.path.join(eval_dir, name)
+        for name in ("results.csv", "folds.csv", "results.txt")
+    ]
+    with atomic_open(paths[0], newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["filter", "level", "algorithm", "precision", "recall", "f_measure", "note"])
         w.writerows(rows)
-    with open(os.path.join(eval_dir, "folds.csv"), "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(paths[1], newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["filter", "level", "algorithm", "fold", "tp", "fp", "tn", "fn", "f_measure"])
         w.writerows(fold_rows)
@@ -681,17 +666,18 @@ def _write_results(eval_dir, rows, fold_rows):
             "".join(str(v).ljust(w) for v, w in zip(row[:6], widths))
             + (row[6] or "")
         )
-    with open(os.path.join(eval_dir, "results.txt"), "w", encoding="utf-8") as fh:
+    with atomic_open(paths[2]) as fh:
         fh.write("\n".join(lines) + "\n")
+    return paths
 
 
 def emit_stats_tables(folds_csv, stats_dir):
     """Friedman + Nemenyi tables over the per-fold F values.
 
     Treatments are algorithms (per level and filter); paired samples are the
-    folds, which share indices across algorithms by construction.
+    folds, which share indices across algorithms by construction.  Returns
+    the paths written: ``summary.txt`` and one Nemenyi table per group.
     """
-    os.makedirs(stats_dir, exist_ok=True)
     per_group = {}
     with open(folds_csv, encoding="utf-8", newline="") as fh:
         for rec in csv.DictReader(fh):
@@ -699,7 +685,7 @@ def emit_stats_tables(folds_csv, stats_dir):
             per_group.setdefault(key, {}).setdefault(rec["algorithm"], []).append(
                 float(rec["f_measure"])
             )
-    summary = []
+    summary, written = [], []
     for (strat, level), by_algo in sorted(per_group.items()):
         algos = sorted(by_algo)
         if len(algos) < 2:
@@ -716,8 +702,10 @@ def emit_stats_tables(folds_csv, stats_dir):
         )
         nem = nemenyi(matrix)
         table = format_significance_table(nem)
-        out = os.path.join(stats_dir, f"nemenyi_{strat}_{level}.txt")
-        with open(out, "w", encoding="utf-8") as fh:
+        written.append(os.path.join(stats_dir, f"nemenyi_{strat}_{level}.txt"))
+        with atomic_open(written[-1]) as fh:
             fh.write(table + "\n")
-    with open(os.path.join(stats_dir, "summary.txt"), "w", encoding="utf-8") as fh:
+    written.append(os.path.join(stats_dir, "summary.txt"))
+    with atomic_open(written[-1]) as fh:
         fh.write("\n".join(summary) + ("\n" if summary else ""))
+    return written

@@ -285,9 +285,6 @@ class NemenyiResult:
     alpha: float
     n_samples: int
 
-    def pair(self, i, j):
-        return (self.p_values[i][j], self.q_stats[i][j])
-
     def significant(self, i, j):
         return self.q_stats[i][j] > self.q_crit
 

@@ -267,7 +267,7 @@ def test_buggy_entries_have_positive_counts(fixture_dataset):
 
 @pytest.fixture(scope="session")
 def fixture_dataset(fixture_snapshot, fixture_repo):
-    from fixpair.analyzer import analyze_tree
+    from fixpair.analyzer import analyze_source, is_test_path
     from fixpair.gitio import GitRepo
     from fixpair.linker import build_timeline, select_analysis_commits
 
@@ -282,7 +282,16 @@ def fixture_dataset(fixture_snapshot, fixture_repo):
             parent = snap.commit(g).parents[0]
             modes.setdefault(parent, False)
     with GitRepo(fixture_repo["repo"]) as repo:
-        analyses = {h: analyze_tree(repo.java_sources(h)) for h in modes}
+        analyses = {
+            h: {
+                path: analyze_source(
+                    path, repo.read_object(sha).decode("utf-8", "replace")
+                )
+                for path, sha in repo.tree_blobs(h).items()
+                if path.endswith(".java") and not is_test_path(path)
+            }
+            for h in modes
+        }
     metrics = {
         h: {k: v for fa in files.values() for k, v in fa.vectors.items()}
         for h, files in analyses.items()

@@ -5,6 +5,7 @@ import tarfile
 
 import pytest
 
+from fixpair.analyzer import analyze_source
 from fixpair.errors import CheckoutError, FixpairError
 from fixpair.gitio import GitRepo
 
@@ -79,13 +80,28 @@ def test_unreachable_commit_error(fixture_repo, tmp_path):
 
 
 def test_java_sources_decoded_and_sorted(fixture_repo):
-    repo = GitRepo(fixture_repo["repo"])
-    sources = repo.java_sources(fixture_repo["hashes"]["C1"])
+    # the analyze stage's view of a commit: its .java blobs, decoded
+    commit = fixture_repo["hashes"]["C1"]
+    with GitRepo(fixture_repo["repo"]) as repo:
+        sources = [
+            (path, repo.read_object(sha).decode("utf-8", "replace"))
+            for path, sha in sorted(repo.tree_blobs(commit).items())
+            if path.endswith(".java")
+        ]
+    assert dict(sources) == {
+        path: data.decode("utf-8", "replace")
+        for path, data in archive_tree(fixture_repo["repo"], commit).items()
+        if path.endswith(".java")
+    }
     paths = [p for p, _ in sources]
     assert paths == sorted(paths)
     assert all(p.endswith(".java") for p in paths)
     assert any("Calc.java" in p for p in paths)
     assert all(isinstance(t, str) and "class" in t for _, t in sources)
+    for path, text in sources:
+        analysis = analyze_source(path, text)
+        assert analysis.error is None, path
+        assert any(kind == "class" for kind, _ in analysis.vectors), path
 
 
 def test_not_a_repo(tmp_path):
@@ -113,7 +129,9 @@ def test_at_most_three_git_processes_for_all_commits(fixture_repo, started_proce
     with GitRepo(fixture_repo["repo"]) as repo:
         for commit in fixture_repo["hashes"].values():
             repo.checkout_tree(commit)
-            repo.java_sources(commit)
+            for path, sha in repo.tree_blobs(commit).items():
+                if path.endswith(".java"):
+                    repo.read_object(sha)
         with pytest.raises(CheckoutError):
             repo.checkout_tree("0" * 40)
     git = [p for p in started_processes if p.args[0] == "git"]

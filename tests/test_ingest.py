@@ -341,3 +341,16 @@ def test_capture_reads_sha256_headers(tmp_path):
     patches = list(_first_parent_patches(repo, listed))
     assert patches[0].startswith("diff --git a/f.txt b/f.txt\nnew file mode")
     assert patches[1] == ""
+    # 64-hex commit and parent ids pass the snapshot's invariants
+    fix = IssueRecord(
+        id=1, state="closed", created_at=datetime(2000, 1, 1, tzinfo=UTC),
+        closed_at=datetime(2000, 1, 2, tzinfo=UTC), labels=frozenset({"bug"}),
+        fixing_commits=(listed[0][0],),
+    )
+    snap = snapshot_from_local_repo(repo, [fix])
+    assert [(c.hash, c.parents) for c in snap.commits] == listed
+    assert [h for h, _ in snap.issues[0].fixing_commits] == [listed[0][0]]
+    assert [d.new_path for d in snap.commits[0].file_diffs] == ["f.txt"]
+    path = tmp_path / "snapshot.json"
+    save_snapshot(snap, path)
+    assert load_snapshot(path) == snap

@@ -146,14 +146,91 @@ def test_failed_stage_is_not_cached_on_resume(tmp_path):
             artifact.write_text(text)
             if fail:
                 raise RuntimeError("killed after writing")
+            return [str(artifact)]
         return produce
 
-    assert not stages.run("s", "fp-A", ["artifact.txt"], producer("A"))
+    assert not stages.run("s", "fp-A", producer("A"))
     with pytest.raises(StageError):
-        stages.run("s", "fp-B", ["artifact.txt"], producer("B", fail=True))
-    assert not stages.run("s", "fp-A", ["artifact.txt"], producer("A"))
+        stages.run("s", "fp-B", producer("B", fail=True))
+    assert not stages.run("s", "fp-A", producer("A"))
     assert stages.manifest["s"]["status"] == "fresh"
     assert artifact.read_text() == "A"
+
+
+def test_stage_records_what_it_wrote(tmp_path):
+    stages = _Stages(str(tmp_path))
+
+    def producer(*names, fail=False):
+        def produce():
+            for name in names:
+                (tmp_path / name).write_text(name)
+            if fail:
+                raise RuntimeError("killed after writing")
+            return [str(tmp_path / name) for name in names]
+        return produce
+
+    assert not stages.run("s", "fp-A", producer("b.txt", "a.txt"))
+    assert stages.manifest["s"]["artifacts"] == ["a.txt", "b.txt"]
+    assert stages.run("s", "fp-A", producer())
+    assert stages.manifest["s"]["artifacts"] == ["a.txt", "b.txt"]
+    # a failed run keeps the record, so the next fresh run still drops b.txt
+    with pytest.raises(StageError):
+        stages.run("s", "fp-B", producer("a.txt", fail=True))
+    assert not stages.run("s", "fp-C", producer("a.txt"))
+    assert sorted(os.listdir(tmp_path)) == [".stages", "a.txt"]
+    assert stages.manifest["s"]["artifacts"] == ["a.txt"]
+    os.remove(tmp_path / "a.txt")
+    assert not stages.run("s", "fp-C", producer("a.txt"))
+
+
+def test_artifacts_get_the_mode_of_a_plain_open(fixture_repo, tmp_path):
+    out = tmp_path / "out"
+    mask = os.umask(0o022)
+    try:
+        quiet_run(
+            PipelineConfig(out=str(out), repo=fixture_repo["repo"],
+                           issues=fixture_repo["issues"], seed=7),
+            stop_after="link",
+        )
+    finally:
+        os.umask(mask)
+    modes = {
+        os.path.relpath(os.path.join(root, name), out):
+            os.stat(os.path.join(root, name)).st_mode & 0o777
+        for root, _, names in os.walk(out)
+        for name in names
+    }
+    assert os.path.join("snapshot", "snapshot.json") in modes
+    assert modes == dict.fromkeys(modes, 0o644)
+
+
+def test_missing_nemenyi_table_reruns_stats(pipeline_out, tmp_path):
+    out = str(tmp_path / "out")
+    shutil.copytree(pipeline_out["out"], out)
+    table = os.path.join(out, "stats", "nemenyi_subtract_class.txt")
+    want = open(table, "rb").read()
+    os.remove(table)
+    stages = quiet_run(dataclasses.replace(pipeline_out["config"], out=out))["stages"]
+    assert stages["evaluate"]["status"] == "cached"
+    assert stages["stats"]["status"] == "fresh"
+    assert os.path.relpath(table, out) in stages["stats"]["artifacts"]
+    assert open(table, "rb").read() == want
+
+
+def test_fewer_levels_leave_no_stale_nemenyi_table(pipeline_out, tmp_path):
+    out = str(tmp_path / "out")
+    shutil.copytree(pipeline_out["out"], out)
+    assert len(os.listdir(os.path.join(out, "stats"))) == 5
+    config = dataclasses.replace(pipeline_out["config"], out=out, levels=("method",))
+    stages = quiet_run(config)["stages"]
+    assert stages["stats"]["status"] == "fresh"
+    assert sorted(os.listdir(os.path.join(out, "stats"))) == [
+        "nemenyi_subtract_method.txt", "summary.txt",
+    ]
+    assert stages["stats"]["artifacts"] == [
+        os.path.join("stats", name)
+        for name in ("nemenyi_subtract_method.txt", "summary.txt")
+    ]
 
 
 def test_parallel_analinstall_matches_serial(fixture_repo, tmp_path):
