@@ -4,6 +4,10 @@ one, never a torn one, whenever the writing process stops."""
 import contextlib
 import itertools
 import os
+import re
+
+# ".<name>.<pid>.<n>.tmp", the temp file of one write
+_TEMP_NAME = re.compile(r"\..+\.\d+\.\d+\.tmp")
 
 
 @contextlib.contextmanager
@@ -31,3 +35,10 @@ def atomic_open(path, newline=None):
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def remove_temp_files(directory):
+    """Delete the temp files that writers killed in ``directory`` left."""
+    for entry in os.scandir(directory):
+        if _TEMP_NAME.fullmatch(entry.name) and entry.is_file():
+            os.remove(entry.path)

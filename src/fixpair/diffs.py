@@ -83,19 +83,43 @@ class LineRangeSet:
             yield from range(a, b + 1)
 
 
-def _strip_git_prefix(path):
-    if path.startswith(("a/", "b/")):
-        return path[2:]
-    return path
+# git's C-style path quoting: octal bytes and single-character escapes
+_C_ESCAPE_RE = re.compile(rb"\\([0-3][0-7]{2}|.)", re.DOTALL)
+_C_ESCAPES = dict(zip(b"abtnvfr", b"\a\b\t\n\v\f\r"))
+# what the path parser would cut or unquote: a tab, a newline, trailing
+# whitespace, or quotes around the whole path
+_NEEDS_QUOTE = re.compile(r'[\t\n]|\s\Z|\A".*"\Z', re.DOTALL)
+
+
+def _unescape(m):
+    e = m.group(1)
+    return bytes([int(e, 8) if len(e) == 3 else _C_ESCAPES.get(e[0], e[0])])
 
 
 def _parse_path_line(line):
     body = line[4:]
     # strip the optional timestamp after a tab
     body = body.split("\t", 1)[0].rstrip()
-    if body == "/dev/null":
-        return body
-    return _strip_git_prefix(body)
+    if len(body) > 1 and body[0] == body[-1] == '"':
+        raw = _C_ESCAPE_RE.sub(_unescape, body[1:-1].encode("utf-8"))
+        body = raw.decode("utf-8", "replace")
+    return body[2:] if body.startswith(("a/", "b/")) else body
+
+
+def header_path(path, prefix):
+    """``path`` as written after ``---`` (``prefix`` ``"a/"``) or ``+++``
+    (``"b/"``), so that :func:`parse_unified_diff` reads ``path`` back.
+
+    Only a path that itself starts with ``a/`` or ``b/`` gets the prefix,
+    and only a path the parser would cut or unquote is C-quoted, as git
+    quotes it; every other path is written as it is.
+    """
+    if path.startswith(("a/", "b/")):
+        path = prefix + path
+    if not _NEEDS_QUOTE.search(path):
+        return path
+    escaped = path.replace("\\", "\\\\").replace('"', '\\"')
+    return '"' + escaped.replace("\t", "\\t").replace("\n", "\\n") + '"'
 
 
 def parse_unified_diff(text: str) -> list:
@@ -229,7 +253,10 @@ def render_unified(diff: FileDiff) -> str:
     ``parse_unified_diff(render_unified(d)) == [d]`` for every diff produced
     by the parser.
     """
-    out = [f"--- {diff.old_path}", f"+++ {diff.new_path}"]
+    out = [
+        f"--- {header_path(diff.old_path, 'a/')}",
+        f"+++ {header_path(diff.new_path, 'b/')}",
+    ]
     if diff.binary:
         out.append(f"Binary files {diff.old_path} and {diff.new_path} differ")
         return "\n".join(out) + "\n"

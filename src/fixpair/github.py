@@ -22,7 +22,7 @@ from .ingest import (
     parse_utc,
     save_snapshot,
 )
-from .diffs import parse_unified_diff
+from .diffs import header_path, parse_unified_diff
 
 TOKEN_ENV_VAR = "FIXPAIR_GITHUB_TOKEN"
 DEFAULT_API_BASE = "https://api.github.com"
@@ -99,7 +99,8 @@ def _fetch_commits(client, repo_id):
             if status == "removed":
                 new_path, old_path = "/dev/null", f["filename"]
             if patch:
-                text = f"--- {old_path}\n+++ {new_path}\n{patch}\n"
+                text = (f"--- {header_path(old_path, 'a/')}\n"
+                        f"+++ {header_path(new_path, 'b/')}\n{patch}\n")
                 parsed = parse_unified_diff(text)
                 if parsed:
                     file_diffs.extend(parsed)

@@ -39,6 +39,15 @@ CLASS_KEYWORDS = frozenset({"class", "interface", "enum"})
 _TYPE_PUNCT = {".", "[", "]"}
 
 
+def _angle_delta(tok):
+    """How a generic bracket (an operator made of ``<`` and ``>`` only, such
+    as ``>>``) changes the angle depth; 0 for every other token."""
+    lex = tok.lexeme
+    if tok.kind == "operator" and lex.strip("<>") == "":
+        return lex.count("<") - lex.count(">")
+    return 0
+
+
 class ElementCollisionError(FixpairError):
     """Two distinct declarations produced the same FQN."""
 
@@ -112,18 +121,16 @@ class _Parser:
             i = self.match[i] + 1
         return i
 
-    def _skip_angles(self, i, end):
-        """i points at an operator starting with '<'; skip the generic group."""
+    def _skip_angles(self, idxs, i):
+        """``idxs[i]`` is an operator starting with '<'; return the position
+        in ``idxs`` after the generic group it opens."""
         depth = 0
-        while i < end:
-            lex = self.tok(i).lexeme
-            if self.tok(i).kind == "operator" and set(lex) <= set("<>"):
-                depth += lex.count("<") - lex.count(">")
-                i += 1
-                if depth <= 0:
-                    return i
-            else:
-                i += 1
+        while i < len(idxs):
+            delta = _angle_delta(self.tok(idxs[i]))
+            depth += delta
+            i += 1
+            if delta and depth <= 0:
+                break
         return i
 
     def _render_type(self, idxs):
@@ -133,17 +140,7 @@ class _Parser:
         while i < len(idxs):
             t = self.tok(idxs[i])
             if t.kind == "operator" and t.lexeme.startswith("<"):
-                # erase generic arguments; consume to matching '>'
-                depth = 0
-                while i < len(idxs):
-                    lex = self.tok(idxs[i]).lexeme
-                    if self.tok(idxs[i]).kind == "operator" and set(lex) <= set("<>"):
-                        depth += lex.count("<") - lex.count(">")
-                        i += 1
-                        if depth <= 0:
-                            break
-                    else:
-                        i += 1
+                i = self._skip_angles(idxs, i)  # erase generic arguments
                 continue
             if t.lexeme == "...":
                 parts.append("[]")
@@ -164,11 +161,7 @@ class _Parser:
             if lex == "(":
                 i = self.match[i] + 1
                 continue
-            if t.kind == "operator" and set(lex) <= set("<>") and lex not in ("<>",):
-                angle += lex.count("<") - lex.count(">")
-                groups[-1].append(i)
-                i += 1
-                continue
+            angle += _angle_delta(t)
             if lex == "," and angle == 0:
                 groups.append([])
             else:
@@ -253,7 +246,7 @@ class _Parser:
                 modifiers.append(t.lexeme)
                 i += 1
             elif t.kind == "operator" and t.lexeme.startswith("<"):
-                i = self._skip_angles(i, end)
+                i = self._skip_angles(range(end), i)
             else:
                 break
         # find the parameter-list '(' : first top-level paren after i
@@ -273,8 +266,9 @@ class _Parser:
         angle = 0
         for k in type_idxs:
             t = self.tok(k)
-            if t.kind == "operator" and set(t.lexeme) <= set("<>"):
-                angle += t.lexeme.count("<") - t.lexeme.count(">")
+            delta = _angle_delta(t)
+            if delta:
+                angle += delta
                 continue
             ok = (
                 t.kind == "identifier"
@@ -445,18 +439,13 @@ class _Parser:
                 while k < len(rest) and rest[k] <= close:
                     k += 1
                 continue
-            if t.kind == "operator" and set(lex) <= set("<>") and lex != "<>":
-                depth_angle += lex.count("<") - lex.count(">")
-                since_separator += 1
-            elif lex == "=":
-                saw_assign = True
-                since_separator += 1
-            elif lex == "," and depth_angle == 0:
+            depth_angle += _angle_delta(t)
+            if lex == "," and depth_angle == 0:
                 declarators += 1
                 since_separator = 0
             else:
-                if t.kind == "identifier":
-                    has_ident = True
+                saw_assign = saw_assign or lex == "="
+                has_ident = has_ident or t.kind == "identifier"
                 since_separator += 1
             k += 1
         if not has_ident:

@@ -2,10 +2,12 @@
 
 Every byte of the input belongs to exactly one token, including whitespace
 runs, so line-based metrics can be derived from the stream alone.  The lexer
-never fails: unterminated strings, chars, and block comments are closed at
-end of input and recorded as diagnostics.
+is one table of patterns (``_TOKEN``) and never fails: an unterminated string
+or char literal ends before its newline, an unterminated block comment at end
+of input, and each is recorded as a diagnostic.
 """
 
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -20,6 +22,11 @@ KEYWORDS = frozenset(
 # true/false/null are literals in the language grammar, not keywords.
 WORD_LITERALS = frozenset({"true", "false", "null"})
 
+_WORD_KINDS = {
+    **dict.fromkeys(KEYWORDS, "keyword"),
+    **dict.fromkeys(WORD_LITERALS, "literal"),
+}
+
 # Multi-character operators, longest first for greedy matching.
 _MULTI_OPS = sorted(
     [
@@ -31,7 +38,33 @@ _MULTI_OPS = sorted(
     reverse=True,
 )
 
-_SINGLE_OPS = set("+-*/%=<>!&|^~?:;,.()[]@")
+# The rest of a number after its first character: letters, digits, "_" and
+# "." (\w is exactly str.isalnum() or "_"), and a sign right after an exponent.
+_NUMBER_TAIL = re.compile(r"(?:[\w.]|(?<=[eE])[+-])*")
+
+# One alternative per token kind, tried in order.  Strings, chars and block
+# comments that never close have their own group, which leaves a diagnostic.
+_TOKEN = re.compile(
+    r"""
+      (?P<whitespace>\s+)
+    | (?P<comment>//[^\n]*|/\*.*?\*/)
+    | (?P<open_comment>/\*.*)
+    | (?P<literal>"(?:\\.|[^"\\\n])*"|'(?:\\.|[^'\\\n])*'
+        | 0[xX](?:[\w.]|(?<=[pP])[+-])* | \.?\d""" + _NUMBER_TAIL.pattern + r""")
+    | (?P<open_string>"(?:\\.?|[^"\\\n])*)
+    | (?P<open_char>'(?:\\.?|[^'\\\n])*)
+    | (?P<word>[\w$]+)
+    | (?P<brace>[{}])
+    | (?P<operator>""" + "|".join(map(re.escape, _MULTI_OPS)) + r"""|.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+_UNTERMINATED = {
+    "open_comment": "block comment",
+    "open_string": "string literal",
+    "open_char": "char literal",
+}
 
 
 @dataclass(frozen=True)
@@ -113,128 +146,31 @@ class TokenStream:
         return "".join(t.lexeme for t in self.tokens)
 
 
-def _is_ident_start(ch):
-    return ch.isalpha() or ch in "_$"
-
-
-def _is_ident_part(ch):
-    return ch.isalnum() or ch in "_$"
-
-
 def tokenize(source: str) -> TokenStream:
     """Lex ``source`` into a :class:`TokenStream` covering every character."""
     tokens = []
     diagnostics = []
-    i = 0
+    pos = 0
     line = 1
-    n = len(source)
-
-    def emit(kind, start, end):
-        nonlocal line
-        lexeme = source[start:end]
+    while pos < len(source):
+        m = _TOKEN.match(source, pos)
+        kind, end = m.lastgroup, m.end()
+        first = source[pos]
+        if kind == "word" or first == "." and end == pos + 1:
+            # the pattern's \d is str.isdecimal(), narrower than the
+            # str.isdigit() that starts a number ("²"), and its \w is wider
+            # than the str.isalpha() that starts a word ("½" is an operator)
+            if first.isdigit() or first == "." and source[end:end + 1].isdigit():
+                kind, end = "literal", _NUMBER_TAIL.match(source, pos + 1).end()
+            elif first.isalpha() or first in "_$":
+                kind = _WORD_KINDS.get(m.group(), "identifier")
+            else:
+                kind, end = "operator", pos + 1
+        elif kind in _UNTERMINATED:
+            diagnostics.append(f"line {line}: unterminated {_UNTERMINATED[kind]}")
+            kind = "comment" if kind == "open_comment" else "literal"
+        lexeme = source[pos:end]
         tokens.append(Token(kind, lexeme, line))
         line += lexeme.count("\n")
-
-    while i < n:
-        ch = source[i]
-
-        if ch.isspace():
-            j = i + 1
-            while j < n and source[j].isspace():
-                j += 1
-            emit("whitespace", i, j)
-            i = j
-            continue
-
-        if ch == "/" and i + 1 < n and source[i + 1] == "/":
-            j = source.find("\n", i)
-            j = n if j == -1 else j  # newline stays in the following whitespace token
-            emit("comment", i, j)
-            i = j
-            continue
-
-        if ch == "/" and i + 1 < n and source[i + 1] == "*":
-            j = source.find("*/", i + 2)
-            if j == -1:
-                diagnostics.append(f"line {line}: unterminated block comment")
-                j = n
-            else:
-                j += 2
-            emit("comment", i, j)
-            i = j
-            continue
-
-        if ch in "\"'":
-            quote = ch
-            j = i + 1
-            closed = False
-            while j < n:
-                if source[j] == "\\" and j + 1 < n:
-                    j += 2
-                    continue
-                if source[j] == quote:
-                    j += 1
-                    closed = True
-                    break
-                if source[j] == "\n":
-                    break  # string literals do not span lines
-                j += 1
-            if not closed:
-                kind = "string" if quote == '"' else "char"
-                diagnostics.append(f"line {line}: unterminated {kind} literal")
-            emit("literal", i, j)
-            i = j
-            continue
-
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
-            is_hex = ch == "0" and i + 1 < n and source[i + 1] in "xX"
-            exp_chars = "pP" if is_hex else "eE"
-            j = i + 1
-            while j < n:
-                c = source[j]
-                if c.isalnum() or c in "._":
-                    j += 1
-                elif c in "+-" and source[j - 1] in exp_chars:
-                    j += 1
-                else:
-                    break
-            emit("literal", i, j)
-            i = j
-            continue
-
-        if _is_ident_start(ch):
-            j = i + 1
-            while j < n and _is_ident_part(source[j]):
-                j += 1
-            word = source[i:j]
-            if word in KEYWORDS:
-                kind = "keyword"
-            elif word in WORD_LITERALS:
-                kind = "literal"
-            else:
-                kind = "identifier"
-            emit(kind, i, j)
-            i = j
-            continue
-
-        if ch in "{}":
-            emit("brace", i, i + 1)
-            i += 1
-            continue
-
-        matched = False
-        for op in _MULTI_OPS:
-            if source.startswith(op, i):
-                emit("operator", i, i + len(op))
-                i += len(op)
-                matched = True
-                break
-        if matched:
-            continue
-
-        # Single-char operator; anything unrecognized also lands here so the
-        # stream always covers the full input.
-        emit("operator", i, i + 1)
-        i += 1
-
+        pos = end
     return TokenStream(tokens=tokens, diagnostics=diagnostics)

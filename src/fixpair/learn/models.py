@@ -3,8 +3,8 @@ random_tree, random_forest.
 
 All of them train deterministically under a fixed seed and predict binary
 labels (1 = buggy).  ``register_algorithm`` lets callers plug additional
-trainers into the same harness (the evaluation CLI uses this for external
-prediction files).
+trainers into the same harness; external prediction files are scored by
+``evaluate.evaluate_external`` instead.
 """
 
 import math

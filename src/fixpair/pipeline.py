@@ -25,7 +25,7 @@ from .analyzer import (
     analyze_source,
     is_test_path,
 )
-from .atomic import atomic_open
+from .atomic import atomic_open, remove_temp_files
 from .errors import ConfigError, FixpairError, StageError
 from .filters import filter_entries
 from .gitio import GitRepo
@@ -241,8 +241,9 @@ class _Stages:
         artifact the state records still exists.
 
         The producer returns the paths it wrote; the state records them
-        relative to the output directory, and a fresh run deletes what the
-        previous state recorded that this run did not write.
+        relative to the output directory.  A fresh run deletes what the
+        previous state recorded that this run did not write, and the temp
+        files killed writers left where this run wrote.
         """
         state_path = os.path.join(self.state_dir, f"{name}.json")
         state = _read_json(state_path) if os.path.exists(state_path) else {}
@@ -265,6 +266,8 @@ class _Stages:
             for stale in set(recorded) - set(artifacts):
                 if os.path.exists(self.rel(stale)):
                     os.remove(self.rel(stale))
+            for directory in {os.path.dirname(self.rel(a)) for a in artifacts}:
+                remove_temp_files(directory)
             _write_json(state_path, {"fingerprint": fingerprint, "artifacts": artifacts})
             recorded = artifacts
         self.manifest[name] = {

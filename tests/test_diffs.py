@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from fixpair.diffs import (
     DiffParseError,
+    FileDiff,
+    Hunk,
     LineRangeSet,
     apply_file_diff,
     elements_touched,
@@ -115,6 +117,26 @@ def test_no_newline_markers_roundtrip():
 def test_render_parse_roundtrip():
     d = parse_unified_diff(EXAMPLE)[0]
     assert parse_unified_diff(render_unified(d)) == [d]
+
+
+def test_quoted_paths_are_unquoted():
+    text = ('--- "a/src/\\303\\234n.java"\n+++ "b/a/x\\ty\\\\z\\"q"\n'
+            "@@ -1,1 +1,1 @@\n-old\n+new\n")
+    d = parse_unified_diff(text)[0]
+    assert (d.old_path, d.new_path) == ("src/\u00dcn.java", 'a/x\ty\\z"q')
+
+
+@pytest.mark.parametrize("path", [
+    "X.java", "a/X.java", "b/X.java", "src/\u00dcn\u00efc.java", "dir/a b.java",
+    "a/tab\there.java", "back\\slash.java", '"quoted"', "trailing ", "b/new\nline",
+])
+def test_every_path_survives_render_and_parse(path):
+    hunk = Hunk(1, 1, 1, 1, [("del", "x"), ("add", "y")])
+    d = FileDiff(old_path=path, new_path=path, hunks=[hunk])
+    text = render_unified(d)
+    assert parse_unified_diff(text) == [d]
+    if path in ("X.java", "back\\slash.java", "dir/a b.java"):
+        assert text.startswith(f"--- {path}\n+++ {path}\n")  # written as it is
 
 
 # --- replay soundness against real git diffs --------------------------------

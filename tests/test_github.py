@@ -162,6 +162,19 @@ def test_fetch_builds_validated_snapshot(fake_api, tmp_path):
     assert load_snapshot(out) == snap
 
 
+def test_fetch_keeps_a_top_level_a_directory(fake_api, tmp_path, monkeypatch):
+    base, _ = fake_api
+    detail = dict(ROUTES[f"/repos/demo/proj/commits/{SHA_NEW}"])
+    detail["files"] = [{"filename": "a/B.java", "status": "modified", "patch": PATCH}]
+    monkeypatch.setitem(ROUTES, f"/repos/demo/proj/commits/{SHA_NEW}", detail)
+    out = tmp_path / "snap.json"
+    snap = fetch_remote("demo/proj", "tok", out, api_base=base)
+    assert [d.path for d in snap.commit(SHA_NEW).file_diffs] == ["a/B.java"]
+    from fixpair.ingest import load_snapshot
+
+    assert load_snapshot(out) == snap
+
+
 def test_auth_failure_writes_nothing(fake_api, tmp_path):
     base, behavior = fake_api
     behavior["mode"] = "unauthorized"

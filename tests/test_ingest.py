@@ -293,6 +293,32 @@ def test_captured_patches_match_git_diff(odd_repo):
     assert by_name["side"].message == "Fix #1: naïve café ☕"
 
 
+def test_capture_unquotes_non_ascii_paths(odd_repo, tmp_path):
+    repo, hashes = odd_repo
+    snap = _captured(repo)
+    side = [d.new_path for d in snap.commit(hashes["side"]).file_diffs]
+    assert "src/Ünïcödé.java" in side
+    save_snapshot(snap, tmp_path / "snapshot.json")
+    loaded = load_snapshot(tmp_path / "snapshot.json")
+    assert loaded.commit(hashes["side"]) == snap.commit(hashes["side"])
+
+
+def test_paths_under_a_top_level_b_directory_survive_a_reload(tmp_path):
+    from conftest import RepoBuilder
+
+    b = RepoBuilder(str(tmp_path / "repo"))
+    b.write("b/X.java", "class X {\n  int f() { return 1; }\n}\n")
+    b.commit("add", "add X")
+    b.write("b/X.java", "class X {\n  int f() { return 2; }\n}\n")
+    b.commit("fix", "Fix #1")
+    snap = snapshot_from_local_repo(b.path, [], repo_id="demo/b")
+    path = tmp_path / "snapshot.json"
+    save_snapshot(snap, path)
+    loaded = load_snapshot(path)
+    assert [d.path for d in loaded.commit(b.hashes["fix"]).file_diffs] == ["b/X.java"]
+    assert loaded == snap
+
+
 def test_capture_ignores_porcelain_diff_settings(odd_repo, tmp_path, monkeypatch):
     repo, _ = odd_repo
     before = snapshot_to_json(_captured(repo))

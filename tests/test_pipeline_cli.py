@@ -183,6 +183,22 @@ def test_stage_records_what_it_wrote(tmp_path):
     assert not stages.run("s", "fp-C", producer("a.txt"))
 
 
+def test_fresh_stage_removes_temp_files_of_killed_writers(fixture_repo, tmp_path):
+    config = PipelineConfig(out=str(tmp_path), repo=fixture_repo["repo"],
+                            issues=fixture_repo["issues"], seed=7)
+    quiet_run(config, stop_after="analyze")
+    key = min(n for n in os.listdir(tmp_path / "analysis") if n != "index.json")
+    planted = [tmp_path / ".plan.txt.1.0.tmp", tmp_path / "analysis" / f".{key}.1.0.tmp"]
+    for path in planted:
+        path.write_text("torn")
+    changed = dataclasses.replace(
+        config, keywords_only=True, test_globs=config.test_globs + ("**/None.java",)
+    )
+    stages = quiet_run(changed, stop_after="analyze")["stages"]
+    assert stages["link"]["status"] == stages["analyze"]["status"] == "fresh"
+    assert [path.exists() for path in planted] == [False, False]
+
+
 def test_artifacts_get_the_mode_of_a_plain_open(fixture_repo, tmp_path):
     out = tmp_path / "out"
     mask = os.umask(0o022)

@@ -122,7 +122,9 @@ def test_token_count_matches_oracle_on_large_file():
 @settings(max_examples=200, deadline=None)
 @given(
     st.text(
-        alphabet=st.sampled_from(list("abc19 \n\t+-*/=<>!&|(){};,.\"'_$#@")),
+        alphabet=st.sampled_from(
+            list("abc19 \n\t+-*/=<>!&|(){};,.\"'_$#@²½三é\u0301\x1c\u00a0")
+        ),
         max_size=80,
     )
 )
@@ -131,6 +133,19 @@ def test_total_coverage_property(src):
     assert ts.text == src
     lines = [t.line for t in ts.tokens]
     assert lines == sorted(lines)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.characters().filter(lambda c: c not in "\"'"))
+def test_character_classes_follow_the_str_predicates(c):
+    (only,) = tokenize(c).tokens
+    assert (only.kind == "whitespace") == c.isspace()
+    assert (only.kind == "literal") == c.isdigit()
+    assert (only.kind in ("identifier", "keyword")) == (c.isalpha() or c in "_$")
+    assert only.kind in ("whitespace", "literal", "identifier", "keyword", "brace", "operator")
+    # what continues a word, and what continues a number
+    assert (len(tokenize("a" + c).tokens) == 1) == (c.isalnum() or c in "_$")
+    assert (len(tokenize("1" + c).tokens) == 1) == (c.isalnum() or c in "._")
 
 
 def test_token_stream_code_tokens():
