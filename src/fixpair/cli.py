@@ -76,29 +76,26 @@ def _add_pipeline_args(p, need_out=True):
     p.add_argument("--ignore-comment-only", action="store_true", default=None)
 
 
-def _config_from_args(args):
+def _config_from_args(args, defaults):
+    """The settings in ``defaults``, overridden by the ``--config`` file's
+    keys, overridden by the flags given."""
     from .pipeline import PipelineConfig
 
-    overrides = {
-        f.name: getattr(args, f.name)
-        for f in dataclasses.fields(PipelineConfig)
-        if hasattr(args, f.name)
-    }
-    for key in ("bug_labels", "levels", "algorithms", "eval_filters", "test_globs"):
-        if overrides.get(key) is not None:
-            overrides[key] = tuple(overrides[key])
+    settings = dict(defaults)
     if args.config:
-        return PipelineConfig.from_file(args.config, overrides)
-    merged = {k: v for k, v in overrides.items() if v is not None}
-    if "out" not in merged:
+        settings.update(PipelineConfig.file_settings(args.config))
+    for f in dataclasses.fields(PipelineConfig):
+        if getattr(args, f.name, None) is not None:
+            settings[f.name] = getattr(args, f.name)
+    if "out" not in settings:
         raise ConfigError("--out (or a config file with 'out') is required")
-    return PipelineConfig(**merged)
+    return PipelineConfig(**settings)
 
 
 def _cmd_stage(args, stage):
     from .pipeline import run_pipeline
 
-    config = _config_from_args(args)
+    config = _config_from_args(args, {})
     manifest = run_pipeline(config, stop_after=stage)
     for name, info in manifest["stages"].items():
         print(f"{name}: {info['status']} ({len(info['artifacts'])} artifacts)")
@@ -158,30 +155,23 @@ def _cmd_evaluate(args):
         )
         return EXIT_OK
 
-    from .pipeline import evaluate_levels
-    from .learn.models import ALGORITHMS
+    from .pipeline import dataset_dir, evaluate_levels
 
-    if not args.out:
-        raise ConfigError("--out is required")
-    strategies = args.eval_filters or ("subtract",)
-    dataset_dirs = [
-        os.path.join(args.out, "dataset", "full" if s in ("none", "full") else s)
-        for s in strategies
-    ]
-    for dataset_dir in dataset_dirs:
-        if not os.path.isdir(dataset_dir):
-            raise SnapshotFormatError(f"dataset directory missing: {dataset_dir}")
-    algos = tuple(args.algorithms) if args.algorithms else ALGORITHMS
-    levels = tuple(args.levels) if args.levels else ("method",)
+    # only the method level unless --level or the config file names levels
+    config = _config_from_args(args, {"levels": ("method",)})
+    dataset_dirs = [dataset_dir(config.out, s) for s in config.eval_filters]
+    for path in dataset_dirs:
+        if not os.path.isdir(path):
+            raise SnapshotFormatError(f"dataset directory missing: {path}")
     print(f"{'filter':10}{'level':10}{'algorithm':16}{'prec':>8}{'recall':>8}{'F':>8}")
-    for strat, dataset_dir in zip(strategies, dataset_dirs):
+    for strat, path in zip(config.eval_filters, dataset_dirs):
         for level, results in evaluate_levels(
-            dataset_dir,
-            levels,
-            algos,
-            seed=args.seed if args.seed is not None else 42,
-            repeats=args.repeats or 1,
-            k=args.folds or 10,
+            path,
+            config.levels,
+            config.algorithms,
+            seed=config.seed,
+            repeats=config.repeats,
+            k=config.folds,
         ):
             if isinstance(results, FixpairError):
                 raise results

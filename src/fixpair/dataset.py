@@ -81,8 +81,6 @@ def accumulate_issue_touches(
             raise AnalysisMissingError(green_hash, "commit not in snapshot")
         parent_hash = commit.parents[0] if commit.parents else None
         for diff in commit.file_diffs:
-            if diff.binary:
-                continue
             if ignore_comment_only and parent_hash is not None:
                 if _comment_only(diff, analyses, parent_hash, green_hash):
                     continue

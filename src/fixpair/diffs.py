@@ -35,7 +35,6 @@ class FileDiff:
     old_path: str
     new_path: str
     hunks: list = field(default_factory=list)
-    binary: bool = False
     old_no_newline: bool = False  # old side lacks a trailing newline
     new_no_newline: bool = False
 
@@ -144,12 +143,6 @@ def parse_unified_diff(text: str) -> list:
             offset += len(line) + 1 + len(lines[i + 1]) + 1
             i += 2
             continue
-        if line.startswith("Binary files ") or line == "GIT binary patch":
-            if current is not None:
-                current.binary = True
-            i += 1
-            offset += len(line) + 1
-            continue
         if line.startswith("@@"):
             if current is None:
                 err("hunk header before any file header", i)
@@ -197,7 +190,8 @@ def parse_unified_diff(text: str) -> list:
                 i += 1
             hunk.validate()
             continue
-        # anything else is preamble (diff --git, index, mode lines, ...)
+        # anything else is preamble (diff --git, index, mode and
+        # "Binary files ... differ" lines, ...)
         offset += len(line) + 1
         i += 1
 
@@ -257,9 +251,6 @@ def render_unified(diff: FileDiff) -> str:
         f"--- {header_path(diff.old_path, 'a/')}",
         f"+++ {header_path(diff.new_path, 'b/')}",
     ]
-    if diff.binary:
-        out.append(f"Binary files {diff.old_path} and {diff.new_path} differ")
-        return "\n".join(out) + "\n"
     flat = [
         (hi, li, tag, text)
         for hi, h in enumerate(diff.hunks)

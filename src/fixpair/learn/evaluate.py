@@ -218,6 +218,8 @@ def cross_validate(
     retrains.  Confusion matrices are summed over folds and repeats and
     P/R/F recomputed from the sum, never averaged from per-fold ratios.
     """
+    if repeats < 1:
+        raise FixpairError(f"cross-validation needs at least 1 repeat, got {repeats}")
     instances = list(instances)
     folds = stratified_folds(instances, k, seed)
     matrices = []

@@ -69,15 +69,24 @@ class PipelineConfig:
     keywords_only: bool = False
     ignore_comment_only: bool = False
 
+    def __post_init__(self):
+        # flags and JSON give lists; one spelling keeps the fingerprints equal
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type is tuple and not isinstance(value, tuple):
+                if not isinstance(value, list):
+                    raise ConfigError(f"{f.name} must be a list, got {value!r}")
+                setattr(self, f.name, tuple(value))
+
     @classmethod
-    def from_file(cls, path, overrides=None):
+    def file_settings(cls, path):
+        """The settings a JSON config file names; an unknown key is an error."""
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
         unknown = set(doc) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        doc.update({k: v for k, v in (overrides or {}).items() if v is not None})
-        return cls(**doc)
+        return doc
 
     def validate(self):
         if not self.levels:
@@ -529,9 +538,8 @@ def run_pipeline(config: PipelineConfig, stop_after=None) -> dict:
     def produce_evaluate():
         rows, fold_rows = [], []
         for strat in config.eval_filters:
-            strat_dir = "full" if strat in ("none", "full") else strat
             for level, result_set in evaluate_levels(
-                stages.rel("dataset", strat_dir),
+                dataset_dir(config.out, strat),
                 config.levels,
                 config.algorithms,
                 seed=config.seed,
@@ -599,6 +607,13 @@ def _analysis_needs(snapshot, timelines, plan_path) -> dict:
             if snapshot.commit(parent) is not None:
                 needed.setdefault(parent, "pos")
     return needed
+
+
+def dataset_dir(out, strategy):
+    """The exported dataset a filter strategy is evaluated on; ``none`` and
+    ``full`` both mean the unfiltered one."""
+    name = "full" if strategy in ("none", "full") else strategy
+    return os.path.join(out, "dataset", name)
 
 
 def _entries_csv(level):

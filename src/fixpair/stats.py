@@ -90,12 +90,11 @@ def normal_sf(z):
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
-def _norm_cdf_vec(z):
-    out = np.empty_like(z)
-    flat_in = z.ravel()
-    flat_out = out.ravel()
-    for i in range(flat_in.size):
-        flat_out[i] = 0.5 * math.erfc(-flat_in[i] / 1.4142135623730951)
+def _norm_cdf(z):
+    """Standard normal CDF of every element of ``z``, one ``math.erfc`` each."""
+    w = z / -1.4142135623730951
+    out = np.fromiter(map(math.erfc, w.flat), np.float64, w.size).reshape(w.shape)
+    out *= 0.5
     return out
 
 
@@ -114,24 +113,22 @@ def _panels(lo, hi, count):
 
 _Z_NODES, _Z_WEIGHTS = _panels(-9.0, 9.0, 4)
 _PHI_Z = np.exp(-0.5 * _Z_NODES**2) / math.sqrt(2.0 * math.pi)
-_CDF_Z = _norm_cdf_vec(_Z_NODES)
+_CDF_Z = _norm_cdf(_Z_NODES)
 
 
-def _srange_cdf_inf(q, k):
-    """P(Q <= q) for the studentized range with infinite df."""
-    if q <= 0:
-        return 0.0
-    inner = _CDF_Z - _norm_cdf_vec(_Z_NODES - q)
-    vals = _PHI_Z * np.power(inner, k - 1)
-    return float(k * np.sum(_Z_WEIGHTS * vals))
+def _srange_cdf_rows(qs, k):
+    """P(Q <= q) for the studentized range with infinite df, for every
+    range ``q`` in the array ``qs`` (0 for q = 0)."""
+    inner = _CDF_Z - _norm_cdf(_Z_NODES - qs[:, None])
+    return k * np.sum(_Z_WEIGHTS * (_PHI_Z * np.power(inner, k - 1)), axis=1)
 
 
 def _srange_cdf(q, k, df):
-    """P(Q <= q) for finite df: mix the infinite-df cdf over chi_df/sqrt(df)."""
+    """P(Q <= q): finite df mixes the infinite-df cdf over chi_df/sqrt(df)."""
     if q <= 0:
         return 0.0
     if df is None or df == math.inf or df > 1e6:
-        return _srange_cdf_inf(q, k)
+        return float(_srange_cdf_rows(np.array([q]), k)[0])
     sd = 1.0 / math.sqrt(2.0 * df)
     lo = max(1e-9, 1.0 - 12.0 * sd)
     hi = 1.0 + 12.0 * sd if df >= 4 else 1.0 + 12.0 / math.sqrt(df)
@@ -143,12 +140,7 @@ def _srange_cdf(q, k, df):
     )
     log_pdf = log_norm + (df - 1.0) * np.log(u) - df * u**2 / 2.0
     pdf = np.exp(log_pdf)
-    # inner cdf for every outer node, vectorized over the z grid
-    inner = _CDF_Z[None, :] - _norm_cdf_vec(
-        _Z_NODES[None, :] - (q * u)[:, None]
-    )
-    vals = _PHI_Z[None, :] * np.power(inner, k - 1)
-    cdf_at = k * (vals @ _Z_WEIGHTS)
+    cdf_at = _srange_cdf_rows(q * u, k)
     return float(np.sum(wu * pdf * np.clip(cdf_at, 0.0, 1.0)))
 
 
@@ -177,8 +169,11 @@ def studentized_range_isf(alpha, k, df=None):
 # ---------------------------------------------------------------------------
 
 def _midranks(row):
+    """Midranks of ``row`` and its tie term: ``t**3 - t`` summed over the
+    runs of ``t`` equal values."""
     order = sorted(range(len(row)), key=lambda i: row[i])
     ranks = [0.0] * len(row)
+    tie_term = 0
     i = 0
     while i < len(row):
         j = i
@@ -187,8 +182,9 @@ def _midranks(row):
         avg = (i + j) / 2.0 + 1.0
         for t in range(i, j + 1):
             ranks[order[t]] = avg
+        tie_term += (j - i + 1) ** 3 - (j - i + 1)
         i = j + 1
-    return ranks
+    return ranks, tie_term
 
 
 # ---------------------------------------------------------------------------
@@ -253,13 +249,10 @@ def friedman(m) -> FriedmanResult:
     rank_sums = [0.0] * k
     tie_term = 0.0
     for row in m.values:
-        ranks = _midranks(row)
+        ranks, ties = _midranks(row)
         for j, r in enumerate(ranks):
             rank_sums[j] += r
-        seen = {}
-        for v in row:
-            seen[v] = seen.get(v, 0) + 1
-        tie_term += sum(t**3 - t for t in seen.values())
+        tie_term += ties
     mean_ranks = tuple(s / n for s in rank_sums)
     correction = 1.0 - tie_term / (n * k * (k * k - 1))
     if correction <= 0:
@@ -299,22 +292,17 @@ def nemenyi(m, alpha=0.05) -> NemenyiResult:
     n, k = m.n_rows, m.n_cols
     mean_ranks = friedman(m).mean_ranks
     se = math.sqrt(k * (k + 1) / (6.0 * n))
-    diff = [[0.0] * k for _ in range(k)]
-    q = [[0.0] * k for _ in range(k)]
-    p = [[P_CAP_HIGH] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            diff[i][j] = mean_ranks[i] - mean_ranks[j]
-            q[i][j] = abs(diff[i][j]) / se
-            raw = studentized_range_sf(q[i][j], k, None)
-            p[i][j] = min(P_CAP_HIGH, max(P_CAP_LOW, raw))
+    diff = np.subtract.outer(mean_ranks, mean_ranks)
+    q = np.abs(diff) / se
+    # the infinite-df tail of every pair at once; q = 0 has cdf 0
+    p = np.clip(1.0 - _srange_cdf_rows(q.ravel(), k), P_CAP_LOW, P_CAP_HIGH)
     q_crit = studentized_range_isf(alpha, k, df=n)
     return NemenyiResult(
         col_labels=m.col_labels,
         mean_ranks=mean_ranks,
-        rank_diff=tuple(tuple(r) for r in diff),
-        q_stats=tuple(tuple(r) for r in q),
-        p_values=tuple(tuple(r) for r in p),
+        rank_diff=tuple(map(tuple, diff.tolist())),
+        q_stats=tuple(map(tuple, q.tolist())),
+        p_values=tuple(map(tuple, p.reshape(k, k).tolist())),
         q_crit=q_crit,
         alpha=alpha,
         n_samples=n,
@@ -352,13 +340,9 @@ def wilcoxon_signed_rank(a, b) -> WilcoxonResult:
         raise FixpairError(
             f"need at least 5 nonzero differences, found {n}"
         )
-    abs_ranks = _midranks([abs(v) for v in d])
+    abs_ranks, tie_term = _midranks([abs(v) for v in d])
     w_plus = sum(r for r, v in zip(abs_ranks, d) if v > 0)
     mu = n * (n + 1) / 4.0
-    tie_counts = {}
-    for v in d:
-        tie_counts[abs(v)] = tie_counts.get(abs(v), 0) + 1
-    tie_term = sum(t**3 - t for t in tie_counts.values())
     sigma_sq = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term / 48.0
     if sigma_sq <= 0:
         return WilcoxonResult(0.0, 1.0, n, degenerate=True)

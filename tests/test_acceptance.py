@@ -135,8 +135,6 @@ def test_criterion_3_diff_replay_and_touch_oracle(fixture_repo):
             stdout=subprocess.PIPE, check=True,
         ).stdout.decode()
         for d in parse_unified_diff(text):
-            if d.binary:
-                continue
             old = _git_show(repo, hashes[a], d.old_path) if not d.is_add else ""
             new = _git_show(repo, hashes[b], d.new_path) if not d.is_delete else ""
             assert apply_file_diff(old, d) == new, (a, b, d.path)

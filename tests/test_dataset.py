@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 from datetime import datetime, timezone
 
@@ -96,6 +97,23 @@ def test_touches_closure_and_both_sides():
     touches = accumulate_issue_touches(timeline, snap, analyses)
     assert touches.fqns_by_level["method"] == {"p.A.m2()void", "p.A.m3()void"}
     assert touches.fqns_by_level["class"] == {"p.A"}
+    assert touches.fqns_by_level["file"] == {"src/p/A.java"}
+
+
+def test_a_binary_file_after_the_java_file_leaves_its_touches():
+    # git sorts by path, so the binary section follows the Java file's hunks
+    diff = (
+        "diff --git a/src/p/A.java b/src/p/A.java\nindex 1111111..2222222 100644\n"
+        + DIFF_B
+        + "diff --git a/src/p/logo.png b/src/p/logo.png\n"
+        "index 3333333..4444444 100644\n"
+        "Binary files a/src/p/logo.png and b/src/p/logo.png differ\n"
+    )
+    snap, analyses, _, timeline = make_scenario()
+    fix = dataclasses.replace(snap.commits[0], file_diffs=tuple(parse_unified_diff(diff)))
+    snap = dataclasses.replace(snap, commits=(fix,) + snap.commits[1:])
+    touches = accumulate_issue_touches(timeline, snap, analyses)
+    assert touches.fqns_by_level["method"] == {"p.A.m2()void", "p.A.m3()void"}
     assert touches.fqns_by_level["file"] == {"src/p/A.java"}
 
 

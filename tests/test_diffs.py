@@ -169,8 +169,6 @@ def test_replay_soundness_on_fixture_repo(fixture_repo):
     for a, b in pairs:
         text = _git_diff_texts(repo, hashes[a], hashes[b])
         for d in parse_unified_diff(text):
-            if d.binary:
-                continue
             old = "" if d.is_add else _show(repo, hashes[a], d.old_path)
             new = "" if d.is_delete else _show(repo, hashes[b], d.new_path)
             assert apply_file_diff(old, d) == new, (a, b, d.new_path)

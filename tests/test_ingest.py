@@ -303,6 +303,16 @@ def test_capture_unquotes_non_ascii_paths(odd_repo, tmp_path):
     assert loaded.commit(hashes["side"]) == snap.commit(hashes["side"])
 
 
+def test_a_text_file_beside_a_binary_file_keeps_its_hunk(odd_repo, tmp_path):
+    repo, hashes = odd_repo
+    snap = _captured(repo)
+    tail = snap.commit(hashes["tail"]).file_diffs
+    assert [(d.path, d.is_delete, len(d.hunks)) for d in tail] == [("a.txt", True, 1)]
+    assert tail[0].hunks[0].lines == [("del", "one"), ("del", "2"), ("del", "two")]
+    save_snapshot(snap, tmp_path / "snapshot.json")
+    assert load_snapshot(tmp_path / "snapshot.json") == snap
+
+
 def test_paths_under_a_top_level_b_directory_survive_a_reload(tmp_path):
     from conftest import RepoBuilder
 

@@ -15,13 +15,14 @@ def test_tracer_instruments_the_source():
         "sys.path[:0] = sys.argv[1:]\n"
         "import tracer\n"
         "tracer.instrument(tracer.Tracer())\n"
-        "from fixpair import analyzer, ingest, linker, pipeline\n"
+        "from fixpair import analyzer, diffs, ingest, linker, pipeline, stats\n"
         "from fixpair.java import tokenizer\n"
         "from fixpair.learn import kernels\n"
         "for f in (kernels.best_split, ingest.snapshot_from_local_repo,\n"
         "          pipeline.snapshot_from_local_repo, linker.build_timeline,\n"
         "          pipeline.build_timeline, linker.HistoryIndex.__init__,\n"
-        "          tokenizer.tokenize, analyzer.tokenize):\n"
+        "          tokenizer.tokenize, analyzer.tokenize, stats.studentized_range_isf,\n"
+        "          stats.nemenyi, diffs.parse_unified_diff):\n"
         "    print(f.__wrapped__.__module__, f.__wrapped__.__qualname__)\n"
     )
     proc = subprocess.run(
@@ -39,4 +40,7 @@ def test_tracer_instruments_the_source():
         "fixpair.linker HistoryIndex.__init__",
         "fixpair.java.tokenizer tokenize",
         "fixpair.java.tokenizer tokenize",
+        "fixpair.stats studentized_range_isf",
+        "fixpair.stats nemenyi",
+        "fixpair.diffs parse_unified_diff",
     ]

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import json
 import os
 import shutil
 import warnings
@@ -732,6 +733,65 @@ def test_cli_evaluate_every_filter(pipeline_out, capsys):
         ["subtract", "method", "one_r"], ["gcf", "method", "one_r"],
     ]
     assert all("method    one_r" in r for r in rows)
+
+
+def _write_config(path, **settings):
+    path.write_text(json.dumps(settings))
+    return str(path)
+
+
+def test_cli_evaluate_reads_the_config_file(pipeline_out, tmp_path, capsys):
+    config = _write_config(
+        tmp_path / "c.json", out=pipeline_out["out"], algorithms=["one_r"],
+        eval_filters=["subtract"],
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["evaluate", "--config", config]) == 0
+        # no --level and no config levels: the method level only
+        assert [r.split()[:3] for r in capsys.readouterr().out.splitlines()[1:]] == [
+            ["subtract", "method", "one_r"],
+        ]
+        config = _write_config(
+            tmp_path / "c.json", out=pipeline_out["out"], algorithms=["one_r"],
+            levels=["file", "class"],
+        )
+        assert main(["evaluate", "--config", config, "--filter", "gcf"]) == 0
+    assert [r.split()[:3] for r in capsys.readouterr().out.splitlines()[1:]] == [
+        ["gcf", "file", "one_r"], ["gcf", "class", "one_r"],
+    ]
+
+
+def test_cli_settings_from_a_config_file_hit_the_cache(fixture_repo, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert main([
+        "link", "--out", out, "--repo", fixture_repo["repo"],
+        "--issues", fixture_repo["issues"], "--repo-id", "demo/fixture",
+        "--bug-label", "bug", "--bug-label", "defect",
+    ]) == 0
+    assert "snapshot: fresh" in capsys.readouterr().out
+    config = _write_config(
+        tmp_path / "c.json", out=out, repo=fixture_repo["repo"],
+        issues=fixture_repo["issues"], repo_id="demo/fixture",
+        bug_labels=["bug", "defect"],
+    )
+    assert main(["link", "--config", config]) == 0
+    captured = capsys.readouterr().out
+    assert "snapshot: cached" in captured and "link: cached" in captured
+
+
+def test_cli_evaluate_rejects_zero_repeats(pipeline_out, capsys):
+    rc = main([
+        "evaluate", "--out", pipeline_out["out"], "--algo", "one_r", "--repeats", "0",
+    ])
+    assert rc == 3
+    assert "at least 1 repeat" in capsys.readouterr().err
+
+
+def test_cli_config_sequence_must_be_a_list(tmp_path, capsys):
+    config = _write_config(tmp_path / "c.json", out=str(tmp_path), levels="method")
+    assert main(["link", "--config", config]) == 2
+    assert "levels must be a list" in capsys.readouterr().err
 
 
 def test_cli_evaluate_external_predictions(tmp_path, capsys):
