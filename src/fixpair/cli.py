@@ -24,9 +24,9 @@ EXIT_DATA = 3
 EXIT_STAGE = 4
 
 
-def _add_pipeline_args(p, need_out=True):
+def _add_pipeline_args(p):
     p.add_argument("--config", help="JSON config file; flags override its keys")
-    p.add_argument("--out", required=False, help="output directory")
+    p.add_argument("--out", help="output directory")
     p.add_argument("--snapshot", help="path to an existing snapshot file")
     p.add_argument("--repo", help="local git clone used for checkouts")
     p.add_argument("--issues", help="issues JSON for offline snapshot building")
@@ -50,14 +50,12 @@ def _add_pipeline_args(p, need_out=True):
         "--filter",
         dest="eval_filters",
         action="append",
-        choices=["none", "full", "removal", "subtract", "single", "gcf"],
         help="filter strategy evaluated by the harness (repeatable)",
     )
     p.add_argument(
         "--level",
         dest="levels",
         action="append",
-        choices=["file", "class", "method", "projected"],
         help="evaluation level (repeatable)",
     )
     p.add_argument(
@@ -103,38 +101,31 @@ def _cmd_stage(args, stage):
 
 
 def _cmd_fetch(args):
+    bug_labels = frozenset(args.bug_labels or ["bug"])
     if args.from_local:
-        if not args.issues or not args.out:
-            raise ConfigError("--from-local needs --issues and --out")
-        from .ingest import (
-            load_issue_specs,
-            save_snapshot,
-            snapshot_from_local_repo,
-        )
+        if not args.issues:
+            raise ConfigError("--from-local needs --issues")
+        from .ingest import load_issue_specs, save_snapshot, snapshot_from_local_repo
 
         snapshot = snapshot_from_local_repo(
             args.from_local,
             load_issue_specs(args.issues),
-            bug_labels=frozenset(args.bug_labels or ["bug"]),
+            bug_labels=bug_labels,
             repo_id=args.repo_id,
         )
         save_snapshot(snapshot, args.out)
-        print(
-            f"snapshot: {len(snapshot.issues)} issues, "
-            f"{len(snapshot.commits)} commits -> {args.out}"
-        )
-        return EXIT_OK
-    if not args.repo or not args.out:
-        raise ConfigError("fetch needs --repo owner/name and --out")
-    from .github import fetch_remote
+    elif args.repo:
+        from .github import fetch_remote
 
-    snapshot = fetch_remote(
-        args.repo,
-        credentials=args.token,
-        out=args.out,
-        bug_labels=frozenset(args.bug_labels or ["bug"]),
-        api_base=args.api_base,
-    )
+        snapshot = fetch_remote(
+            args.repo,
+            credentials=args.token,
+            out=args.out,
+            bug_labels=bug_labels,
+            api_base=args.api_base,
+        )
+    else:
+        raise ConfigError("fetch needs --repo owner/name or --from-local")
     print(
         f"snapshot: {len(snapshot.issues)} issues, "
         f"{len(snapshot.commits)} commits -> {args.out}"
@@ -143,43 +134,35 @@ def _cmd_fetch(args):
 
 
 def _cmd_evaluate(args):
-    from .learn.evaluate import evaluate_external, load_predictions_csv
-
     if args.external_predictions:
+        from .learn.evaluate import evaluate_external, load_predictions_csv
+
+        config = _config_from_args(args, {"out": None, "levels": ("method",)})
         rows = load_predictions_csv(args.external_predictions)
-        projected = bool(args.levels) and "projected" in args.levels
-        res = evaluate_external(rows, projected=projected)
+        res = evaluate_external(rows, projected="projected" in config.levels)
         print(
             f"external {res.level}: precision={res.precision:.4f} "
             f"recall={res.recall:.4f} f={res.f_measure:.4f}"
         )
         return EXIT_OK
 
-    from .pipeline import dataset_dir, evaluate_levels
+    from .pipeline import dataset_dir, evaluate_filters
 
     # only the method level unless --level or the config file names levels
     config = _config_from_args(args, {"levels": ("method",)})
-    dataset_dirs = [dataset_dir(config.out, s) for s in config.eval_filters]
-    for path in dataset_dirs:
+    for strat in config.eval_filters:
+        path = dataset_dir(config.out, strat)
         if not os.path.isdir(path):
             raise SnapshotFormatError(f"dataset directory missing: {path}")
     print(f"{'filter':10}{'level':10}{'algorithm':16}{'prec':>8}{'recall':>8}{'F':>8}")
-    for strat, path in zip(config.eval_filters, dataset_dirs):
-        for level, results in evaluate_levels(
-            path,
-            config.levels,
-            config.algorithms,
-            seed=config.seed,
-            repeats=config.repeats,
-            k=config.folds,
-        ):
-            if isinstance(results, FixpairError):
-                raise results
-            for algo, res in results.items():
-                print(
-                    f"{strat:10}{level:10}{algo:16}{res.precision:8.4f}"
-                    f"{res.recall:8.4f}{res.f_measure:8.4f}"
-                )
+    for strat, level, results in evaluate_filters(config):
+        if isinstance(results, FixpairError):
+            raise results
+        for algo, res in results.items():
+            print(
+                f"{strat:10}{level:10}{algo:16}{res.precision:8.4f}"
+                f"{res.recall:8.4f}{res.f_measure:8.4f}"
+            )
     return EXIT_OK
 
 

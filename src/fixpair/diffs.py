@@ -125,12 +125,13 @@ def parse_unified_diff(text: str) -> list:
     """Parse unified diff text (plain or git-flavored) into FileDiffs."""
     diffs = []
     lines = text.split("\n")
-    offset = 0
     i = 0
     n = len(lines)
     current = None
 
     def err(msg, idx):
+        # the failing line starts after the UTF-8 bytes of the lines before it
+        offset = sum(len(before.encode("utf-8")) + 1 for before in lines[:idx])
         raise DiffParseError(msg, line_no=idx + 1, offset=offset)
 
     while i < n:
@@ -140,7 +141,6 @@ def parse_unified_diff(text: str) -> list:
             new_path = _parse_path_line(lines[i + 1])
             current = FileDiff(old_path=old_path, new_path=new_path)
             diffs.append(current)
-            offset += len(line) + 1 + len(lines[i + 1]) + 1
             i += 2
             continue
         if line.startswith("@@"):
@@ -155,7 +155,6 @@ def parse_unified_diff(text: str) -> list:
             new_len = int(m.group(4)) if m.group(4) is not None else 1
             hunk = Hunk(old_start, old_len, new_start, new_len)
             current.hunks.append(hunk)
-            offset += len(line) + 1
             i += 1
             need_old, need_new = old_len, new_len
             while need_old > 0 or need_new > 0:
@@ -164,7 +163,6 @@ def parse_unified_diff(text: str) -> list:
                 body = lines[i]
                 if body.startswith("\\"):
                     _mark_no_newline(current, hunk)
-                    offset += len(body) + 1
                     i += 1
                     continue
                 if body.startswith("+"):
@@ -181,18 +179,15 @@ def parse_unified_diff(text: str) -> list:
                     err(f"unexpected line inside hunk: {body!r}", i)
                 if need_old < 0 or need_new < 0:
                     err("hunk body does not reconcile with its header", i)
-                offset += len(body) + 1
                 i += 1
             # trailing no-newline marker after the last hunk line
             if i < n and lines[i].startswith("\\"):
                 _mark_no_newline(current, hunk)
-                offset += len(lines[i]) + 1
                 i += 1
             hunk.validate()
             continue
         # anything else is preamble (diff --git, index, mode and
         # "Binary files ... differ" lines, ...)
-        offset += len(line) + 1
         i += 1
 
     return diffs

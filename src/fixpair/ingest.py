@@ -475,15 +475,22 @@ def load_issue_specs(path) -> list:
     """Read the sidecar issues JSON used by offline ingestion."""
     with open(path, encoding="utf-8") as fh:
         docs = json.load(fh)
+    if not isinstance(docs, list):
+        raise SnapshotFormatError("issues file must hold a list of issues", path=path)
     issues = []
-    for doc in docs:
+    for n, doc in enumerate(docs):
+        where = f"issues[{n}]"
+        if not isinstance(doc, dict):
+            raise SnapshotFormatError(f"{where} is not an object", path=path)
         closed_at = doc.get("closed_at")
         issues.append(
             IssueRecord(
-                id=int(doc["id"]),
-                state=doc["state"],
-                created_at=parse_utc(doc["created_at"]),
-                closed_at=parse_utc(closed_at) if closed_at else None,
+                id=_require(doc, "id", int, path, where),
+                state=_require(doc, "state", str, path, where),
+                created_at=parse_utc(
+                    _require(doc, "created_at", str, path, where), path=path
+                ),
+                closed_at=parse_utc(closed_at, path=path) if closed_at else None,
                 labels=frozenset(doc.get("labels", [])),
                 fixing_commits=tuple(doc.get("fixing_commits", [])),
             )

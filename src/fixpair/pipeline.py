@@ -27,7 +27,7 @@ from .analyzer import (
 )
 from .atomic import atomic_open, remove_temp_files
 from .errors import ConfigError, FixpairError, StageError
-from .filters import filter_entries
+from .filters import STRATEGIES, filter_entries
 from .gitio import GitRepo
 from .ingest import load_issue_specs, load_snapshot, save_snapshot, snapshot_from_local_repo
 from .java.structure import SourceElement
@@ -45,7 +45,6 @@ from .linker import (
 from .metrics import MetricsVector
 from .stats import PairedSampleMatrix, format_significance_table, friedman, nemenyi
 
-FILTER_DIRS = ("removal", "subtract", "single", "gcf")
 EVAL_LEVELS = ("file", "class", "method", "projected")
 DEFAULT_SEED = 42
 
@@ -77,6 +76,18 @@ class PipelineConfig:
                 if not isinstance(value, list):
                     raise ConfigError(f"{f.name} must be a list, got {value!r}")
                 setattr(self, f.name, tuple(value))
+        if not self.levels:
+            raise ConfigError("at least one level must be selected")
+        for what, values, legal in (
+            ("levels", self.levels, EVAL_LEVELS),
+            ("algorithms", self.algorithms, ALGORITHMS),
+            ("filter strategies", self.eval_filters, ("full", *STRATEGIES)),
+        ):
+            unknown = set(values) - set(legal)
+            if unknown:
+                raise ConfigError(
+                    f"unknown {what}: {sorted(unknown)}; choose from {list(legal)}"
+                )
 
     @classmethod
     def file_settings(cls, path):
@@ -89,17 +100,8 @@ class PipelineConfig:
         return doc
 
     def validate(self):
-        if not self.levels:
-            raise ConfigError("at least one level must be selected")
-        bad_levels = set(self.levels) - set(EVAL_LEVELS)
-        if bad_levels:
-            raise ConfigError(f"unknown levels: {sorted(bad_levels)}")
-        bad_algos = set(self.algorithms) - set(ALGORITHMS)
-        if bad_algos:
-            raise ConfigError(f"unknown algorithms: {sorted(bad_algos)}")
-        bad_filters = set(self.eval_filters) - {"none", "full", *FILTER_DIRS}
-        if bad_filters:
-            raise ConfigError(f"unknown filter strategies: {sorted(bad_filters)}")
+        """Check what running needs beyond legal settings: a writable output
+        directory and a snapshot or a repository plus an issues file."""
         try:
             os.makedirs(self.out, exist_ok=True)
             probe = os.path.join(self.out, ".write-probe")
@@ -116,39 +118,31 @@ class PipelineConfig:
 
 
 # ---------------------------------------------------------------------------
-# analysis (de)serialization
+# record (de)serialization
 # ---------------------------------------------------------------------------
 
-def _element_to_json(e):
-    return {
-        "kind": e.kind,
-        "fqn": e.fqn,
-        "path": e.path,
-        "start_line": e.start_line,
-        "end_line": e.end_line,
-        "parent_fqn": e.parent_fqn,
-        "name": e.name,
-        "modifiers": list(e.modifiers),
-        "param_types": list(e.param_types),
-        "return_type": e.return_type,
-        "degraded": e.degraded,
-    }
+# the SourceElement fields an analysis stores; the rest are parser internals
+_ELEMENT_KEYS = (
+    "kind", "fqn", "path", "start_line", "end_line", "parent_fqn", "name",
+    "modifiers", "param_types", "return_type", "degraded",
+)
+_TIMELINE_KEYS = tuple(f.name for f in dataclasses.fields(BugFixTimeline))
 
 
-def _element_from_json(doc):
-    return SourceElement(
-        kind=doc["kind"],
-        fqn=doc["fqn"],
-        path=doc["path"],
-        start_line=doc["start_line"],
-        end_line=doc["end_line"],
-        parent_fqn=doc["parent_fqn"],
-        name=doc["name"],
-        modifiers=tuple(doc["modifiers"]),
-        param_types=tuple(doc["param_types"]),
-        return_type=doc["return_type"],
-        degraded=doc["degraded"],
-    )
+def _to_doc(record, keys):
+    """The ``keys`` fields of a dataclass record as a JSON object; tuples
+    become lists."""
+    doc = {}
+    for k in keys:
+        v = getattr(record, k)
+        doc[k] = list(v) if isinstance(v, tuple) else v
+    return doc
+
+
+def _from_doc(cls, doc):
+    """The ``cls`` record a :func:`_to_doc` object holds; lists become
+    tuples again."""
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()})
 
 
 def analysis_to_json(fa):
@@ -158,7 +152,7 @@ def analysis_to_json(fa):
         "path": fa.path,
         "error": fa.error,
         "code_lines": sorted(fa.code_lines),
-        "elements": [_element_to_json(e) for e in fa.elements],
+        "elements": [_to_doc(e, _ELEMENT_KEYS) for e in fa.elements],
         "vectors": {
             f"{kind}|{fqn}": {"level": v.level, "values": v.values}
             for (kind, fqn), v in sorted(fa.vectors.items())
@@ -167,7 +161,7 @@ def analysis_to_json(fa):
 
 
 def analysis_from_json(doc):
-    elements = [_element_from_json(e) for e in doc["elements"]]
+    elements = [_from_doc(SourceElement, e) for e in doc["elements"]]
     by_fqn = {(e.kind, e.fqn): e for e in elements}
     vectors = {}
     for key, vdoc in doc["vectors"].items():
@@ -298,45 +292,21 @@ def _fingerprint(*parts):
 # the pipeline
 # ---------------------------------------------------------------------------
 
-def timeline_to_json(t):
-    return {
-        "issue_id": t.issue_id,
-        "orange": t.orange,
-        "green": list(t.green),
-        "gray": list(t.gray),
-        "blue": list(t.blue),
-        "degraded": t.degraded,
-        "missing": list(t.missing),
-        "notes": list(t.notes),
-    }
-
-
-def timeline_from_json(doc):
-    return BugFixTimeline(
-        issue_id=doc["issue_id"],
-        orange=doc["orange"],
-        green=tuple(doc["green"]),
-        gray=tuple(doc["gray"]),
-        blue=tuple(doc["blue"]),
-        degraded=doc["degraded"],
-        missing=tuple(doc["missing"]),
-        notes=tuple(doc["notes"]),
-    )
-
-
 def run_pipeline(config: PipelineConfig, stop_after=None) -> dict:
     """Execute the stage chain (optionally only up to ``stop_after``);
     returns the artifact manifest."""
     config.validate()
     stages = _Stages(config.out)
+    for name in _stage_chain(config, stages):
+        if name == stop_after:
+            break
+    manifest = {"stages": stages.manifest}
+    _write_json(stages.rel("manifest.json"), manifest)
+    return manifest
 
-    def done(stage_name):
-        if stop_after == stage_name:
-            manifest = {"stages": stages.manifest}
-            _write_json(stages.rel("manifest.json"), manifest)
-            return manifest
-        return None
 
+def _stage_chain(config, stages):
+    """Run the stages in order, yielding each one's name once it has run."""
     # -- snapshot ----------------------------------------------------------
     snap_art = os.path.join("snapshot", "snapshot.json")
     snapshot = None
@@ -367,8 +337,7 @@ def run_pipeline(config: PipelineConfig, stop_after=None) -> dict:
             _digest_refs(config.repo),
         )
     stages.run("snapshot", snap_fp, produce_snapshot)
-    if (m := done("snapshot")) is not None:
-        return m
+    yield "snapshot"
     if snapshot is None:  # cached: the producer did not load it
         snapshot = load_snapshot(stages.rel(snap_art))
     history = HistoryIndex(snapshot)
@@ -390,15 +359,14 @@ def run_pipeline(config: PipelineConfig, stop_after=None) -> dict:
             stages.rel("plan.txt"),
             _write_json(
                 stages.rel("link", "timelines.json"),
-                {"timelines": [timeline_to_json(t) for t in timelines]},
+                {"timelines": [_to_doc(t, _TIMELINE_KEYS) for t in timelines]},
             ),
         ]
 
     stages.run("link", link_fp, produce_link)
-    if (m := done("link")) is not None:
-        return m
+    yield "link"
     timelines = [
-        timeline_from_json(d)
+        _from_doc(BugFixTimeline, d)
         for d in _read_json(stages.rel("link", "timelines.json"))["timelines"]
     ]
 
@@ -452,8 +420,7 @@ def run_pipeline(config: PipelineConfig, stop_after=None) -> dict:
         return written + [_write_json(stages.rel(index_art), index)]
 
     stages.run("analyze", analyze_fp, produce_analyze)
-    if (m := done("analyze")) is not None:
-        return m
+    yield "analyze"
 
     # -- build --------------------------------------------------------------
     build_fp = _fingerprint(
@@ -497,8 +464,7 @@ def run_pipeline(config: PipelineConfig, stop_after=None) -> dict:
         return [*written.values(), drop_log]
 
     stages.run("build", build_fp, produce_build)
-    if (m := done("build")) is not None:
-        return m
+    yield "build"
 
     # -- filter -------------------------------------------------------------
     filter_fp = _fingerprint("filter-with-parents", build_fp, config.seed)
@@ -511,7 +477,9 @@ def run_pipeline(config: PipelineConfig, stop_after=None) -> dict:
             for level in ds.LEVELS
         }
         written = []
-        for strat in FILTER_DIRS:
+        for strat in STRATEGIES:
+            if strat == "none":  # evaluated on dataset/full
+                continue
             filtered = {
                 level: filter_entries(entries, strat, rng_seed=config.seed)
                 for level, entries in entries_by_level.items()
@@ -520,8 +488,7 @@ def run_pipeline(config: PipelineConfig, stop_after=None) -> dict:
         return written
 
     stages.run("filter", filter_fp, produce_filter)
-    if (m := done("filter")) is not None:
-        return m
+    yield "filter"
 
     # -- evaluate -----------------------------------------------------------
     eval_fp = _fingerprint(
@@ -537,46 +504,35 @@ def run_pipeline(config: PipelineConfig, stop_after=None) -> dict:
 
     def produce_evaluate():
         rows, fold_rows = [], []
-        for strat in config.eval_filters:
-            for level, result_set in evaluate_levels(
-                dataset_dir(config.out, strat),
-                config.levels,
-                config.algorithms,
-                seed=config.seed,
-                repeats=config.repeats,
-                k=config.folds,
-            ):
-                if isinstance(result_set, FixpairError):
-                    rows.append(
-                        (strat, level, "-", "", "", "", f"skipped: {result_set}")
+        for strat, level, result_set in evaluate_filters(config):
+            if isinstance(result_set, FixpairError):
+                rows.append((strat, level, "-", "", "", "", f"skipped: {result_set}"))
+                continue
+            for algo, res in result_set.items():
+                rows.append(
+                    (
+                        strat,
+                        level,
+                        algo,
+                        f"{res.precision:.4f}",
+                        f"{res.recall:.4f}",
+                        f"{res.f_measure:.4f}",
+                        "",
                     )
-                    continue
-                for algo, res in result_set.items():
-                    rows.append(
+                )
+                for fi, m in enumerate(res.fold_matrices):
+                    p = prf(m)
+                    fold_rows.append(
                         (
-                            strat,
-                            level,
-                            algo,
-                            f"{res.precision:.4f}",
-                            f"{res.recall:.4f}",
-                            f"{res.f_measure:.4f}",
-                            "",
+                            strat, level, algo, fi,
+                            m.tp, m.fp, m.tn, m.fn,
+                            f"{p.f_measure:.6f}",
                         )
                     )
-                    for fi, m in enumerate(res.fold_matrices):
-                        p = prf(m)
-                        fold_rows.append(
-                            (
-                                strat, level, algo, fi,
-                                m.tp, m.fp, m.tn, m.fn,
-                                f"{p.f_measure:.6f}",
-                            )
-                        )
         return _write_results(stages.rel("eval"), rows, fold_rows)
 
     stages.run("evaluate", eval_fp, produce_evaluate)
-    if (m := done("evaluate")) is not None:
-        return m
+    yield "evaluate"
 
     # -- stats --------------------------------------------------------------
     stats_fp = _fingerprint("stats", eval_fp)
@@ -585,10 +541,7 @@ def run_pipeline(config: PipelineConfig, stop_after=None) -> dict:
         return emit_stats_tables(stages.rel("eval", "folds.csv"), stages.rel("stats"))
 
     stages.run("stats", stats_fp, produce_stats)
-
-    manifest = {"stages": stages.manifest}
-    _write_json(stages.rel("manifest.json"), manifest)
-    return manifest
+    yield "stats"
 
 
 def _analysis_needs(snapshot, timelines, plan_path) -> dict:
@@ -631,31 +584,35 @@ def evaluate_level(dataset_dir, level, algorithms, seed, repeats, k=10):
     }
 
 
-def evaluate_levels(dataset_dir, levels, algorithms, seed, repeats, k=10):
-    """Yield ``(level, results)`` for each of ``levels``, in order.
+def evaluate_filters(config):
+    """Yield ``(filter, level, results)`` for each of the config's filters
+    and levels, in order.
 
     ``results`` maps algorithm -> EvalResult, or is the ``FixpairError``
     that stopped the level.  Each dataset file is cross-validated once:
     ``projected`` is the class projection of the ``method`` folds, so a
     failed method CV stops both levels, a failed projection only its own.
     """
-    by_source = {}
-    for level in levels:
-        source = "method" if level == "projected" else level
-        if source not in by_source:
-            try:
-                by_source[source] = evaluate_level(
-                    dataset_dir, source, algorithms, seed=seed, repeats=repeats, k=k
-                )
-            except FixpairError as exc:
-                by_source[source] = exc
-        results = by_source[source]
-        if level == "projected" and not isinstance(results, FixpairError):
-            try:
-                results = {algo: project_folds(r) for algo, r in results.items()}
-            except FixpairError as exc:
-                results = exc
-        yield level, results
+    for strat in config.eval_filters:
+        path = dataset_dir(config.out, strat)
+        by_source = {}
+        for level in config.levels:
+            source = "method" if level == "projected" else level
+            if source not in by_source:
+                try:
+                    by_source[source] = evaluate_level(
+                        path, source, config.algorithms,
+                        seed=config.seed, repeats=config.repeats, k=config.folds,
+                    )
+                except FixpairError as exc:
+                    by_source[source] = exc
+            results = by_source[source]
+            if level == "projected" and not isinstance(results, FixpairError):
+                try:
+                    results = {algo: project_folds(r) for algo, r in results.items()}
+                except FixpairError as exc:
+                    results = exc
+            yield strat, level, results
 
 
 def _write_results(eval_dir, rows, fold_rows):

@@ -66,6 +66,26 @@ def test_malformed_hunk_header():
     assert err.value.line_no == 3
 
 
+def test_parse_error_offset_counts_utf8_bytes():
+    text = (
+        "--- a/\u00dc.java\n"
+        "+++ b/\u00dc.java\n"
+        "@@ -1 +1 @@\n"
+        "-// \u00e4\n"
+        "+// \u00f6\n"
+        "@@ bogus @@\n"
+    )
+    with pytest.raises(DiffParseError) as err:
+        parse_unified_diff(text)
+    before = "".join(text.splitlines(keepends=True)[:5]).encode("utf-8")
+    assert err.value.line_no == 6
+    assert err.value.offset == len(before) == 54  # 50 characters
+    assert str(err.value).endswith("(line 6, byte 54)")
+    with pytest.raises(DiffParseError) as err:
+        parse_unified_diff("@@ -1 +1 @@\n")
+    assert (err.value.line_no, err.value.offset) == (1, 0)
+
+
 def test_unreconciled_hunk_counts():
     bad = "--- a\n+++ b\n@@ -1,3 +1,1 @@\n-x\n+y\n"
     with pytest.raises(DiffParseError):

@@ -15,6 +15,7 @@ from fixpair.ingest import (
     ProjectSnapshot,
     _first_parent_patches,
     filter_bug_issues,
+    load_issue_specs,
     load_snapshot,
     save_snapshot,
     snapshot_from_local_repo,
@@ -132,6 +133,31 @@ def test_parse_failure_has_diagnostics(tmp_path):
     with pytest.raises(SnapshotFormatError) as err:
         load_snapshot(path)
     assert err.value.field == "captured_at"
+
+
+@pytest.mark.parametrize("docs, where, field", [
+    ([{"id": 1}], "issues[0]", "state"),
+    (
+        [{"id": 1, "state": "open", "created_at": "2024-01-01T00:00:00Z"},
+         {"id": "2", "state": "open"}],
+        "issues[1]", "id",
+    ),
+])
+def test_malformed_issue_specs_name_the_entry_and_field(tmp_path, docs, where, field):
+    path = tmp_path / "issues.json"
+    path.write_text(json.dumps(docs))
+    with pytest.raises(SnapshotFormatError) as err:
+        load_issue_specs(path)
+    assert err.value.field == field
+    assert where in str(err.value)
+
+
+@pytest.mark.parametrize("doc", [{"id": 1}, [1]])
+def test_issue_specs_must_be_a_list_of_objects(tmp_path, doc):
+    path = tmp_path / "issues.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SnapshotFormatError):
+        load_issue_specs(path)
 
 
 def test_missing_file_is_format_error(tmp_path):

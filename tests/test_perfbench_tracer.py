@@ -22,7 +22,9 @@ def test_tracer_instruments_the_source():
         "          pipeline.snapshot_from_local_repo, linker.build_timeline,\n"
         "          pipeline.build_timeline, linker.HistoryIndex.__init__,\n"
         "          tokenizer.tokenize, analyzer.tokenize, stats.studentized_range_isf,\n"
-        "          stats.nemenyi, diffs.parse_unified_diff):\n"
+        "          stats.nemenyi, diffs.parse_unified_diff, pipeline.run_pipeline,\n"
+        "          pipeline._Stages.run, pipeline.evaluate_level,\n"
+        "          pipeline.analysis_to_json, pipeline.analysis_from_json):\n"
         "    print(f.__wrapped__.__module__, f.__wrapped__.__qualname__)\n"
     )
     proc = subprocess.run(
@@ -43,4 +45,9 @@ def test_tracer_instruments_the_source():
         "fixpair.stats studentized_range_isf",
         "fixpair.stats nemenyi",
         "fixpair.diffs parse_unified_diff",
+        "fixpair.pipeline run_pipeline",
+        "fixpair.pipeline _Stages.run",
+        "fixpair.pipeline evaluate_level",
+        "fixpair.pipeline analysis_to_json",
+        "fixpair.pipeline analysis_from_json",
     ]

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import shutil
 import warnings
 
@@ -523,22 +524,68 @@ def test_analysis_cache_roundtrip():
     back = analysis_from_json(doc)
     assert back.path == "src/p/A.java" and back.error is None
     assert back.code_lines == fa.code_lines
-    assert {(e.kind, e.fqn, e.start_line, e.end_line) for e in back.elements} == {
-        (e.kind, e.fqn, e.start_line, e.end_line) for e in fa.elements
-    }
+    stored = (
+        "kind", "fqn", "path", "start_line", "end_line", "parent_fqn", "name",
+        "modifiers", "param_types", "return_type", "degraded",
+    )
+    assert [[getattr(e, k) for k in stored] for e in back.elements] == [
+        [getattr(e, k) for k in stored] for e in fa.elements
+    ]
+    assert {type(e.modifiers) for e in back.elements} == {tuple}
+    assert {type(e.param_types) for e in back.elements} == {tuple}
+    assert any(e.modifiers for e in back.elements)
+    assert any(e.param_types for e in back.elements)
     for key, vec in fa.vectors.items():
         assert back.vectors[key].values == vec.values
         assert back.vectors[key].element.fqn == vec.element.fqn
 
 
+def test_timelines_roundtrip(pipeline_out, fixture_snapshot):
+    from fixpair.linker import BugFixTimeline, HistoryIndex, build_timeline
+    from fixpair.pipeline import _TIMELINE_KEYS, _from_doc, _to_doc
+
+    history = HistoryIndex(fixture_snapshot)
+    built = [
+        build_timeline(i, fixture_snapshot, history)
+        for i in fixture_snapshot.issues
+        if i.state == "closed" and i.fixing_commits
+    ]
+    with open(os.path.join(pipeline_out["out"], "link", "timelines.json")) as fh:
+        docs = json.load(fh)["timelines"]
+    assert [_from_doc(BugFixTimeline, d) for d in docs] == built
+    odd = BugFixTimeline(
+        issue_id=9, orange=None, green=("g",), degraded=True,
+        missing=("m1", "m2"), notes=("no orange commit",),
+    )
+    for t in [*built, odd]:
+        doc = json.loads(json.dumps(_to_doc(t, _TIMELINE_KEYS)))
+        back = _from_doc(BugFixTimeline, doc)
+        assert back == t  # a None orange included
+        for f in dataclasses.fields(t):
+            assert type(getattr(back, f.name)) is type(getattr(t, f.name))
+
+
 def test_config_validation_errors(tmp_path):
     with pytest.raises(Exception):
         PipelineConfig(out=str(tmp_path / "x")).validate()
-    cfg = PipelineConfig(
-        out=str(tmp_path / "y"), snapshot="s.json", levels=("galaxy",)
-    )
     with pytest.raises(Exception):
-        cfg.validate()
+        PipelineConfig(
+            out=str(tmp_path / "y"), snapshot="s.json", levels=("galaxy",)
+        ).validate()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("levels", (), "at least one level"),
+    ("levels", ("method", "galaxy"), "unknown levels: ['galaxy']"),
+    ("algorithms", ("bogus",), "unknown algorithms: ['bogus']"),
+    ("eval_filters", ("fancy",), "unknown filter strategies: ['fancy']"),
+])
+def test_config_rejects_illegal_values_when_made(tmp_path, field, value, message):
+    from fixpair.errors import ConfigError
+
+    with pytest.raises(ConfigError, match=r"\A" + re.escape(message)):
+        PipelineConfig(out=str(tmp_path), **{field: value})
+    assert not os.listdir(tmp_path)  # nothing was checked on disk
 
 
 # --- CLI ------------------------------------------------------------------------
@@ -792,6 +839,57 @@ def test_cli_config_sequence_must_be_a_list(tmp_path, capsys):
     config = _write_config(tmp_path / "c.json", out=str(tmp_path), levels="method")
     assert main(["link", "--config", config]) == 2
     assert "levels must be a list" in capsys.readouterr().err
+
+
+def test_cli_evaluate_rejects_an_unknown_algorithm(pipeline_out, capsys):
+    assert main(["evaluate", "--out", pipeline_out["out"], "--algo", "bogus"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: unknown algorithms: ['bogus']")
+    assert "one_r" in captured.err  # the legal values are listed
+    assert captured.out == ""
+
+
+def test_cli_config_file_with_an_unknown_algorithm(pipeline_out, tmp_path, capsys):
+    config = _write_config(
+        tmp_path / "c.json", out=pipeline_out["out"], algorithms=["bogus"]
+    )
+    for command in ("evaluate", "run"):
+        assert main([command, "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: unknown algorithms: ['bogus']")
+
+
+@pytest.mark.parametrize("command", ["evaluate", "run", "link"])
+@pytest.mark.parametrize("flags, message", [
+    (["--level", "galaxy"], "unknown levels: ['galaxy']"),
+    (["--filter", "fancy"], "unknown filter strategies: ['fancy']"),
+])
+def test_cli_unknown_level_or_filter_is_a_config_error(
+    tmp_path, capsys, command, flags, message
+):
+    # the config check rejects them, not argparse (which would raise SystemExit)
+    assert main([command, "--out", str(tmp_path / "o"), *flags]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not os.path.exists(tmp_path / "o")
+
+
+@pytest.mark.parametrize("issues, where", [
+    ([{"id": 1}], "missing key in issues[0] (field: state)"),
+    ({"id": 1}, "issues file must hold a list of issues"),
+])
+def test_cli_fetch_rejects_a_malformed_issues_file(
+    fixture_repo, tmp_path, capsys, issues, where
+):
+    path = tmp_path / "issues.json"
+    path.write_text(json.dumps(issues))
+    snap = tmp_path / "snap.json"
+    rc = main(["fetch", "--from-local", fixture_repo["repo"], "--issues", str(path),
+               "--out", str(snap)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and where in err
+    assert "Traceback" not in err
+    assert not snap.exists()
 
 
 def test_cli_evaluate_external_predictions(tmp_path, capsys):
