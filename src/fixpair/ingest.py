@@ -471,6 +471,16 @@ def snapshot_from_local_repo(
     return snapshot.validate()
 
 
+def _strings(doc, key, path, where):
+    """An optional list of strings: absent is empty."""
+    values = _require(doc, key, list, path, where) if key in doc else []
+    if not all(isinstance(v, str) for v in values):
+        raise SnapshotFormatError(
+            f"{where}.{key} must hold only strings", path=path, field=key
+        )
+    return values
+
+
 def load_issue_specs(path) -> list:
     """Read the sidecar issues JSON used by offline ingestion."""
     with open(path, encoding="utf-8") as fh:
@@ -491,8 +501,8 @@ def load_issue_specs(path) -> list:
                     _require(doc, "created_at", str, path, where), path=path
                 ),
                 closed_at=parse_utc(closed_at, path=path) if closed_at else None,
-                labels=frozenset(doc.get("labels", [])),
-                fixing_commits=tuple(doc.get("fixing_commits", [])),
+                labels=frozenset(_strings(doc, "labels", path, where)),
+                fixing_commits=tuple(_strings(doc, "fixing_commits", path, where)),
             )
         )
     return issues

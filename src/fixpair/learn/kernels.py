@@ -1,8 +1,8 @@
 """Hot numeric kernel for tree training.
 
 Split search dominates the harness runtime.  ``best_split(X, y, feat_idx,
-min_leaf)`` scans every candidate threshold of each sampled feature with
-numpy and returns ``(feature, threshold, weighted_entropy)``, or
+min_leaf)`` scores every candidate threshold of every sampled feature in
+one numpy pass and returns ``(feature, threshold, weighted_entropy)``, or
 ``(-1, 0.0, inf)`` when no admissible split exists.  Ties keep the first
 candidate in scan order: features in ``feat_idx`` order, thresholds in
 ascending value order, replaced only by a strictly lower score.
@@ -25,33 +25,35 @@ def entropy(pos, n):
 
 
 def best_split(X, y, feat_idx, min_leaf):
-    """Best weighted-entropy split over the features in ``feat_idx``."""
+    """Best weighted-entropy split over the features in ``feat_idx``.
+
+    Every threshold of every sampled feature is scored in one pass: column
+    ``j`` of the ``(n - 1, k)`` grid holds the ``n - 1`` cut points of
+    feature ``feat_idx[j]`` in ascending value order.
+    """
     n = X.shape[0]
-    total_pos = int(y.sum())
-    best_feature = -1
-    best_threshold = 0.0
-    best_score = np.inf
-    for f in feat_idx:
-        order = np.argsort(X[:, f], kind="mergesort")
-        v = X[order, f]
-        pos_left = np.cumsum(y[order])[:-1].astype(np.float64)
-        n_left = np.arange(1, n, dtype=np.float64)
-        n_right = n - n_left
-        pos_right = total_pos - pos_left
-        valid = (v[:-1] != v[1:]) & (n_left >= min_leaf) & (n_right >= min_leaf)
-        if not valid.any():
-            continue
-        score = (
-            n_left * _entropy_vec(pos_left, n_left)
-            + n_right * _entropy_vec(pos_right, n_right)
-        ) / n
-        score = np.where(valid, score, np.inf)
-        i = int(np.argmin(score))  # first minimum, same as the scan
-        if score[i] < best_score:
-            best_score = float(score[i])
-            best_feature = int(f)
-            best_threshold = float((v[i] + v[i + 1]) / 2.0)
-    return best_feature, best_threshold, best_score
+    if n < 2 or len(feat_idx) == 0:
+        return -1, 0.0, np.inf
+    cols = X[:, feat_idx]
+    order = np.argsort(cols, axis=0, kind="mergesort")
+    v = np.take_along_axis(cols, order, axis=0)
+    pos_left = np.cumsum(y[order][:-1], axis=0)
+    pos_right = y.sum() - pos_left
+    n_left = np.arange(1, n, dtype=np.float64)[:, None]
+    n_right = n - n_left
+    score = (
+        n_left * _entropy_vec(pos_left, n_left)
+        + n_right * _entropy_vec(pos_right, n_right)
+    ) / n
+    valid = (v[:-1] != v[1:]) & ((n_left >= min_leaf) & (n_right >= min_leaf))
+    score[~valid] = np.inf
+    # feature-major: the first feature in ``feat_idx`` order, then the
+    # lowest threshold, among the minimal scores
+    j, i = divmod(int(np.argmin(score.T)), n - 1)
+    best = float(score[i, j])
+    if best == np.inf:
+        return -1, 0.0, np.inf
+    return int(feat_idx[j]), float((v[i, j] + v[i + 1, j]) / 2.0), best
 
 
 def _entropy_vec(pos, n):

@@ -149,18 +149,79 @@ def studentized_range_sf(q, k, df=None):
     return min(1.0, max(0.0, 1.0 - _srange_cdf(q, k, df)))
 
 
+def _bracket(f, a, b, width):
+    """Narrow the root bracket [a, b] of a decreasing ``f`` until it is
+    narrower than ``width``, by Chandrupatla's method (*Adv. Eng. Softw.* 28,
+    1997).
+
+    Returns ``(low, high)``: ``f`` is taken to be positive at and below
+    ``low`` and not positive at and above ``high``.  Both are points where
+    ``f`` was evaluated; they are one end of [a, b] when ``f`` does not
+    change sign over it.
+    """
+    fa, fb = f(a), f(b)
+    if fa <= 0:
+        return a, a
+    if fb > 0:
+        return b, b
+    # x1 is the newest point, x2 the other end of the bracket, x3 the end
+    # that x1 replaced
+    x1, f1, x2, f2 = a, fa, b, fb
+    t = 0.5
+    while True:
+        xt = x1 + t * (x2 - x1)
+        ft = f(xt)
+        if (ft > 0) == (f1 > 0):
+            x3, f3 = x1, f1
+        else:
+            x3, f3 = x2, f2
+            x2, f2 = x1, f1
+        x1, f1 = xt, ft
+        if abs(x2 - x1) < width:
+            return (x1, x2) if f1 > 0 else (x2, x1)
+        # inverse quadratic interpolation where it is safe, else bisection;
+        # either way the next point stays width / 2 inside the bracket
+        xi = (x1 - x2) / (x3 - x2)
+        phi = (f1 - f2) / (f3 - f2)
+        if phi * phi < xi and (1.0 - phi) ** 2 < 1.0 - xi:
+            t = (f1 / (f2 - f1) * f3 / (f2 - f3)
+                 + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2))
+        else:
+            t = 0.5
+        tl = width / 2.0 / abs(x2 - x1)
+        t = min(1.0 - tl, max(tl, t))
+
+
 @lru_cache(maxsize=256)
 def studentized_range_isf(alpha, k, df=None):
-    """Critical value q with P(Q > q) = alpha, by bisection."""
+    """Critical value q with P(Q > q) = alpha, by 42 bisection steps on
+    [1e-6, 60].
+
+    The steps are replayed against a bracket of the root that
+    ``_bracket`` narrowed to about the last step's width: a midpoint at or
+    below the bracket's low end sets ``lo``, one at or above its high end
+    sets ``hi``, and only a midpoint inside the bracket costs a CDF
+    evaluation, which narrows the bracket.  That needs the computed tail to
+    fall across the bracket, which the pinned critical values check.
+    """
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
+
+    def excess(q):
+        return studentized_range_sf(q, k, df) - alpha
+
     lo, hi = 1e-6, 60.0
+    low, high = _bracket(excess, lo, hi, 1.4e-11)  # about (hi - lo) / 2**42
     for _ in range(42):
         mid = (lo + hi) / 2.0
-        if studentized_range_sf(mid, k, df) > alpha:
+        if mid <= low:
             lo = mid
-        else:
+        elif mid >= high:
             hi = mid
+        elif excess(mid) > 0:
+            lo = low = mid
+        else:
+            hi = high = mid
     return (lo + hi) / 2.0
 
 

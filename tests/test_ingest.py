@@ -142,6 +142,23 @@ def test_parse_failure_has_diagnostics(tmp_path):
          {"id": "2", "state": "open"}],
         "issues[1]", "id",
     ),
+    # a string where a list belongs is not read as its letters
+    (
+        [{"id": 1, "state": "open", "created_at": "2024-01-01T00:00:00Z",
+          "labels": "bug"}],
+        "issues[0]", "labels",
+    ),
+    (
+        [{"id": 1, "state": "closed", "created_at": "2024-01-01T00:00:00Z",
+          "closed_at": "2024-01-02T00:00:00Z", "labels": ["bug"],
+          "fixing_commits": "abc"}],
+        "issues[0]", "fixing_commits",
+    ),
+    (
+        [{"id": 1, "state": "open", "created_at": "2024-01-01T00:00:00Z",
+          "labels": [["bug"]]}],
+        "issues[0]", "labels",
+    ),
 ])
 def test_malformed_issue_specs_name_the_entry_and_field(tmp_path, docs, where, field):
     path = tmp_path / "issues.json"

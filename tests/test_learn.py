@@ -94,6 +94,43 @@ def test_kernel_matches_scalar_scan():
         assert got[2] == want[2], trial
 
 
+def test_kernel_edge_shapes_match_scalar_scan():
+    def check(X, y, feat_idx, min_leaf=1):
+        feat_idx = np.asarray(feat_idx, dtype=np.int64)
+        y = np.asarray(y, dtype=np.int64)
+        got = best_split(X, y, feat_idx, min_leaf)
+        assert got == _best_split_scalar(X, y, feat_idx, min_leaf)
+        return got
+
+    rng = np.random.default_rng(11)
+    X = np.round(rng.normal(size=(12, 5)), 1)
+    y = rng.integers(0, 2, size=12)
+    y[:2] = (0, 1)
+
+    # two rows: one threshold per feature
+    assert check(X[:2], y[:2], [4, 0])[2] == 0.0
+    # one row, or no sampled feature: nothing to split
+    assert check(X[:1], y[:1], [4, 0]) == (-1, 0.0, math.inf)
+    assert check(X, y, []) == (-1, 0.0, math.inf)
+    # a single sampled feature
+    assert check(X, y, [2])[0] == 2
+    # every sampled column constant: no admissible split
+    flat = X.copy()
+    flat[:, [1, 3]] = 7.0
+    assert check(flat, y, [3, 1]) == (-1, 0.0, math.inf)
+    # min_leaf leaves no threshold with enough rows on both sides
+    assert check(X, y, [0, 1, 2, 3, 4], min_leaf=7) == (-1, 0.0, math.inf)
+    # column 4 orders the rows as column 1 does, so both score the same;
+    # the feature listed first wins, although its index is higher
+    twin = X.copy()
+    twin[:, 4] = twin[:, 1] * 10.0
+    assert check(twin, y, [4, 1])[0] == 4
+    assert check(twin, y, [1, 4])[0] == 1
+    # a non-contiguous row slice
+    assert not X[::2].flags.c_contiguous
+    check(X[::2], y[::2], [3, 0, 1])
+
+
 def test_kernel_finds_obvious_split():
     X = np.array([[0.0], [1.0], [10.0], [11.0]])
     y = np.array([0, 0, 1, 1], dtype=np.int64)

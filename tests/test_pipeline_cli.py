@@ -876,6 +876,16 @@ def test_cli_unknown_level_or_filter_is_a_config_error(
 @pytest.mark.parametrize("issues, where", [
     ([{"id": 1}], "missing key in issues[0] (field: state)"),
     ({"id": 1}, "issues file must hold a list of issues"),
+    (
+        [{"id": 1, "state": "open", "created_at": "2024-01-01T00:00:00Z",
+          "labels": "bug"}],
+        "issues[0].labels has type str (field: labels)",
+    ),
+    (
+        [{"id": 1, "state": "closed", "created_at": "2024-01-01T00:00:00Z",
+          "closed_at": "2024-01-02T00:00:00Z", "fixing_commits": "abc"}],
+        "issues[0].fixing_commits has type str (field: fixing_commits)",
+    ),
 ])
 def test_cli_fetch_rejects_a_malformed_issues_file(
     fixture_repo, tmp_path, capsys, issues, where

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats as sstats
 
+from fixpair import stats
 from fixpair.errors import FixpairError
 from fixpair.stats import (
     PairedSampleMatrix,
@@ -251,6 +252,42 @@ def test_q_crit_pinned_to_the_last_bit():
         for df in Q_CRIT_05
     }
     assert got == Q_CRIT_05
+
+
+def _isf_by_bisection(alpha, k, df):
+    """Plain 42-step bisection on [1e-6, 60]: the oracle for
+    ``studentized_range_isf``."""
+    lo, hi = 1e-6, 60.0
+    for _ in range(42):
+        mid = (lo + hi) / 2.0
+        if studentized_range_sf(mid, k, df) > alpha:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2.0
+
+
+def test_q_crit_replays_the_bisection(monkeypatch):
+    for alpha in (0.01, 0.10):
+        for k in (2, 5, 11):
+            for df in (3, 20, None):
+                want = _isf_by_bisection(alpha, k, df)
+                assert studentized_range_isf(alpha, k, df) == want, (alpha, k, df)
+    # roots above 60 and below 1e-6: the bisection runs into an end
+    for alpha, k, df in ((0.01, 11, 1), (0.9999999, 2, 5)):
+        assert studentized_range_isf(alpha, k, df) == _isf_by_bisection(alpha, k, df)
+    # a cold call evaluates the tail far fewer times than the bisection's 42
+    calls = []
+
+    def counted(q, k, df=None):
+        calls.append(q)
+        return studentized_range_sf(q, k, df)
+
+    monkeypatch.setattr(stats, "studentized_range_sf", counted)
+    assert studentized_range_isf.__wrapped__(0.10, 5, 20) == _isf_by_bisection(
+        0.10, 5, 20
+    )
+    assert 0 < len(calls) < 30
 
 
 # --- friedman ----------------------------------------------------------------
