@@ -29,24 +29,30 @@ def best_split(X, y, feat_idx, min_leaf):
 
     Every threshold of every sampled feature is scored in one pass: column
     ``j`` of the ``(n - 1, k)`` grid holds the ``n - 1`` cut points of
-    feature ``feat_idx[j]`` in ascending value order.
+    feature ``feat_idx[j]`` in ascending value order.  The left and right
+    sides of every cut share one entropy evaluation.
     """
     n = X.shape[0]
-    if n < 2 or len(feat_idx) == 0:
+    k = len(feat_idx)
+    if n < 2 or k == 0:
         return -1, 0.0, np.inf
     cols = X[:, feat_idx]
     order = np.argsort(cols, axis=0, kind="mergesort")
-    v = np.take_along_axis(cols, order, axis=0)
-    pos_left = np.cumsum(y[order][:-1], axis=0)
-    pos_right = y.sum() - pos_left
-    n_left = np.arange(1, n, dtype=np.float64)[:, None]
-    n_right = n - n_left
-    score = (
-        n_left * _entropy_vec(pos_left, n_left)
-        + n_right * _entropy_vec(pos_right, n_right)
-    ) / n
-    valid = (v[:-1] != v[1:]) & ((n_left >= min_leaf) & (n_right >= min_leaf))
-    score[~valid] = np.inf
+    v = cols[order, np.arange(k)]
+    pos = np.empty((2, n - 1, k), dtype=np.int64)
+    np.cumsum(y[order[:-1]], axis=0, out=pos[0])
+    np.subtract(y.sum(), pos[0], out=pos[1])
+    left = np.arange(1, n, dtype=np.float64)
+    rows = np.stack([left, n - left])[:, :, None]  # (2, n - 1, 1) side rows
+    h = _entropy_vec(pos, rows)
+    h *= rows
+    score = (h[0] + h[1]) / n
+    score[v[:-1] == v[1:]] = np.inf
+    # fewer than min_leaf rows on the left of the first cuts, on the right
+    # of the last ones
+    short = max(math.ceil(min_leaf), 1) - 1
+    score[:short] = np.inf
+    score[n - 1 - short:] = np.inf
     # feature-major: the first feature in ``feat_idx`` order, then the
     # lowest threshold, among the minimal scores
     j, i = divmod(int(np.argmin(score.T)), n - 1)

@@ -68,36 +68,38 @@ class OneRModel:
         return np.where(below, self.label_below, self.label_above).astype(np.int64)
 
 
+_TIED = np.iinfo(np.int64).max  # the error of a cut between equal values
+
+
 def train_one_r(X, y, hyper, seed):
     model = _degenerate(y)
     if model is not None:
         return model
     n, d = X.shape
     total_pos = int(y.sum())
-    best = None  # (errors, feature, threshold, below, above)
-    for f in range(d):
-        order = np.argsort(X[:, f], kind="mergesort")
-        v = X[order, f]
-        cum_pos = np.cumsum(y[order])
-        for i in range(n - 1):
-            if v[i] == v[i + 1]:
-                continue
-            thr = (v[i] + v[i + 1]) / 2.0
-            pos_below = int(cum_pos[i])
-            n_below = i + 1
-            # orientation A: below -> clean, above -> buggy
-            err_a = pos_below + ((n - n_below) - (total_pos - pos_below))
-            # orientation B: below -> buggy, above -> clean
-            err_b = (n_below - pos_below) + (total_pos - pos_below)
-            for err, lb, la in ((err_a, 0, 1), (err_b, 1, 0)):
-                cand = (err, f, thr, lb, la)
-                if best is None or cand[0] < best[0]:
-                    best = cand
-    if best is None:  # all features constant
+    order = np.argsort(X, axis=0, kind="mergesort")
+    v = X[order, np.arange(d)]
+    pos_below = np.cumsum(y[order[:-1]], axis=0).T  # (d, n - 1)
+    n_below = np.arange(1, n)
+    # errors in scan order: feature, threshold, then orientation A
+    # (below -> clean, above -> buggy) before B (below -> buggy, above -> clean)
+    err = np.empty((d, n - 1, 2), dtype=np.int64)
+    err[:, :, 0] = pos_below + ((n - n_below) - (total_pos - pos_below))
+    err[:, :, 1] = (n_below - pos_below) + (total_pos - pos_below)
+    err[(v[:-1] == v[1:]).T] = _TIED
+    # the first minimum is the candidate a strict-< scan keeps
+    best = int(np.argmin(err)) if d else None
+    if best is None or err.flat[best] == _TIED:  # all features constant
         majority = 1 if total_pos * 2 >= n else 0
         return ConstantModel(label=majority)
-    _, f, thr, lb, la = best
-    return OneRModel(feature=f, threshold=thr, label_below=lb, label_above=la)
+    f, rest = divmod(best, 2 * (n - 1))
+    i, orientation = divmod(rest, 2)
+    return OneRModel(
+        feature=f,
+        threshold=(v[i, f] + v[i + 1, f]) / 2.0,
+        label_below=orientation,
+        label_above=1 - orientation,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +174,7 @@ def train_logistic(X, y, hyper, seed):
         p = 1.0 / (1.0 + np.exp(-logits))
         g = p - yf
         w -= lr * ((z.T @ g) / n + l2 * w)
-        b -= lr * g.mean()
+        b -= lr * (g.sum() / n)
     return LogisticModel(weights=w, bias=b, center=center, scale=scale)
 
 
@@ -217,7 +219,8 @@ class TreeModel:
 
 
 def _grow(X, y, idx, min_leaf, max_depth, depth, feature_sampler):
-    node = _Node(n=len(idx), pos=int(y[idx].sum()))
+    yn = y[idx]
+    node = _Node(n=len(idx), pos=int(yn.sum()))
     if (
         node.pos in (0, node.n)
         or node.n < 2 * min_leaf
@@ -225,13 +228,14 @@ def _grow(X, y, idx, min_leaf, max_depth, depth, feature_sampler):
     ):
         return node
     feat_idx = feature_sampler()
-    f, thr, score = kernels.best_split(X[idx], y[idx], feat_idx, min_leaf)
+    Xn = X[idx]
+    f, thr, score = kernels.best_split(Xn, yn, feat_idx, min_leaf)
     if f < 0:
         return node
     parent_h = entropy(node.pos, node.n)
     if parent_h - score <= 1e-12:
         return node
-    mask = X[idx, f] < thr
+    mask = Xn[:, f] < thr
     node.feature = int(f)
     node.threshold = float(thr)
     node.left = _grow(X, y, idx[mask], min_leaf, max_depth, depth + 1, feature_sampler)
@@ -306,10 +310,12 @@ class ForestModel:
 
 
 def train_random_forest(X, y, hyper, seed):
+    n_trees = hyper.get("n_trees", 50)
+    if n_trees < 1:
+        raise ValueError(f"a random forest needs n_trees >= 1, got {n_trees}")
     model = _degenerate(y)
     if model is not None:
         return model
-    n_trees = hyper.get("n_trees", 50)
     if n_trees == 1:
         # degenerate ensemble: exactly a random tree, no bootstrap
         return ForestModel(trees=[train_random_tree(X, y, hyper, seed)])

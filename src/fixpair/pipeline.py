@@ -88,6 +88,10 @@ class PipelineConfig:
                 raise ConfigError(
                     f"unknown {what}: {sorted(unknown)}; choose from {list(legal)}"
                 )
+        for name, least in (("repeats", 1), ("folds", 2)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < least:
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
 
     @classmethod
     def file_settings(cls, path):

@@ -24,6 +24,7 @@ from fixpair.learn.kernels import best_split, entropy
 from fixpair.learn.models import (
     TRAINERS,
     ConstantModel,
+    OneRModel,
     register_algorithm,
     train,
 )
@@ -120,6 +121,16 @@ def test_kernel_edge_shapes_match_scalar_scan():
     assert check(flat, y, [3, 1]) == (-1, 0.0, math.inf)
     # min_leaf leaves no threshold with enough rows on both sides
     assert check(X, y, [0, 1, 2, 3, 4], min_leaf=7) == (-1, 0.0, math.inf)
+    # min_leaf = n // 2 leaves one admissible cut (n even) or two (n odd)
+    ramp = np.column_stack([np.arange(13.0), np.round(rng.normal(size=13), 1)])
+    y13 = np.array([*y, 1])
+    assert check(ramp[:12], y13[:12], [0], min_leaf=6)[:2] == (0, 5.5)
+    assert check(ramp, y13, [0], min_leaf=6)[1] in (5.5, 6.5)
+    check(ramp, y13, [1, 0], min_leaf=6)
+    # a non-integer min_leaf admits the cuts its next integer admits
+    assert check(ramp, y13, [0], min_leaf=5.5)[:2] == check(ramp, y13, [0], min_leaf=6)[:2]
+    for min_leaf in (0.5, 1.5, 2.25, 6.5):
+        check(X, y, [0, 1, 2, 3, 4], min_leaf=min_leaf)
     # column 4 orders the rows as column 1 does, so both score the same;
     # the feature listed first wins, although its index is higher
     twin = X.copy()
@@ -238,6 +249,114 @@ def test_training_is_deterministic_under_seed():
         a = train(algo, X, y, {"n_trees": 5}, rng_seed=7).predict(Xt)
         b = train(algo, X, y, {"n_trees": 5}, rng_seed=7).predict(Xt)
         assert (a == b).all(), algo
+
+
+def test_random_forest_needs_a_tree():
+    rng = np.random.default_rng(10)
+    X = rng.normal(size=(20, 3))
+    y = (X[:, 0] > 0).astype(np.int64)
+    for n_trees in (0, -1):
+        with pytest.raises(ValueError, match="n_trees"):
+            train("random_forest", X, y, {"n_trees": n_trees})
+    instances = make_instances(10, 10, random.Random(10))
+    with pytest.raises(ValueError, match="n_trees"):
+        cross_validate("random_forest", instances, k=2, hyperparameters={"n_trees": 0})
+
+
+# --- oracles for the array learners ----------------------------------------------
+
+def _one_r_scalar(X, y):
+    """Plain-Python scan of every threshold: the oracle for ``train_one_r``.
+    Returns ``(feature, threshold, label_below, label_above)``, or the
+    constant label when every feature is constant."""
+    n, d = X.shape
+    total_pos = int(y.sum())
+    best = None  # (errors, feature, threshold, below, above)
+    for f in range(d):
+        order = np.argsort(X[:, f], kind="mergesort")
+        v = X[order, f]
+        cum_pos = np.cumsum(y[order])
+        for i in range(n - 1):
+            if v[i] == v[i + 1]:
+                continue
+            thr = (v[i] + v[i + 1]) / 2.0
+            pos_below = int(cum_pos[i])
+            n_below = i + 1
+            # orientation A: below -> clean, above -> buggy
+            err_a = pos_below + ((n - n_below) - (total_pos - pos_below))
+            # orientation B: below -> buggy, above -> clean
+            err_b = (n_below - pos_below) + (total_pos - pos_below)
+            for err, lb, la in ((err_a, 0, 1), (err_b, 1, 0)):
+                if best is None or err < best[0]:
+                    best = (err, f, thr, lb, la)
+    if best is None:
+        return 1 if total_pos * 2 >= n else 0
+    return best[1:]
+
+
+def test_one_r_matches_scalar_scan():
+    rng = np.random.default_rng(21)
+    for trial in range(40):
+        n = int(rng.integers(2, 50))
+        d = int(rng.integers(1, 7))
+        X = np.round(rng.normal(size=(n, d)), int(rng.integers(0, 2)))  # ties
+        y = rng.integers(0, 2, size=n).astype(np.int64)
+        y[:2] = (0, 1)
+        if trial % 2 == 0:
+            X[:, -1] = X[:, 0]  # a copied column ties features
+        if trial % 5 == 0:
+            X[:, 0] = 3.0  # a constant column
+        model = train("one_r", X, y)
+        if isinstance(model, OneRModel):
+            got = (model.feature, model.threshold, model.label_below, model.label_above)
+        else:  # every column constant
+            got = model.label
+        assert got == _one_r_scalar(X, y), trial  # bit-exact thresholds
+    # both orientations make two errors: "below is clean" is scanned first
+    X, y = np.array([[0.0], [0.0], [1.0], [1.0]]), np.array([0, 1, 0, 1])
+    model = train("one_r", X, y)
+    assert (model.threshold, model.label_below, model.label_above) == (0.5, 0, 1)
+    assert _one_r_scalar(X, y) == (0, 0.5, 0, 1)
+
+
+def test_one_r_all_columns_constant_is_constant_model():
+    y = np.array([1, 0, 1, 1, 0], dtype=np.int64)
+    for X in (np.full((5, 3), 2.5), np.zeros((5, 0))):
+        model = train("one_r", X, y)
+        assert isinstance(model, ConstantModel)
+        assert model.label == _one_r_scalar(X, y) == 1
+    model = train("one_r", np.full((4, 2), 1.0), np.array([0, 0, 1, 0]))
+    assert isinstance(model, ConstantModel) and model.label == 0
+
+
+def _logistic_scalar(X, y, lr=0.1, iters=500, l2=1e-3):
+    """Gradient descent with ``g.mean()``: the oracle for ``train_logistic``."""
+    center = X.mean(axis=0)
+    scale = X.std(axis=0)
+    scale = np.where(scale > 0, scale, 1.0)
+    z = (X - center) / scale
+    n, d = z.shape
+    w = np.zeros(d)
+    b = 0.0
+    yf = y.astype(np.float64)
+    for _ in range(iters):
+        p = 1.0 / (1.0 + np.exp(-(z @ w + b)))
+        g = p - yf
+        w -= lr * ((z.T @ g) / n + l2 * w)
+        b -= lr * g.mean()
+    return w, b
+
+
+def test_logistic_matches_mean_gradient_loop():
+    rng = np.random.default_rng(23)
+    for n, d in ((7, 1), (60, 5), (143, 9)):
+        X = rng.normal(size=(n, d)) * rng.uniform(0.1, 10, size=d)
+        y = rng.integers(0, 2, size=n).astype(np.int64)
+        y[:2] = (0, 1)
+        model = train("logistic", X, y, {"iterations": 200})
+        w, b = _logistic_scalar(X, y, iters=200)
+        assert model.weights.tobytes() == w.tobytes()
+        assert model.bias == b
 
 
 # --- labeling / undersampling ------------------------------------------------

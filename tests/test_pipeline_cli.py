@@ -579,6 +579,10 @@ def test_config_validation_errors(tmp_path):
     ("levels", ("method", "galaxy"), "unknown levels: ['galaxy']"),
     ("algorithms", ("bogus",), "unknown algorithms: ['bogus']"),
     ("eval_filters", ("fancy",), "unknown filter strategies: ['fancy']"),
+    ("repeats", 0, "repeats must be an integer >= 1, got 0"),
+    ("repeats", 1.5, "repeats must be an integer >= 1, got 1.5"),
+    ("folds", 1, "folds must be an integer >= 2, got 1"),
+    ("folds", True, "folds must be an integer >= 2, got True"),
 ])
 def test_config_rejects_illegal_values_when_made(tmp_path, field, value, message):
     from fixpair.errors import ConfigError
@@ -831,8 +835,39 @@ def test_cli_evaluate_rejects_zero_repeats(pipeline_out, capsys):
     rc = main([
         "evaluate", "--out", pipeline_out["out"], "--algo", "one_r", "--repeats", "0",
     ])
-    assert rc == 3
-    assert "at least 1 repeat" in capsys.readouterr().err
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: repeats must be an integer >= 1")
+    assert captured.out == ""  # rejected before the table header
+
+
+@pytest.mark.parametrize("form", ["flag", "config file"])
+@pytest.mark.parametrize("command", ["evaluate", "run"])
+@pytest.mark.parametrize("setting, value, message", [
+    ("repeats", 0, "repeats must be an integer >= 1, got 0"),
+    ("folds", 1, "folds must be an integer >= 2, got 1"),
+], ids=["repeats", "folds"])
+def test_cli_illegal_repeats_or_folds_is_a_config_error(
+    pipeline_out, fixture_repo, tmp_path, capsys, form, command, setting, value,
+    message,
+):
+    # run gets a valid repository, so only the setting can stop it
+    out = pipeline_out["out"] if command == "evaluate" else str(tmp_path / "o")
+    settings = {"out": out, "algorithms": ["one_r"], setting: value}
+    if command == "run":
+        settings.update(repo=fixture_repo["repo"], issues=fixture_repo["issues"])
+    if form == "flag":
+        argv = [command, "--algo", "one_r", f"--{setting}", str(value), "--out", out]
+        if command == "run":
+            argv += ["--repo", settings["repo"], "--issues", settings["issues"]]
+    else:
+        argv = [command, "--config", _write_config(tmp_path / "c.json", **settings)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {message}")
+    assert captured.out == ""
+    if command == "run":
+        assert not os.path.exists(out)
 
 
 def test_cli_config_sequence_must_be_a_list(tmp_path, capsys):
