@@ -1,6 +1,7 @@
 """Per-file and per-tree analysis: elements plus their metric vectors."""
 
 import fnmatch
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .java.structure import ElementCollisionError, parse_elements
@@ -40,38 +41,21 @@ def analyze_source(path: str, text: str) -> FileAnalysis:
     except ElementCollisionError as exc:
         return FileAnalysis(path=path, elements=[], code_lines=code_lines, error=str(exc))
     analysis = FileAnalysis(path=path, elements=elements, code_lines=code_lines)
-    methods = [e for e in elements if e.kind == "method"]
-    classes = [e for e in elements if e.kind == "class"]
-    file_elem = next(e for e in elements if e.kind == "file")
-
-    method_vecs = {}
-    for m in methods:
-        vec = method_metrics(m, ctx)
-        method_vecs[m.fqn] = vec
-        analysis.vectors[("method", m.fqn)] = vec
+    # the vectors of each class's own methods and directly nested classes
+    methods, nested = defaultdict(list), defaultdict(list)
+    for m in elements:
+        if m.kind == "method":
+            vec = method_metrics(m, ctx)
+            analysis.vectors[("method", m.fqn)] = vec
+            methods[m.parent_fqn].append(vec)
 
     # innermost classes first so nested totals exist when the outer is done
-    class_vecs = {}
+    classes = [e for e in elements if e.kind == "class"]
     for c in sorted(classes, key=lambda e: -e.fqn.count(".")):
-        members = [
-            v for v in method_vecs.values()
-            if _inside(v.element, c)
-        ]
-        nested = [
-            class_vecs[d.fqn] for d in classes
-            if d.parent_fqn == c.fqn and d.fqn in class_vecs
-        ]
-        vec = class_metrics(c, members, nested, ctx)
-        class_vecs[c.fqn] = vec
+        vec = class_metrics(c, methods[c.fqn], nested[c.fqn], ctx)
         analysis.vectors[("class", c.fqn)] = vec
+        nested[c.parent_fqn].append(vec)
 
+    file_elem = elements[0]
     analysis.vectors[("file", file_elem.fqn)] = file_metrics(file_elem, elements, ctx)
     return analysis
-
-
-def _inside(inner, outer):
-    return (
-        inner.path == outer.path
-        and outer.start_line <= inner.start_line
-        and inner.end_line <= outer.end_line
-    )

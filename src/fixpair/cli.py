@@ -167,21 +167,10 @@ def _cmd_evaluate(args):
 
 
 def _cmd_stats(args):
-    from .stats import PairedSampleMatrix, format_significance_table, friedman, nemenyi
+    from .stats import format_significance_table, friedman, nemenyi
 
     if args.matrix:
-        import csv as _csv
-
-        with open(args.matrix, encoding="utf-8", newline="") as fh:
-            reader = _csv.reader(fh)
-            header = next(reader)
-            labels = header[1:] if header and not _is_float(header[1]) else None
-            rows = []
-            if labels is None:
-                rows.append([float(v) for v in header[1:]])
-            for rec in reader:
-                rows.append([float(v) for v in rec[1:]])
-        matrix = PairedSampleMatrix.from_rows(rows, col_labels=labels)
+        matrix = _read_matrix(args.matrix)
         fr = friedman(matrix)
         print(f"friedman chi2={fr.statistic:.6f} p={fr.p_value:.6g}")
         print(format_significance_table(nemenyi(matrix, alpha=args.alpha)))
@@ -197,6 +186,32 @@ def _cmd_stats(args):
     with open(os.path.join(args.out, "stats", "summary.txt"), encoding="utf-8") as fh:
         sys.stdout.write(fh.read())
     return EXIT_OK
+
+
+def _read_matrix(path):
+    """The matrix of a CSV file whose first column labels the rows; its first
+    row names the treatments unless that row is numeric."""
+    import csv
+
+    from .stats import PairedSampleMatrix
+
+    with open(path, encoding="utf-8", newline="") as fh:
+        records = list(csv.reader(fh))
+    try:
+        header = records[0] if records else []
+        if len(header) < 2:
+            raise FixpairError("row 1: needs a row label and a treatment column")
+        labels = None if _is_float(header[1]) else header[1:]
+        first = 2 if labels else 1
+        rows = []
+        for row, rec in enumerate(records[first - 1:], start=first):
+            try:
+                rows.append([float(v) for v in rec[1:]])
+            except ValueError as exc:
+                raise FixpairError(f"row {row}: {exc}") from None
+        return PairedSampleMatrix.from_rows(rows, col_labels=labels)
+    except FixpairError as exc:
+        raise SnapshotFormatError(str(exc), path=path) from None
 
 
 def _is_float(s):

@@ -234,10 +234,18 @@ def _require(doc, key, kind, path, where):
     return value
 
 
-def _issue_from_json(doc, path):
+def _object(doc, path, where, field=None):
+    if not isinstance(doc, dict):
+        raise SnapshotFormatError(f"{where} is not an object", path=path, field=field)
+    return doc
+
+
+def _issue_from_json(doc, path, where):
+    _object(doc, path, where, "issues")
     where = f"issue #{doc.get('id', '?')}"
     fixing = []
-    for fc in _require(doc, "fixing_commits", list, path, where):
+    for n, fc in enumerate(_require(doc, "fixing_commits", list, path, where)):
+        _object(fc, path, f"{where}.fixing_commits[{n}]", "fixing_commits")
         fixing.append(
             (
                 _require(fc, "hash", str, path, where),
@@ -250,15 +258,18 @@ def _issue_from_json(doc, path):
         state=_require(doc, "state", str, path, where),
         created_at=parse_utc(_require(doc, "created_at", str, path, where), path=path),
         closed_at=parse_utc(closed_at, path=path) if closed_at is not None else None,
-        labels=frozenset(_require(doc, "labels", list, path, where)),
+        labels=frozenset(_strings(doc, "labels", path, where)),
         fixing_commits=tuple(fixing),
     )
 
 
-def _commit_from_json(doc, path):
-    where = f"commit {doc.get('hash', '?')[:12]}"
+def _commit_from_json(doc, path, where):
+    _object(doc, path, where, "commits")
+    hash_ = _require(doc, "hash", str, path, where)
+    where = f"commit {hash_[:12]}"
     file_diffs = []
-    for fd in _require(doc, "file_diffs", list, path, where):
+    for n, fd in enumerate(_require(doc, "file_diffs", list, path, where)):
+        _object(fd, path, f"{where}.file_diffs[{n}]", "file_diffs")
         patch = _require(fd, "patch", str, path, where)
         parsed = parse_unified_diff(patch)
         if len(parsed) != 1:
@@ -270,8 +281,8 @@ def _commit_from_json(doc, path):
             )
         file_diffs.append(parsed[0])
     return CommitRecord(
-        hash=_require(doc, "hash", str, path, where),
-        parents=tuple(_require(doc, "parents", list, path, where)),
+        hash=hash_,
+        parents=tuple(_strings(doc, "parents", path, where)),
         author_id=_require(doc, "author_id", str, path, where),
         timestamp=parse_utc(_require(doc, "timestamp", str, path, where), path=path),
         message=_require(doc, "message", str, path, where),
@@ -281,34 +292,31 @@ def _commit_from_json(doc, path):
 
 def load_snapshot(path) -> ProjectSnapshot:
     """Load and fully validate a snapshot file."""
+    path = str(path)
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except FileNotFoundError:
-        raise SnapshotFormatError("snapshot file not found", path=str(path))
+        raise SnapshotFormatError("snapshot file not found", path=path)
     except json.JSONDecodeError as exc:
-        raise SnapshotFormatError(f"not valid JSON: {exc}", path=str(path))
-    version = _require(doc, "version", int, str(path), "snapshot")
+        raise SnapshotFormatError(f"not valid JSON: {exc}", path=path)
+    version = _require(_object(doc, path, "snapshot"), "version", int, path, "snapshot")
     if version != SNAPSHOT_VERSION:
         raise SnapshotFormatError(
-            f"unsupported snapshot version {version}", path=str(path), field="version"
+            f"unsupported snapshot version {version}", path=path, field="version"
         )
     snapshot = ProjectSnapshot(
-        repo_id=_require(doc, "repo", str, str(path), "snapshot"),
-        captured_at=parse_utc(
-            _require(doc, "captured_at", str, str(path), "snapshot"), path=str(path)
-        ),
+        repo_id=_require(doc, "repo", str, path, "snapshot"),
+        captured_at=parse_utc(_require(doc, "captured_at", str, path, "snapshot"), path=path),
         issues=tuple(
-            _issue_from_json(i, str(path))
-            for i in _require(doc, "issues", list, str(path), "snapshot")
+            _issue_from_json(i, path, f"issues[{n}]")
+            for n, i in enumerate(_require(doc, "issues", list, path, "snapshot"))
         ),
         commits=tuple(
-            _commit_from_json(c, str(path))
-            for c in _require(doc, "commits", list, str(path), "snapshot")
+            _commit_from_json(c, path, f"commits[{n}]")
+            for n, c in enumerate(_require(doc, "commits", list, path, "snapshot"))
         ),
-        bug_labels=frozenset(
-            _require(doc, "bug_labels", list, str(path), "snapshot")
-        ),
+        bug_labels=frozenset(_strings(doc, "bug_labels", path, "snapshot")),
     )
     return snapshot.validate()
 
@@ -471,9 +479,11 @@ def snapshot_from_local_repo(
     return snapshot.validate()
 
 
-def _strings(doc, key, path, where):
-    """An optional list of strings: absent is empty."""
-    values = _require(doc, key, list, path, where) if key in doc else []
+def _strings(doc, key, path, where, optional=False):
+    """A list of strings; an optional key that is absent is empty."""
+    if optional and key not in doc:
+        return []
+    values = _require(doc, key, list, path, where)
     if not all(isinstance(v, str) for v in values):
         raise SnapshotFormatError(
             f"{where}.{key} must hold only strings", path=path, field=key
@@ -490,8 +500,7 @@ def load_issue_specs(path) -> list:
     issues = []
     for n, doc in enumerate(docs):
         where = f"issues[{n}]"
-        if not isinstance(doc, dict):
-            raise SnapshotFormatError(f"{where} is not an object", path=path)
+        _object(doc, path, where)
         closed_at = doc.get("closed_at")
         issues.append(
             IssueRecord(
@@ -501,8 +510,10 @@ def load_issue_specs(path) -> list:
                     _require(doc, "created_at", str, path, where), path=path
                 ),
                 closed_at=parse_utc(closed_at, path=path) if closed_at else None,
-                labels=frozenset(_strings(doc, "labels", path, where)),
-                fixing_commits=tuple(_strings(doc, "fixing_commits", path, where)),
+                labels=frozenset(_strings(doc, "labels", path, where, optional=True)),
+                fixing_commits=tuple(
+                    _strings(doc, "fixing_commits", path, where, optional=True)
+                ),
             )
         )
     return issues

@@ -17,7 +17,17 @@ downstream consumers:
 * Element ranges run from the first token of the declaration (including
   modifiers and annotations) to the matching closing brace, as matched by
   the stream's :class:`~.tokenizer.CodeView` (which also fixes the rule for
-  unbalanced input).
+  unbalanced input).  So every method and nested class lies within the lines
+  of its parent class.
+
+Declarations.  A member declaration is the run of code tokens since the last
+``;``, ``{`` or ``}`` at its level.  Its modifiers are read from the front of
+the run: annotations (``@`` and a qualified name with an optional argument
+group) are skipped, modifier keywords (:data:`MODIFIER_KEYWORDS`) are kept,
+and the first other token ends them.  A method header also skips type
+parameters (``<T>``) there, and a run that reaches ``@interface`` is no
+method.  A field does not skip ``<``.  A class's modifiers are every modifier
+keyword before its class keyword, wherever it stands.
 """
 
 from dataclasses import dataclass, field
@@ -58,7 +68,6 @@ class FieldDecl:
 
     modifiers: tuple
     declarators: int
-    line: int
 
 
 @dataclass
@@ -83,15 +92,6 @@ class SourceElement:
     @property
     def is_public(self):
         return "public" in self.modifiers
-
-
-def _count_lines(text):
-    if not text:
-        return 1
-    n = text.count("\n")
-    if not text.endswith("\n"):
-        n += 1
-    return max(n, 1)
 
 
 class _Parser:
@@ -231,24 +231,37 @@ class _Parser:
             i += 1
         return None
 
-    def _parse_method_header(self, start, end, class_name):
-        """Return (modifiers, name, params, ret, decl_idx) or None."""
-        i = start
+    def _read_modifiers(self, idxs, method):
+        """``(modifiers, position in idxs after them)`` of the run ``idxs``;
+        ``None`` for a method header that reaches ``@interface``."""
         modifiers = []
-        while i < end:
-            t = self.tok(i)
+        end = idxs[-1] + 1 if idxs else 0
+        i = 0
+        while i < len(idxs):
+            k = idxs[i]
+            t = self.tok(k)
             if t.lexeme == "@":
-                nxt = self.tok(i + 1).lexeme if i + 1 < end else ""
-                if nxt == "interface":
+                if method and k + 1 < end and self.tok(k + 1).lexeme == "interface":
                     return None
-                i = self._skip_annotation(i, end)
+                after = self._skip_annotation(k, end)
+                while i < len(idxs) and idxs[i] < after:
+                    i += 1
             elif t.kind == "keyword" and t.lexeme in MODIFIER_KEYWORDS:
                 modifiers.append(t.lexeme)
                 i += 1
-            elif t.kind == "operator" and t.lexeme.startswith("<"):
-                i = self._skip_angles(range(end), i)
+            elif method and t.kind == "operator" and t.lexeme.startswith("<"):
+                i = self._skip_angles(idxs, i)
             else:
                 break
+        return tuple(modifiers), i
+
+    def _parse_method_header(self, start, end, class_name):
+        """Return (modifiers, name, params, ret) or None."""
+        header = self._read_modifiers(range(start, end), method=True)
+        if header is None:
+            return None
+        modifiers, i = header
+        i += start
         # find the parameter-list '(' : first top-level paren after i
         paren = None
         j = i
@@ -300,23 +313,26 @@ class _Parser:
         if k < end:
             if not (self.tok(k).kind == "keyword" and self.tok(k).lexeme == "throws"):
                 return None
-        return tuple(modifiers), name_tok.lexeme, tuple(params), ret
+        return modifiers, name_tok.lexeme, tuple(params), ret
 
     # -- main walk -----------------------------------------------------------
 
     def parse(self):
-        total = _count_lines(self.stream.text)
-        file_elem = SourceElement(
-            kind="file",
-            fqn=self.path,
-            path=self.path,
-            start_line=1,
-            end_line=total,
-            decl_index=0,
+        last = self.stream.tokens[-1] if self.stream.tokens else None
+        # a final newline ends the last line rather than starting one
+        end_line = last.end_line - last.lexeme.endswith("\n") if last else 1
+        self.elements.append(
+            SourceElement(
+                kind="file",
+                fqn=self.path,
+                path=self.path,
+                start_line=1,
+                end_line=end_line,
+                decl_index=0,
+                degraded=self.view.degraded,
+            )
         )
-        self.elements.append(file_elem)
         self._walk(0, self.n, parent=None, class_names=())
-        file_elem.degraded = self.view.degraded
         self._check_collisions()
         return self.elements
 
@@ -337,7 +353,6 @@ class _Parser:
 
     def _walk(self, start, end, parent, class_names):
         """Scan one body (file top level or a class body) for declarations."""
-        in_class = parent is not None and parent.kind == "class"
         i = start
         run_start = i
         stash = []  # field-run fragments interrupted by initializer braces
@@ -352,7 +367,7 @@ class _Parser:
             if lex == ";":
                 if parent is None and self._is_package_run(run_start, i):
                     self._read_package(run_start, i)
-                elif in_class:
+                elif parent is not None:
                     run = stash + list(range(run_start, i))
                     self._maybe_field(run, parent)
                 stash = []
@@ -362,10 +377,8 @@ class _Parser:
 
             if lex == "{":
                 close = self.match[i]
-                handled = self._classify_brace(
-                    run_start, i, close, parent, class_names, in_class
-                )
-                if not handled and in_class:
+                handled = self._classify_brace(run_start, i, close, parent, class_names)
+                if not handled and parent is not None:
                     # initializer / enum-constant fragment: keep tokens for a
                     # possible field declaration continuing after the group
                     stash += list(range(run_start, i))
@@ -381,7 +394,7 @@ class _Parser:
 
             i += 1
 
-        if in_class:
+        if parent is not None:
             # trailing run without ';' (typically an enum constant list)
             run = stash + list(range(run_start, min(i, end)))
             self._maybe_field(run, parent)
@@ -399,23 +412,7 @@ class _Parser:
 
     def _maybe_field(self, run, parent):
         """Record a field declaration (class bodies only)."""
-        if not run:
-            return
-        modifiers = []
-        i = 0
-        while i < len(run):
-            t = self.tok(run[i])
-            if t.lexeme == "@":
-                j = run[i]
-                j_new = self._skip_annotation(j, run[-1] + 1)
-                while i < len(run) and run[i] < j_new:
-                    i += 1
-                continue
-            if t.kind == "keyword" and t.lexeme in MODIFIER_KEYWORDS:
-                modifiers.append(t.lexeme)
-                i += 1
-                continue
-            break
+        modifiers, i = self._read_modifiers(run, method=False)
         rest = run[i:]
         if not rest:
             return
@@ -450,18 +447,12 @@ class _Parser:
             k += 1
         if not has_ident:
             return
-        parent.fields.append(
-            FieldDecl(
-                modifiers=tuple(modifiers),
-                declarators=declarators,
-                line=self.tok(run[0]).line,
-            )
-        )
+        parent.fields.append(FieldDecl(modifiers=modifiers, declarators=declarators))
 
-    def _classify_brace(self, run_start, open_i, close_i, parent, class_names, in_class):
+    def _classify_brace(self, run_start, open_i, close_i, parent, class_names):
         """Handle a '{' at member level; return True when an element was made."""
         kw = self._find_class_kw(run_start, open_i)
-        if kw is not None and (parent is None or in_class):
+        if kw is not None:
             name_i = kw + 1
             if name_i < open_i and self.tok(name_i).kind == "identifier":
                 cname = self.tok(name_i).lexeme
@@ -472,46 +463,46 @@ class _Parser:
                     if self.tok(k).kind == "keyword"
                     and self.tok(k).lexeme in MODIFIER_KEYWORDS
                 )
-                elem = SourceElement(
-                    kind="class",
-                    fqn=self._class_fqn(names),
-                    path=self.path,
-                    start_line=self.tok(run_start).line,
-                    end_line=self.tok(close_i).line,
-                    parent_fqn=parent.fqn if parent is not None else None,
-                    name=cname,
-                    modifiers=modifiers,
-                    decl_index=self.view.index[run_start],
-                    body_open=open_i,
-                    body_close=close_i,
+                elem = self._element(
+                    "class", self._class_fqn(names), cname, modifiers,
+                    parent, run_start, open_i, close_i,
                 )
-                self.elements.append(elem)
                 self._walk(open_i + 1, close_i, parent=elem, class_names=names)
                 return True
             return False
-        if in_class:
+        if parent is not None:
             header = self._parse_method_header(run_start, open_i, parent.name)
             if header is not None:
                 modifiers, name, params, ret = header
-                fqn = f"{parent.fqn}.{name}({','.join(params)}){ret}"
-                elem = SourceElement(
-                    kind="method",
-                    fqn=fqn,
-                    path=self.path,
-                    start_line=self.tok(run_start).line,
-                    end_line=self.tok(close_i).line,
-                    parent_fqn=parent.fqn,
-                    name=name,
-                    modifiers=modifiers,
-                    decl_index=self.view.index[run_start],
-                    body_open=open_i,
-                    body_close=close_i,
-                    param_types=params,
-                    return_type=ret,
+                self._element(
+                    "method", f"{parent.fqn}.{name}({','.join(params)}){ret}", name,
+                    modifiers, parent, run_start, open_i, close_i,
+                    param_types=params, return_type=ret,
                 )
-                self.elements.append(elem)
                 return True
         return False
+
+    def _element(
+        self, kind, fqn, name, modifiers, parent, run_start, open_i, close_i, **extra
+    ):
+        """Record a class or method whose declaration starts at ``run_start``
+        and whose body is the group from ``open_i`` to ``close_i``."""
+        elem = SourceElement(
+            kind=kind,
+            fqn=fqn,
+            path=self.path,
+            start_line=self.tok(run_start).line,
+            end_line=self.tok(close_i).line,
+            parent_fqn=parent.fqn if parent is not None else None,
+            name=name,
+            modifiers=modifiers,
+            decl_index=self.view.index[run_start],
+            body_open=open_i,
+            body_close=close_i,
+            **extra,
+        )
+        self.elements.append(elem)
+        return elem
 
 
 def parse_elements(path: str, tokens: TokenStream) -> list:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import FixpairError
+from ..errors import FixpairError, SnapshotFormatError
 from ..metrics import COLUMNS_BY_LEVEL, EMPTY_CLASS_COLUMNS, EMPTY_METHOD_COLUMNS
 from .models import train
 
@@ -302,21 +302,30 @@ def cross_validate_projected(
     )
 
 
+_PREDICTION_LABELS = {"buggy": LABEL_BUGGY, "clean": LABEL_CLEAN}
+
+
 def load_predictions_csv(path) -> list:
     """External predictions: columns fqn, parent_fqn, predicted, actual
     with buggy/clean values.  Covers learners the harness does not implement."""
     rows = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
+        for column in ("fqn", "predicted", "actual"):
+            if column not in (reader.fieldnames or ()):
+                raise SnapshotFormatError("header lacks a column", path=path, field=column)
         for rec in reader:
-            rows.append(
-                (
-                    rec["fqn"],
-                    rec.get("parent_fqn") or None,
-                    LABEL_BUGGY if rec["predicted"].strip() == "buggy" else LABEL_CLEAN,
-                    LABEL_BUGGY if rec["actual"].strip() == "buggy" else LABEL_CLEAN,
-                )
-            )
+            labels = []
+            for column in ("predicted", "actual"):
+                value = (rec[column] or "").strip()
+                if value not in _PREDICTION_LABELS:
+                    raise SnapshotFormatError(
+                        f"line {reader.line_num}: {value!r} is neither buggy nor clean",
+                        path=path,
+                        field=column,
+                    )
+                labels.append(_PREDICTION_LABELS[value])
+            rows.append((rec["fqn"], rec.get("parent_fqn") or None, *labels))
     return rows
 
 

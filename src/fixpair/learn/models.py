@@ -287,7 +287,7 @@ def _random_tree(X, y, hyper, rng):
     k = max(1, int(math.isqrt(d)))
 
     def sampler():
-        return np.sort(rng.choice(d, size=k, replace=False)).astype(np.int64)
+        return np.sort(rng.choice(d, size=k, replace=False))
 
     root = _grow(X, y, np.arange(X.shape[0]), min_leaf, max_depth, 0, sampler)
     return TreeModel(root=root)

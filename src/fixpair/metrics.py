@@ -418,9 +418,9 @@ def class_metrics(
 ) -> MetricsVector:
     """Metric vector for a class.
 
-    ``members`` are the metric vectors of every method located in the class
-    range (directness is derived from ``parent_fqn``); ``nested_classes`` are
-    the already-computed vectors of directly nested classes.
+    ``members`` are the metric vectors of the class's methods (a method whose
+    ``parent_fqn`` is another class is ignored); ``nested_classes`` are the
+    already-computed vectors of directly nested classes.
     """
     assert elem.kind == "class"
     v = {}

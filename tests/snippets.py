@@ -80,3 +80,169 @@ def make_class(seed):
         lines.append("    private int field0 = 1, field1 = 2;")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+_ANNOTATIONS = (
+    "@Override",
+    "@Deprecated",
+    "@java.lang.SafeVarargs",
+    '@SuppressWarnings("unchecked")',
+    '@SuppressWarnings({"rawtypes", "unused"})',
+    "@a.b.Marker(value = 3, names = {\"x\"})",
+    "@Nullable",
+)
+_MODIFIERS = (
+    "public", "protected", "private", "static", "abstract", "final",
+    "native", "synchronized", "transient", "volatile", "strictfp", "default",
+)
+_TYPES = (
+    "int", "long", "boolean", "double", "char", "String", "Object", "T",
+    "int[]", "String[][]", "List<String>", "Map<K, List<V>>",
+    "java.util.List<? extends Number>", "Map.Entry<K, V>[]",
+    "Comparator<? super T>", "Set<Map<String, int[]>>",
+)
+_TYPE_PARAMETERS = ("<T>", "<K, V>", "<T extends Comparable<? super T>>", "<R extends a.B & C>")
+
+
+def _annotations(rng, indent):
+    return [indent + rng.choice(_ANNOTATIONS) for _ in range(rng.randrange(3) // 2)]
+
+
+def _modifiers(rng):
+    mods = rng.sample(_MODIFIERS, rng.randrange(4))
+    if rng.random() < 0.3:  # annotations among the modifiers
+        mods.insert(rng.randrange(len(mods) + 1), rng.choice(_ANNOTATIONS))
+    return " ".join(mods + [""])
+
+
+def _parameters(rng):
+    params = []
+    n = rng.randrange(4)
+    for k in range(n):
+        prefix = ""
+        if rng.random() < 0.2:
+            prefix += "final "
+        if rng.random() < 0.2:
+            prefix += rng.choice(_ANNOTATIONS) + " "
+        ty = rng.choice(_TYPES)
+        if k == n - 1 and rng.random() < 0.2:
+            ty += "..."
+        suffix = "[]" if rng.random() < 0.1 else ""
+        params.append(f"{prefix}{ty} p{k}{suffix}")
+    return ", ".join(params)
+
+
+def _throws(rng):
+    if rng.random() < 0.25:
+        return " throws " + ", ".join(
+            rng.sample(["IOException", "a.b.Failure", "RuntimeException"], rng.randrange(1, 3))
+        )
+    return ""
+
+
+def _body(rng, indent, lines):
+    """A method body: statements, sometimes a local or anonymous class."""
+    roll = rng.random()
+    if roll < 0.1:
+        lines.append(f"{indent}    class Local{rng.randrange(9)} {{ void go() {{ }} }}")
+    elif roll < 0.2:
+        lines.append(f"{indent}    Runnable r = new Runnable() {{")
+        lines.append(f"{indent}        public void run() {{ step(); }}")
+        lines.append(f"{indent}    }};")
+    for _ in range(rng.randrange(3)):
+        _statement(rng, 0, lines)
+
+
+def _member(rng, lines, cls, kind, depth, counter):
+    indent = "    " * (depth + 1)
+    counter[0] += 1
+    n = counter[0]
+    lines.extend(_annotations(rng, indent))
+    mods = _modifiers(rng)
+    roll = rng.random()
+    if roll < 0.3:
+        tparams = rng.choice(_TYPE_PARAMETERS) + " " if rng.random() < 0.2 else ""
+        head = f"{indent}{mods}{tparams}{rng.choice(_TYPES + ('void',))} m{n}({_parameters(rng)})"
+        head += "[]" if rng.random() < 0.05 else ""
+        head += _throws(rng)
+        if kind == "@interface" or rng.random() < 0.15:
+            default = " default 1" if kind == "@interface" and rng.random() < 0.5 else ""
+            lines.append(head + default + ";")  # no body
+        else:
+            lines.append(head + " {")
+            _body(rng, indent, lines)
+            lines.append(f"{indent}}}")
+    elif roll < 0.4:
+        tparams = rng.choice(_TYPE_PARAMETERS) + " " if rng.random() < 0.2 else ""
+        lines.append(f"{indent}{mods}{tparams}{cls}({_parameters(rng)}){_throws(rng)} {{")
+        _body(rng, indent, lines)
+        lines.append(f"{indent}}}")
+    elif roll < 0.65:
+        declarators = []
+        for k in range(rng.randrange(1, 4)):
+            d = f"f{n}_{k}" + ("[]" if rng.random() < 0.1 else "")
+            init = rng.choice(["", "", " = 1", " = g(1, 2)", " = {1, 2}", " = new ArrayList<>()",
+                               " = new Object() { int x; }", " = a < b", " = (x) -> { return x; }"])
+            declarators.append(d + init)
+        lines.append(f"{indent}{mods}{rng.choice(_TYPES)} {', '.join(declarators)};")
+    elif roll < 0.75:
+        lines.append(f"{indent}{'static ' if rng.random() < 0.5 else ''}{{ init{n}(); }}")
+    elif roll < 0.85 and depth < 2:
+        _declaration(rng, lines, f"N{n}", depth + 1, counter, mods)
+    else:
+        lines.append(f"{indent};" if rng.random() < 0.5 else f"{indent}int[] t{n} = {{ {n} }};")
+
+
+def _declaration(rng, lines, name, depth, counter, mods=None):
+    indent = "    " * depth
+    kind = rng.choice(["class", "class", "interface", "enum", "@interface"])
+    if mods is None:
+        lines.extend(_annotations(rng, indent))
+        mods = rng.choice(["public ", "", "abstract ", "public final ", "strictfp "])
+    header = f"{indent}{mods}{kind} {name}"
+    if kind in ("class", "interface") and rng.random() < 0.3:
+        header += rng.choice(_TYPE_PARAMETERS)
+    if kind == "class" and rng.random() < 0.3:
+        header += " extends Base<T> implements I, J<K>"
+    lines.append(header + " {")
+    if kind == "enum":
+        constants = []
+        for k in range(rng.randrange(1, 4)):
+            c = f"C{k}"
+            if rng.random() < 0.4:
+                c += f"({k}, \"v\")"
+            if rng.random() < 0.3:
+                c += " { @Override int weight() { return 2; } }"
+            constants.append(c)
+        trailer = rng.choice([";", "", ","]) if rng.random() < 0.5 else ";"
+        lines.append(f"{indent}    {', '.join(constants)}{trailer}")
+    for _ in range(rng.randrange(1, 6)):
+        _member(rng, lines, name, kind, depth, counter)
+    lines.append(f"{indent}}}")
+
+
+def make_declarations(seed):
+    """One random compilation unit exercising the declaration rules:
+    annotations, modifiers, type parameters, generic/array/varargs types,
+    constructors, bodyless methods, enum constants, fields with several
+    declarators, nested/local/anonymous classes, ``@interface`` and
+    initializers.  Names may repeat, so a few sources collide."""
+    rng = random.Random(seed)
+    lines = ["package decl.p%d;" % (seed % 3), "", "import java.util.*;", ""]
+    counter = [0]
+    for k in range(rng.randrange(1, 3)):
+        _declaration(rng, lines, f"D{seed}_{k}", 0, counter)
+    return "\n".join(lines) + "\n"
+
+
+def mutate(source, seed):
+    """``source`` with one character deleted, inserted or replaced."""
+    rng = random.Random(seed)
+    pos = rng.randrange(len(source) + 1)
+    char = rng.choice("{}()<>;,.@=[]\"'/ \nab")
+    op = rng.randrange(3)
+    if op == 0 or pos == len(source):
+        return source[:pos] + char + source[pos:]
+    if op == 1:
+        return source[:pos] + source[pos + 1:]
+    return source[:pos] + char + source[pos + 1:]

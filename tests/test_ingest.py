@@ -177,6 +177,37 @@ def test_issue_specs_must_be_a_list_of_objects(tmp_path, doc):
         load_issue_specs(path)
 
 
+@pytest.mark.parametrize("keys, value, where, field", [
+    (("issues", 0), 7, "issues[0]", "issues"),
+    (("commits", 0), "abc", "commits[0]", "commits"),
+    (("issues", 0, "fixing_commits", 0), 5, "fixing_commits[0]", "fixing_commits"),
+    (("issues", 0, "labels", 0), ["bug"], "issue #1", "labels"),
+    (("bug_labels", 0), 1, "snapshot", "bug_labels"),
+    (("commits", 0, "hash"), 12, "commits[0]", "hash"),
+    (("commits", 0, "parents"), [None], "commit bbbbbbbbbbbb", "parents"),
+    (("commits", 0, "file_diffs"), ["--- a/x"], "file_diffs[0]", "file_diffs"),
+    ((), 3, "snapshot", None),
+])
+def test_malformed_snapshot_entries_name_the_entry_and_field(
+    tmp_path, keys, value, where, field
+):
+    doc = snapshot_to_json(make_snapshot(issues=[closed_issue()]))
+    if keys:
+        *outer, last = keys
+        entry = doc
+        for key in outer:
+            entry = entry[key]
+        entry[last] = value
+    else:
+        doc = value
+    path = tmp_path / "snap.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SnapshotFormatError) as err:
+        load_snapshot(path)
+    assert err.value.field == field
+    assert where in str(err.value)
+
+
 def test_missing_file_is_format_error(tmp_path):
     with pytest.raises(SnapshotFormatError):
         load_snapshot(tmp_path / "absent.json")

@@ -947,6 +947,29 @@ def test_cli_evaluate_external_predictions(tmp_path, capsys):
     assert "precision=" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("text, where, field", [
+    ("parent_fqn,predicted,actual\nC,buggy,buggy\n", "header", "fqn"),
+    ("fqn,parent_fqn,actual\nC.a(),C,buggy\n", "header", "predicted"),
+    ("fqn,parent_fqn,predicted\nC.a(),C,buggy\n", "header", "actual"),
+    ("", "header", "fqn"),
+    ("fqn,parent_fqn,predicted,actual\nC.a(),C,buggy,clean\nC.b(),C,Buggy,clean\n",
+     "line 3", "predicted"),
+    ("fqn,parent_fqn,predicted,actual\nC.a(),C,clean,1\n", "line 2", "actual"),
+    ("fqn,parent_fqn,predicted,actual\nC.a(),C,maybe,buggy\n", "line 2", "predicted"),
+    ("fqn,parent_fqn,predicted,actual\nC.a(),C\n", "line 2", "predicted"),
+])
+def test_cli_evaluate_rejects_malformed_external_predictions(
+    tmp_path, capsys, text, where, field
+):
+    path = tmp_path / "preds.csv"
+    path.write_text(text)
+    rc = main(["evaluate", "--external-predictions", str(path)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(path) in err
+    assert where in err and f"(field: {field})" in err
+
+
 def test_cli_stats_matrix(tmp_path, capsys):
     path = tmp_path / "m.csv"
     path.write_text(
@@ -957,6 +980,21 @@ def test_cli_stats_matrix(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "friedman" in out and "q_crit" in out
+
+
+@pytest.mark.parametrize("text, where", [
+    ("", "row 1"),
+    ("row\nr1\nr2\n", "row 1"),
+    ("row,a,b\nr1,0.5,0.6\nr2,0.4,high\n", "row 3: could not convert string to float: 'high'"),
+    ("r1,0.5,0.6\nr2,,0.7\n", "row 2: could not convert string to float: ''"),
+    ("row,a,b\nr1,0.5,0.6\n", "at least 2 rows"),
+])
+def test_cli_stats_rejects_a_malformed_matrix(tmp_path, capsys, text, where):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    assert main(["stats", "--matrix", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {path}: ") and where in err
 
 
 def test_cli_exit_codes(tmp_path, capsys):

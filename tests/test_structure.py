@@ -1,7 +1,14 @@
-import pytest
+import hashlib
+import random
 
+import pytest
+from snippets import make_declarations, mutate
+
+from fixpair.analyzer import analyze_source
 from fixpair.java.structure import ElementCollisionError, parse_elements
 from fixpair.java.tokenizer import tokenize
+
+DECLARATIONS_DIGEST = "0e843e74b4beb593f2ec10e1c9e85e8485c3095558166f7785bc584c64c7a7db"
 
 
 def parse(src, path="src/A.java"):
@@ -332,3 +339,68 @@ class A {
     for m in by_kind(elems, "method"):
         parent = classes[m.parent_fqn]
         assert parent.start_line <= m.start_line <= m.end_line <= parent.end_line
+
+
+def _analysis_record(fa):
+    """Every field the front end produces for one source, in a stable form."""
+    elements = [
+        (
+            e.kind, e.fqn, e.path, e.start_line, e.end_line, e.parent_fqn,
+            e.name, e.modifiers, e.decl_index, e.body_open, e.body_close,
+            e.param_types, e.return_type,
+            tuple((f.modifiers, f.declarators) for f in e.fields), e.degraded,
+        )
+        for e in fa.elements
+    ]
+    vectors = sorted(
+        (key, vec.level, tuple(vec.values.items())) for key, vec in fa.vectors.items()
+    )
+    return repr((fa.error, sorted(fa.code_lines), elements, vectors))
+
+
+def test_declarations_are_pinned():
+    """Elements and metric vectors of 1 000 generated declaration units and a
+    one-character mutation of each, against a digest of the reference output
+    (any change to a declaration rule shows here)."""
+    digest = hashlib.sha256()
+    for seed in range(1000):
+        src = make_declarations(seed)
+        for text in (src, mutate(src, seed)):
+            digest.update(_analysis_record(analyze_source("src/D.java", text)).encode())
+    assert digest.hexdigest() == DECLARATIONS_DIGEST
+
+
+_MEMBER_TOKENS = (
+    "class B {", "interface C {", "enum E {", "@interface D {", "@A", "void m() {",
+    "A(int x) {", "B() throws E {", "static <T> int n(T t) {", "int f", "(", ")",
+    "{", "}", "}", "}", ";", ",", "<", ">", "=", "public", "new", "1", "\n",
+)
+
+
+def test_members_lie_within_their_parent_class():
+    rng = random.Random(13)
+    for _ in range(2000):
+        body = " ".join(rng.choice(_MEMBER_TOKENS) for _ in range(rng.randrange(80)))
+        try:
+            elems = parse("class A {\n" + body + "\n}\n")
+        except ElementCollisionError:
+            continue
+        classes = {c.fqn: c for c in by_kind(elems, "class")}
+        for e in elems:
+            if e.parent_fqn is not None:
+                parent = classes[e.parent_fqn]
+                assert parent.start_line <= e.start_line <= e.end_line <= parent.end_line
+
+
+@pytest.mark.parametrize("src, fields, methods", [
+    # a field's modifiers stop at '<': the run keeps its field
+    ("class A { < a ; }", [((), 1)], []),
+    # a method header stops at '@interface', so this is no constructor
+    ("class A { < ( > @interface A ( ) throws ) {} }", [], []),
+    ("class A { @a.B(1) public <T> A(final @C int x) throws E {} }", [], ["A.A(int)void"]),
+])
+def test_declaration_rule_edge_cases(src, fields, methods):
+    elems = parse(src)
+    cls = find(elems, "A")
+    assert [(f.modifiers, f.declarators) for f in cls.fields] == fields
+    assert [m.fqn for m in by_kind(elems, "method")] == methods
