@@ -192,11 +192,12 @@ def _read_matrix(path):
     """The matrix of a CSV file whose first column labels the rows; its first
     row names the treatments unless that row is numeric."""
     import csv
+    from io import StringIO
 
+    from .ingest import read_input
     from .stats import PairedSampleMatrix
 
-    with open(path, encoding="utf-8", newline="") as fh:
-        records = list(csv.reader(fh))
+    records = read_input(path, lambda t: list(csv.reader(StringIO(t, newline=""))))
     try:
         header = records[0] if records else []
         if len(header) < 2:

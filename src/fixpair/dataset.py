@@ -127,7 +127,7 @@ def build_entries(touch_sets, timelines, metrics_by_commit, history) -> BuildRes
     live = []
     for ts in touch_sets:
         t = by_issue.get(ts.issue_id)
-        if t is None or t.degraded or t.orange is None or ts.is_empty():
+        if t is None or not t.live or ts.is_empty():
             continue
         live.append((t, ts))
 

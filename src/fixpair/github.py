@@ -18,7 +18,7 @@ from .ingest import (
     CommitRecord,
     IssueRecord,
     ProjectSnapshot,
-    filter_bug_issues,
+    assemble_snapshot,
     parse_utc,
     save_snapshot,
 )
@@ -121,39 +121,26 @@ def _fetch_commits(client, repo_id):
     return commits
 
 
-def _fetch_issues(client, repo_id, commit_dates):
+def _fetch_issues(client, repo_id):
+    """Issues with the bare hashes of the commits that closed them."""
     issues = []
     for item in client.paginate(f"/repos/{repo_id}/issues", {"state": "all"}):
         if "pull_request" in item:
             continue  # the issues endpoint interleaves pull requests
-        number = item["number"]
-        state = item["state"]
-        labels = frozenset(l["name"] for l in item.get("labels", []))
-        created = parse_utc(item["created_at"])
-        if state == "open":
-            issues.append(
-                IssueRecord(
-                    id=number, state="open", created_at=created, labels=labels
-                )
-            )
-            continue
-        fixing = []
-        for event in client.paginate(f"/repos/{repo_id}/issues/{number}/events"):
-            if event.get("event") == "closed" and event.get("commit_id"):
-                sha = event["commit_id"]
-                date = commit_dates.get(sha)
-                if date is None:
-                    continue  # closing commit not reachable on the default branch
-                fixing.append((sha, date))
-        fixing.sort(key=lambda p: (p[1], p[0]))
+        number, closed = item["number"], item["state"] != "open"
+        events = f"/repos/{repo_id}/issues/{number}/events"
         issues.append(
             IssueRecord(
                 id=number,
-                state="closed",
-                created_at=created,
-                closed_at=parse_utc(item["closed_at"]),
-                labels=labels,
-                fixing_commits=tuple(fixing),
+                state="closed" if closed else "open",
+                created_at=parse_utc(item["created_at"]),
+                closed_at=parse_utc(item["closed_at"]) if closed else None,
+                labels=frozenset(l["name"] for l in item.get("labels", [])),
+                fixing_commits=tuple(
+                    e["commit_id"]
+                    for e in (client.paginate(events) if closed else ())
+                    if e.get("event") == "closed" and e.get("commit_id")
+                ),
             )
         )
     return issues
@@ -179,16 +166,13 @@ def fetch_remote(
     with _lock_for(repo_id):
         client = _Client(api_base, token, session=session, sleeper=sleeper)
         commits = _fetch_commits(client, repo_id)
-        commit_dates = {c.hash: c.timestamp for c in commits}
-        issues = _fetch_issues(client, repo_id, commit_dates)
-        issues = filter_bug_issues(issues, bug_labels)
-        snapshot = ProjectSnapshot(
-            repo_id=repo_id,
-            captured_at=datetime.now(timezone.utc),
-            issues=tuple(sorted(issues, key=lambda i: i.id)),
-            commits=tuple(commits),
-            bug_labels=frozenset(bug_labels),
-        ).validate()
+        snapshot = assemble_snapshot(
+            repo_id,
+            datetime.now(timezone.utc),
+            commits,
+            _fetch_issues(client, repo_id),
+            bug_labels,
+        )
         if out is not None:
             save_snapshot(snapshot, out)
         return snapshot

@@ -1,9 +1,10 @@
-"""Read-only access to commit trees via git plumbing.
+"""Read-only access to git repositories via git plumbing.
 
-Never touches the working copy.  A :class:`GitRepo` starts at most three git
-processes for its whole life: ``rev-parse`` once to check the path,
-``rev-list --all`` once (lazily) for reachability, and one long-lived
-``cat-file --batch`` (lazily) through which every tree and blob is read.
+:func:`git` runs one git command to completion.  Never touches the working
+copy.  A :class:`GitRepo` starts at most three git processes for its whole
+life: ``rev-parse`` once to check the path, ``rev-list --all`` once
+(lazily) for reachability, and one long-lived ``cat-file --batch`` (lazily)
+through which every tree and blob is read.
 Tree listings are cached by tree sha, so a subtree shared by many commits is
 read once.  Close the repository (or use it as a context manager) so no git
 process outlives it.
@@ -17,11 +18,26 @@ _TREE_MODE = b"40000"
 _GITLINK_MODE = b"160000"
 
 
+def git(repo, *args, check=True):
+    """The finished ``git -C repo args`` process (``stdout`` in bytes); with
+    ``check``, a non-zero exit is a :class:`FixpairError` quoting stderr."""
+    proc = subprocess.run(
+        ["git", "-C", str(repo), *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    if check and proc.returncode != 0:
+        raise FixpairError(
+            f"git {' '.join(args)} failed: "
+            f"{proc.stderr.decode('utf-8', 'replace').strip()}"
+        )
+    return proc
+
+
 class GitRepo:
     def __init__(self, path):
         self.path = str(path)
-        probe = self._run("rev-parse", "--git-dir", check=False)
-        if probe.returncode != 0:
+        if git(self.path, "rev-parse", "--git-dir", check=False).returncode != 0:
             raise FixpairError(f"{path} is not a git repository")
         self._reachable = None
         self._batch = None
@@ -46,22 +62,9 @@ class GitRepo:
             batch.wait()
         batch.stdout.close()
 
-    def _run(self, *args, check=True):
-        proc = subprocess.run(
-            ["git", "-C", self.path, *args],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-        )
-        if check and proc.returncode != 0:
-            raise FixpairError(
-                f"git {' '.join(args)} failed: "
-                f"{proc.stderr.decode('utf-8', 'replace').strip()}"
-            )
-        return proc
-
     def _is_reachable(self, commit_hash):
         if self._reachable is None:
-            out = self._run("rev-list", "--all").stdout.decode()
+            out = git(self.path, "rev-list", "--all").stdout.decode()
             self._reachable = frozenset(out.split())
         return commit_hash in self._reachable
 

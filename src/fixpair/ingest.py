@@ -34,10 +34,12 @@ import threading
 from contextlib import closing
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from functools import cached_property
 
 from .atomic import atomic_open
 from .diffs import parse_unified_diff, render_unified
 from .errors import SnapshotFormatError, SnapshotInvariantError
+from .gitio import git
 
 SNAPSHOT_VERSION = 1
 _HASH_RE = re.compile(r"^(?:[0-9a-f]{40}|[0-9a-f]{64})$")
@@ -112,14 +114,11 @@ class ProjectSnapshot:
     bug_labels: frozenset
 
     def commit(self, hash_):
-        return self._by_hash().get(hash_)
+        return self._by_hash.get(hash_)
 
+    @cached_property
     def _by_hash(self):
-        cache = getattr(self, "_hash_cache", None)
-        if cache is None:
-            cache = {c.hash: c for c in self.commits}
-            object.__setattr__(self, "_hash_cache", cache)
-        return cache
+        return {c.hash: c for c in self.commits}
 
     @property
     def head(self):
@@ -141,7 +140,7 @@ class ProjectSnapshot:
                 problems.append(f"duplicate issue id {issue.id}")
             seen_ids.add(issue.id)
             for h, _ in issue.fixing_commits:
-                if h not in self._by_hash():
+                if h not in self._by_hash:
                     problems.append(
                         f"issue {issue.id}: fixing commit {h} not in snapshot"
                     )
@@ -172,6 +171,50 @@ def filter_bug_issues(issues, bug_labels) -> list:
             continue
         out.append(issue)
     return out
+
+
+def assemble_snapshot(repo_id, captured_at, commits, issues, bug_labels):
+    """The validated snapshot of ``commits`` (head first) and ``issues``,
+    however they were captured.
+
+    A fixing commit, a hash or a ``(hash, date)`` pair, takes the date of the
+    captured commit with that hash; one that was not captured is dropped.
+    Only bug issues are kept (:func:`filter_bug_issues`), sorted by id.
+    """
+    dates = {c.hash: c.timestamp for c in commits}
+    resolved = []
+    for issue in issues:
+        hashes = (e[0] if isinstance(e, tuple) else e for e in issue.fixing_commits)
+        fixing = sorted(
+            ((h, dates[h]) for h in hashes if h in dates), key=lambda p: (p[1], p[0])
+        )
+        resolved.append(replace(issue, fixing_commits=tuple(fixing)))
+    return ProjectSnapshot(
+        repo_id=repo_id,
+        captured_at=captured_at,
+        issues=tuple(
+            sorted(filter_bug_issues(resolved, bug_labels), key=lambda i: i.id)
+        ),
+        commits=tuple(commits),
+        bug_labels=frozenset(bug_labels),
+    ).validate()
+
+
+def read_input(path, parse=json.loads, error=SnapshotFormatError):
+    """``parse`` of the text of a file the user supplied.
+
+    A file that cannot be read, is not UTF-8 or whose text ``parse`` rejects
+    with a ``ValueError`` is an ``error`` naming ``path``.
+    """
+    try:
+        with open(path, "rb") as fh:
+            return parse(fh.read().decode("utf-8"))
+    except OSError as exc:
+        raise error(f"{path}: cannot read: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 (byte {exc.start})") from None
+    except ValueError as exc:
+        raise error(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -293,13 +336,7 @@ def _commit_from_json(doc, path, where):
 def load_snapshot(path) -> ProjectSnapshot:
     """Load and fully validate a snapshot file."""
     path = str(path)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise SnapshotFormatError("snapshot file not found", path=path)
-    except json.JSONDecodeError as exc:
-        raise SnapshotFormatError(f"not valid JSON: {exc}", path=path)
+    doc = read_input(path)
     version = _require(_object(doc, path, "snapshot"), "version", int, path, "snapshot")
     if version != SNAPSHOT_VERSION:
         raise SnapshotFormatError(
@@ -326,19 +363,6 @@ def load_snapshot(path) -> ProjectSnapshot:
 # ---------------------------------------------------------------------------
 
 _HEADER_RE = re.compile(rb"(?:[0-9a-f]{40}|[0-9a-f]{64})\n")  # a bare commit id
-
-
-def _git(repo, *args):
-    proc = subprocess.run(
-        ["git", "-C", str(repo), *args],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-    )
-    if proc.returncode != 0:
-        raise SnapshotFormatError(
-            f"git {' '.join(args)} failed: {proc.stderr.decode('utf-8', 'replace')}"
-        )
-    return proc.stdout.decode("utf-8", "replace")
 
 
 def _first_parent_patches(repo, commits):
@@ -420,15 +444,11 @@ def snapshot_from_local_repo(
     repo_id=None,
     captured_at=None,
 ) -> ProjectSnapshot:
-    """Build a snapshot from a local clone plus an externally supplied issue list.
-
-    ``issues`` may carry fixing commits as bare hashes; their dates are
-    resolved from the repository.  Issues are run through
-    :func:`filter_bug_issues` so the result satisfies all snapshot invariants.
-    """
-    log = _git(
+    """Build a snapshot from a local clone plus an externally supplied issue
+    list, through :func:`assemble_snapshot`."""
+    log = git(
         repo_path, "log", "--date-order", "--format=%H%x01%P%x01%an%x01%cI%x01%B%x02"
-    )
+    ).stdout.decode("utf-8", "replace")
     logged = []
     for chunk in log.split("\x02"):
         chunk = chunk.lstrip("\n")
@@ -436,11 +456,9 @@ def snapshot_from_local_repo(
             continue
         sha, parents, author, date, message = chunk.split("\x01", 4)
         logged.append((sha, tuple(parents.split()), author, date, message))
-    commits = []
-    by_hash = {}
     with closing(_first_parent_patches(repo_path, [c[:2] for c in logged])) as patches:
-        for (sha, parents, author, date, message), patch_text in zip(logged, patches):
-            record = CommitRecord(
+        commits = [
+            CommitRecord(
                 hash=sha,
                 parents=parents,
                 author_id=author,
@@ -448,35 +466,20 @@ def snapshot_from_local_repo(
                 message=message.rstrip("\n"),
                 file_diffs=tuple(parse_unified_diff(patch_text)),
             )
-            commits.append(record)
-            by_hash[sha] = record
-
-    resolved_issues = []
-    for issue in issues:
-        fixing = []
-        for entry in issue.fixing_commits:
-            h = entry[0] if isinstance(entry, tuple) else entry
-            rec = by_hash.get(h)
-            if rec is None:
-                continue  # no longer reachable through git: dropped
-            fixing.append((h, rec.timestamp))
-        fixing.sort(key=lambda p: (p[1], p[0]))
-        resolved_issues.append(replace(issue, fixing_commits=tuple(fixing)))
-    resolved_issues = filter_bug_issues(resolved_issues, bug_labels)
-
+            for (sha, parents, author, date, message), patch_text in zip(logged, patches)
+        ]
     if captured_at is None:
         captured_at = max(
             (c.timestamp for c in commits),
             default=datetime(1970, 1, 1, tzinfo=timezone.utc),
         )
-    snapshot = ProjectSnapshot(
-        repo_id=repo_id or os.path.basename(os.path.abspath(repo_path)),
-        captured_at=captured_at,
-        issues=tuple(sorted(resolved_issues, key=lambda i: i.id)),
-        commits=tuple(commits),
-        bug_labels=frozenset(bug_labels),
+    return assemble_snapshot(
+        repo_id or os.path.basename(os.path.abspath(repo_path)),
+        captured_at,
+        commits,
+        issues,
+        bug_labels,
     )
-    return snapshot.validate()
 
 
 def _strings(doc, key, path, where, optional=False):
@@ -493,8 +496,7 @@ def _strings(doc, key, path, where, optional=False):
 
 def load_issue_specs(path) -> list:
     """Read the sidecar issues JSON used by offline ingestion."""
-    with open(path, encoding="utf-8") as fh:
-        docs = json.load(fh)
+    docs = read_input(path)
     if not isinstance(docs, list):
         raise SnapshotFormatError("issues file must hold a list of issues", path=path)
     issues = []

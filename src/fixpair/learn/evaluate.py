@@ -2,12 +2,14 @@
 cross-validation, method-to-class projection, and P/R/F reporting."""
 
 import csv
+import io
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import FixpairError, SnapshotFormatError
+from ..ingest import read_input
 from ..metrics import COLUMNS_BY_LEVEL, EMPTY_CLASS_COLUMNS, EMPTY_METHOD_COLUMNS
 from .models import train
 
@@ -309,23 +311,22 @@ def load_predictions_csv(path) -> list:
     """External predictions: columns fqn, parent_fqn, predicted, actual
     with buggy/clean values.  Covers learners the harness does not implement."""
     rows = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for column in ("fqn", "predicted", "actual"):
-            if column not in (reader.fieldnames or ()):
-                raise SnapshotFormatError("header lacks a column", path=path, field=column)
-        for rec in reader:
-            labels = []
-            for column in ("predicted", "actual"):
-                value = (rec[column] or "").strip()
-                if value not in _PREDICTION_LABELS:
-                    raise SnapshotFormatError(
-                        f"line {reader.line_num}: {value!r} is neither buggy nor clean",
-                        path=path,
-                        field=column,
-                    )
-                labels.append(_PREDICTION_LABELS[value])
-            rows.append((rec["fqn"], rec.get("parent_fqn") or None, *labels))
+    reader = csv.DictReader(read_input(path, lambda t: io.StringIO(t, newline="")))
+    for column in ("fqn", "predicted", "actual"):
+        if column not in (reader.fieldnames or ()):
+            raise SnapshotFormatError("header lacks a column", path=path, field=column)
+    for rec in reader:
+        labels = []
+        for column in ("predicted", "actual"):
+            value = (rec[column] or "").strip()
+            if value not in _PREDICTION_LABELS:
+                raise SnapshotFormatError(
+                    f"line {reader.line_num}: {value!r} is neither buggy nor clean",
+                    path=path,
+                    field=column,
+                )
+            labels.append(_PREDICTION_LABELS[value])
+        rows.append((rec["fqn"], rec.get("parent_fqn") or None, *labels))
     return rows
 
 

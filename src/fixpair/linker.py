@@ -172,6 +172,12 @@ class BugFixTimeline:
     def last_green(self):
         return self.green[-1] if self.green else None
 
+    @property
+    def live(self):
+        """Whether the bug feeds the dataset: it has an orange state (and so
+        a green commit) and no fixing commit is missing."""
+        return not self.degraded and self.orange is not None
+
 
 def build_timeline(issue, snapshot, history=None, keywords_only=False) -> BugFixTimeline:
     """Classify commits around one closed issue per the role definitions."""
@@ -247,7 +253,7 @@ def build_timeline(issue, snapshot, history=None, keywords_only=False) -> BugFix
 def buggy_interval_positions(timeline, history):
     """Chain positions where the bug is present (orange back through blue,
     forward through everything before the last fix)."""
-    if timeline.degraded or timeline.orange is None:
+    if not timeline.live:
         return range(0)
     start = history.resolve(timeline.orange)
     if timeline.blue:
@@ -280,7 +286,7 @@ def select_analysis_commits(timelines, history=None) -> AnalysisPlan:
     """
     full = {}
     for t in timelines:
-        if t.degraded or t.orange is None or not t.green:
+        if not t.live:
             continue
         wants = {t.orange: True, t.last_green: True}
         for h in t.green[:-1]:

@@ -14,7 +14,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import subprocess
 from dataclasses import dataclass
 
 from . import dataset as ds
@@ -28,8 +27,9 @@ from .analyzer import (
 from .atomic import atomic_open, remove_temp_files
 from .errors import ConfigError, FixpairError, StageError
 from .filters import STRATEGIES, filter_entries
-from .gitio import GitRepo
-from .ingest import load_issue_specs, load_snapshot, save_snapshot, snapshot_from_local_repo
+from .gitio import GitRepo, git
+from .ingest import load_issue_specs, load_snapshot, read_input, save_snapshot
+from .ingest import snapshot_from_local_repo
 from .java.structure import SourceElement
 from .learn import cross_validate, instances_from_entries
 from .learn.evaluate import prf, project_folds
@@ -72,6 +72,8 @@ class PipelineConfig:
         # flags and JSON give lists; one spelling keeps the fingerprints equal
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
+            if f.type is str and not isinstance(value, (str, type(None))):
+                raise ConfigError(f"{f.name} must be a string, got {value!r}")
             if f.type is tuple and not isinstance(value, tuple):
                 if not isinstance(value, list):
                     raise ConfigError(f"{f.name} must be a list, got {value!r}")
@@ -88,16 +90,19 @@ class PipelineConfig:
                 raise ConfigError(
                     f"unknown {what}: {sorted(unknown)}; choose from {list(legal)}"
                 )
-        for name, least in (("repeats", 1), ("folds", 2)):
+        for name, least in (("repeats", 1), ("folds", 2), ("jobs", 1), ("seed", None)):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < least:
-                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+            legal = isinstance(value, int) and not isinstance(value, bool)
+            if not legal or least is not None and value < least:
+                bound = "" if least is None else f" >= {least}"
+                raise ConfigError(f"{name} must be an integer{bound}, got {value!r}")
 
     @classmethod
     def file_settings(cls, path):
         """The settings a JSON config file names; an unknown key is an error."""
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = read_input(path, error=ConfigError)
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{path}: a config file must hold a JSON object")
         unknown = set(doc) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -200,24 +205,21 @@ def _analyze_file(source):
 # ---------------------------------------------------------------------------
 
 def _digest_file(path):
-    if not os.path.exists(path):
+    h = hashlib.sha256()
+    try:
+        with open(path, "rb") as fh:
+            for chunk in iter(lambda: fh.read(65536), b""):
+                h.update(chunk)
+    except OSError:
         # the owning stage will raise a proper error when it tries to read it
         return f"missing:{os.path.basename(path)}"
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
     return h.hexdigest()
 
 
 def _digest_refs(repo):
     """HEAD and every ref of a local repository, so a new commit (or a moved
     branch) changes the snapshot fingerprint."""
-    proc = subprocess.run(
-        ["git", "-C", str(repo), "show-ref", "--head"],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-    )
+    proc = git(repo, "show-ref", "--head", check=False)
     return proc.returncode, hashlib.sha256(proc.stdout).hexdigest()
 
 
@@ -450,7 +452,7 @@ def _stage_chain(config, stages):
             for h, mode in needed.items()
             if mode == "full"
         }
-        live = [t for t in timelines if not t.degraded and t.orange]
+        live = [t for t in timelines if t.live]
         touch_sets = [
             ds.accumulate_issue_touches(
                 t, snapshot, analyses, config.ignore_comment_only
@@ -554,7 +556,7 @@ def _analysis_needs(snapshot, timelines, plan_path) -> dict:
     plan = read_plan(plan_path)
     needed = {e.commit_hash: ("full" if e.full_analysis else "pos") for e in plan.entries}
     for t in timelines:
-        if t.degraded or t.orange is None:
+        if not t.live:
             continue
         for green_hash in t.green:
             commit = snapshot.commit(green_hash)

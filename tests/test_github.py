@@ -175,6 +175,37 @@ def test_fetch_keeps_a_top_level_a_directory(fake_api, tmp_path, monkeypatch):
     assert load_snapshot(out) == snap
 
 
+def test_fetch_drops_closing_commits_that_were_not_captured(
+    fake_api, tmp_path, monkeypatch
+):
+    base, _ = fake_api
+    ghost = "c" * 40  # closed the issues, but is not in the commit list
+    issues = ROUTES["/repos/demo/proj/issues"] + [
+        {
+            "number": n,
+            "state": "closed",
+            "labels": [{"name": "bug"}],
+            "created_at": "2024-01-01T16:00:00Z",
+            "closed_at": "2024-01-03T16:00:00Z",
+        }
+        for n in (11, 12)
+    ]
+    monkeypatch.setitem(ROUTES, "/repos/demo/proj/issues", issues)
+    monkeypatch.setitem(
+        ROUTES, "/repos/demo/proj/issues/11/events",
+        [{"event": "closed", "commit_id": ghost}],
+    )
+    monkeypatch.setitem(
+        ROUTES, "/repos/demo/proj/issues/12/events",
+        [{"event": "closed", "commit_id": c} for c in (SHA_NEW, ghost, SHA_OLD)],
+    )
+    snap = fetch_remote("demo/proj", "tok", tmp_path / "s.json", api_base=base)
+    assert [i.id for i in snap.issues] == [7, 8, 12]  # 11 was fixed by no commit
+    assert snap.issues[2].fixing_commits == tuple(
+        (h, snap.commit(h).timestamp) for h in (SHA_OLD, SHA_NEW)  # by date
+    )
+
+
 def test_auth_failure_writes_nothing(fake_api, tmp_path):
     base, behavior = fake_api
     behavior["mode"] = "unauthorized"

@@ -572,6 +572,7 @@ def test_config_validation_errors(tmp_path):
         PipelineConfig(
             out=str(tmp_path / "y"), snapshot="s.json", levels=("galaxy",)
         ).validate()
+    assert PipelineConfig(out=str(tmp_path / "z"), seed=-3, jobs=2).seed == -3
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -583,12 +584,21 @@ def test_config_validation_errors(tmp_path):
     ("repeats", 1.5, "repeats must be an integer >= 1, got 1.5"),
     ("folds", 1, "folds must be an integer >= 2, got 1"),
     ("folds", True, "folds must be an integer >= 2, got True"),
+    ("out", 5, "out must be a string, got 5"),
+    ("snapshot", 3, "snapshot must be a string, got 3"),
+    ("repo", ["r"], "repo must be a string, got ['r']"),
+    ("issues", {"a": 1}, "issues must be a string, got {'a': 1}"),
+    ("repo_id", 7, "repo_id must be a string, got 7"),
+    ("seed", "x", "seed must be an integer, got 'x'"),
+    ("seed", 1.0, "seed must be an integer, got 1.0"),
+    ("jobs", 0, "jobs must be an integer >= 1, got 0"),
+    ("jobs", "2", "jobs must be an integer >= 1, got '2'"),
 ])
 def test_config_rejects_illegal_values_when_made(tmp_path, field, value, message):
     from fixpair.errors import ConfigError
 
     with pytest.raises(ConfigError, match=r"\A" + re.escape(message)):
-        PipelineConfig(out=str(tmp_path), **{field: value})
+        PipelineConfig(**{"out": str(tmp_path), field: value})
     assert not os.listdir(tmp_path)  # nothing was checked on disk
 
 
@@ -846,22 +856,43 @@ def test_cli_evaluate_rejects_zero_repeats(pipeline_out, capsys):
 @pytest.mark.parametrize("setting, value, message", [
     ("repeats", 0, "repeats must be an integer >= 1, got 0"),
     ("folds", 1, "folds must be an integer >= 2, got 1"),
-], ids=["repeats", "folds"])
+    ("jobs", 0, "jobs must be an integer >= 1, got 0"),
+    ("seed", "x", "seed must be an integer, got 'x'"),
+    ("repo_id", ["demo"], "repo_id must be a string, got ['demo']"),
+    # a broken config file (None: no file at all); its path leads the message
+    ("config", None, "cannot read: No such file or directory"),
+    ("config", b"{bad", "Expecting property name enclosed in double quotes"),
+    ("config", b"\xff\xfe{}", "not UTF-8 (byte 0)"),
+    ("config", b'["out"]', "a config file must hold a JSON object"),
+    ("config", b"3", "a config file must hold a JSON object"),
+], ids=["repeats", "folds", "jobs", "seed", "repo_id", "no config file",
+        "config not JSON", "config not UTF-8", "config a list", "config a number"])
 def test_cli_illegal_repeats_or_folds_is_a_config_error(
     pipeline_out, fixture_repo, tmp_path, capsys, form, command, setting, value,
     message,
 ):
     # run gets a valid repository, so only the setting can stop it
     out = pipeline_out["out"] if command == "evaluate" else str(tmp_path / "o")
-    settings = {"out": out, "algorithms": ["one_r"], setting: value}
+    settings = {"out": out, "algorithms": ["one_r"]}
     if command == "run":
         settings.update(repo=fixture_repo["repo"], issues=fixture_repo["issues"])
+    config = tmp_path / "c.json"
     if form == "flag":
-        argv = [command, "--algo", "one_r", f"--{setting}", str(value), "--out", out]
+        argv = [command, "--algo", "one_r", "--out", out]
         if command == "run":
             argv += ["--repo", settings["repo"], "--issues", settings["issues"]]
+        settings = {}
     else:
-        argv = [command, "--config", _write_config(tmp_path / "c.json", **settings)]
+        argv = [command]
+    if setting == "config":  # read even where flags give every setting
+        if value is not None:
+            config.write_bytes(value)
+        argv += ["--config", str(config)]
+        message = f"{config}: {message}"
+    elif form == "flag" and isinstance(value, int):
+        argv += [f"--{setting}", str(value)]
+    else:  # a value no flag can carry comes from the file beside the flags
+        argv += ["--config", _write_config(config, **settings, **{setting: value})]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(f"config error: {message}")
@@ -921,18 +952,25 @@ def test_cli_unknown_level_or_filter_is_a_config_error(
           "closed_at": "2024-01-02T00:00:00Z", "fixing_commits": "abc"}],
         "issues[0].fixing_commits has type str (field: fixing_commits)",
     ),
+    # the file's bytes as they are (None: no file)
+    (None, "cannot read: No such file or directory"),
+    (b"{bad", "Expecting property name enclosed in double quotes"),
+    (b"\xff\xfe[]", "not UTF-8 (byte 0)"),
 ])
 def test_cli_fetch_rejects_a_malformed_issues_file(
     fixture_repo, tmp_path, capsys, issues, where
 ):
     path = tmp_path / "issues.json"
-    path.write_text(json.dumps(issues))
+    if isinstance(issues, bytes):
+        path.write_bytes(issues)
+    elif issues is not None:
+        path.write_text(json.dumps(issues))
     snap = tmp_path / "snap.json"
     rc = main(["fetch", "--from-local", fixture_repo["repo"], "--issues", str(path),
                "--out", str(snap)])
     assert rc == 3
     err = capsys.readouterr().err
-    assert err.startswith("data error: ") and where in err
+    assert err.startswith(f"data error: {path}: ") and where in err
     assert "Traceback" not in err
     assert not snap.exists()
 
@@ -957,17 +995,24 @@ def test_cli_evaluate_external_predictions(tmp_path, capsys):
     ("fqn,parent_fqn,predicted,actual\nC.a(),C,clean,1\n", "line 2", "actual"),
     ("fqn,parent_fqn,predicted,actual\nC.a(),C,maybe,buggy\n", "line 2", "predicted"),
     ("fqn,parent_fqn,predicted,actual\nC.a(),C\n", "line 2", "predicted"),
+    # the file's bytes as they are (None: no file); no field is at fault
+    (None, "cannot read: No such file or directory", None),
+    (b"fqn,parent_fqn,predicted,actual\n\xff,C,buggy,buggy\n", "not UTF-8 (byte 32)",
+     None),
 ])
 def test_cli_evaluate_rejects_malformed_external_predictions(
     tmp_path, capsys, text, where, field
 ):
     path = tmp_path / "preds.csv"
-    path.write_text(text)
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    elif text is not None:
+        path.write_text(text)
     rc = main(["evaluate", "--external-predictions", str(path)])
     assert rc == 3
     err = capsys.readouterr().err
-    assert err.startswith("data error: ") and str(path) in err
-    assert where in err and f"(field: {field})" in err
+    assert err.startswith(f"data error: {path}: ")
+    assert where in err and (field is None or f"(field: {field})" in err)
 
 
 def test_cli_stats_matrix(tmp_path, capsys):
@@ -988,10 +1033,16 @@ def test_cli_stats_matrix(tmp_path, capsys):
     ("row,a,b\nr1,0.5,0.6\nr2,0.4,high\n", "row 3: could not convert string to float: 'high'"),
     ("r1,0.5,0.6\nr2,,0.7\n", "row 2: could not convert string to float: ''"),
     ("row,a,b\nr1,0.5,0.6\n", "at least 2 rows"),
+    # the file's bytes as they are (None: no file)
+    (None, "cannot read: No such file or directory"),
+    (b"\xff\xfe", "not UTF-8 (byte 0)"),
 ])
 def test_cli_stats_rejects_a_malformed_matrix(tmp_path, capsys, text, where):
     path = tmp_path / "m.csv"
-    path.write_text(text)
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    elif text is not None:
+        path.write_text(text)
     assert main(["stats", "--matrix", str(path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"data error: {path}: ") and where in err
@@ -1009,6 +1060,8 @@ def test_cli_exit_codes(tmp_path, capsys):
         ]
     )
     assert rc == 4
+    # stage failure too, not a traceback: the snapshot path is a directory
+    assert main(["link", "--out", str(tmp_path / "o"), "--snapshot", str(tmp_path)]) == 4
     # data error: stats without eval output
     rc = main(["stats", "--out", str(tmp_path / "empty")])
     assert rc == 3
