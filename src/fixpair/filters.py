@@ -21,9 +21,8 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .dataset import format_metric
+from .learn.models import _rng
 from .metrics import COLUMNS_BY_LEVEL
 
 STRATEGIES = ("none", "removal", "subtract", "single", "gcf")
@@ -73,8 +72,7 @@ def group_entries(entries) -> list:
 
 def _group_rng(key, seed):
     digest = hashlib.md5(repr(key).encode("utf-8")).digest()
-    mix = int.from_bytes(digest[:8], "big") ^ (int(seed) & 0xFFFFFFFFFFFFFFFF)
-    return np.random.Generator(np.random.PCG64(mix))
+    return _rng(int.from_bytes(digest[:8], "big") ^ int(seed))
 
 
 def _pick(members, count, rng):

@@ -25,6 +25,7 @@ first parent.  ``diff-tree`` is plumbing, so the patches do not depend on
 the user's porcelain ``diff.*`` settings.
 """
 
+import csv
 import json
 import os
 import re
@@ -204,7 +205,7 @@ def read_input(path, parse=json.loads, error=SnapshotFormatError):
     """``parse`` of the text of a file the user supplied.
 
     A file that cannot be read, is not UTF-8 or whose text ``parse`` rejects
-    with a ``ValueError`` is an ``error`` naming ``path``.
+    with a ``ValueError`` or ``csv.Error`` is an ``error`` naming ``path``.
     """
     try:
         with open(path, "rb") as fh:
@@ -213,7 +214,7 @@ def read_input(path, parse=json.loads, error=SnapshotFormatError):
         raise error(f"{path}: cannot read: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 (byte {exc.start})") from None
-    except ValueError as exc:
+    except (ValueError, csv.Error) as exc:
         raise error(f"{path}: {exc}") from None
 
 

@@ -11,7 +11,7 @@ import numpy as np
 from ..errors import FixpairError, SnapshotFormatError
 from ..ingest import read_input
 from ..metrics import COLUMNS_BY_LEVEL, EMPTY_CLASS_COLUMNS, EMPTY_METHOD_COLUMNS
-from .models import train
+from .models import _rng, train
 
 LABEL_CLEAN = 0
 LABEL_BUGGY = 1
@@ -126,7 +126,7 @@ def undersample(instances, rng_seed) -> list:
     clean = [i for i in instances if i.label == LABEL_CLEAN]
     if not buggy or not clean:
         raise FixpairError("under-sampling needs both classes to be nonempty")
-    rng = np.random.Generator(np.random.PCG64(int(rng_seed) & 0xFFFFFFFFFFFFFFFF))
+    rng = _rng(rng_seed)
     if len(buggy) > len(clean):
         majority, minority = buggy, clean
     else:
@@ -151,7 +151,7 @@ def stratified_folds(instances, k, seed):
         k = max(2, min_class)
     if k < 2 or min_class < 2:
         raise FixpairError("cross-validation needs at least 2 folds per class")
-    rng = np.random.Generator(np.random.PCG64(int(seed) & 0xFFFFFFFFFFFFFFFF))
+    rng = _rng(seed)
     folds = [[] for _ in range(k)]
     for label in (LABEL_CLEAN, LABEL_BUGGY):
         idxs = by_class[label]
@@ -307,21 +307,27 @@ def cross_validate_projected(
 _PREDICTION_LABELS = {"buggy": LABEL_BUGGY, "clean": LABEL_CLEAN}
 
 
+def _csv_records(text):
+    """The header of a CSV text and its records, each with the line it ends on."""
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    return reader.fieldnames, [(reader.line_num, rec) for rec in reader]
+
+
 def load_predictions_csv(path) -> list:
     """External predictions: columns fqn, parent_fqn, predicted, actual
     with buggy/clean values.  Covers learners the harness does not implement."""
-    rows = []
-    reader = csv.DictReader(read_input(path, lambda t: io.StringIO(t, newline="")))
+    fieldnames, records = read_input(path, _csv_records)
     for column in ("fqn", "predicted", "actual"):
-        if column not in (reader.fieldnames or ()):
+        if column not in (fieldnames or ()):
             raise SnapshotFormatError("header lacks a column", path=path, field=column)
-    for rec in reader:
+    rows = []
+    for line_num, rec in records:
         labels = []
         for column in ("predicted", "actual"):
             value = (rec[column] or "").strip()
             if value not in _PREDICTION_LABELS:
                 raise SnapshotFormatError(
-                    f"line {reader.line_num}: {value!r} is neither buggy nor clean",
+                    f"line {line_num}: {value!r} is neither buggy nor clean",
                     path=path,
                     field=column,
                 )

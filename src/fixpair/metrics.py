@@ -89,15 +89,30 @@ class TokenContext:
         return None
 
 
-def _line_counts(ctx, start_line, end_line, holes=()):
-    """(physical, logical, comment) line counts over a range minus holes."""
-    lines = set(range(start_line, end_line + 1))
-    for hs, he in holes:
-        lines.difference_update(range(hs, he + 1))
-    loc = len(lines)
-    lloc = len(lines & ctx.code_lines)
-    cloc = len(lines & ctx.comment_lines)
-    return loc, lloc, cloc
+def _line_counts(ctx, lines):
+    """(physical, logical, comment) line counts of a set of lines."""
+    return (
+        float(len(lines)),
+        float(len(lines & ctx.code_lines)),
+        float(len(lines & ctx.comment_lines)),
+    )
+
+
+def _line_metrics(ctx, elem, holes=()):
+    """LOC/LLOC/CLOC over the element's own lines (its range minus the
+    ``holes`` line ranges), their T forms over the full range, DLOC, CD and
+    TCD."""
+    doc = ctx.doc_comment(elem)
+    dloc = float(doc.end_line - doc.line + 1) if doc is not None else 0.0
+    full = set(range(elem.start_line, elem.end_line + 1))
+    own = full.difference(*(range(s, e + 1) for s, e in holes))
+    loc, lloc, cloc = _line_counts(ctx, own)
+    tloc, tlloc, tcloc = _line_counts(ctx, full)
+    return {
+        "LOC": loc, "LLOC": lloc, "CLOC": cloc,
+        "TLOC": tloc, "TLLOC": tlloc, "TCLOC": tcloc + dloc,
+        "DLOC": dloc, "CD": _density(cloc, lloc), "TCD": _density(tcloc + dloc, tlloc),
+    }
 
 
 def _density(comment, logical):
@@ -139,28 +154,40 @@ def _decision_points(code, start, end):
 # ---------------------------------------------------------------------------
 
 class _StatementScan:
+    """NOS and the deepest NL and NLE of the statements in the code-view
+    window ``[start, end)``."""
+
     def __init__(self, view, start, end):
         self.code = view.tokens
         self.match = view.match
-        self.start = start
         self.end = end
-        self.count = 0
-        self.max_nl = 0
-        self.max_nle = 0
+        self.count = self.max_nl = self.max_nle = 0
+        self._block(start, end, 0, 0)
 
-    def run(self):
-        self._block(self.start, self.end, 0, 0)
-        return self.count, self.max_nl, self.max_nle
+    def _at(self, i, end):
+        """The lexeme at ``i`` if it lies before ``end``, else None."""
+        return self.code[i].lexeme if i < end else None
 
-    def _lex(self, i):
-        return self.code[i].lexeme
+    def _paren(self, i, end):
+        """``i``, or the index just past the paren group that opens there."""
+        return self.match[i] + 1 if self._at(i, end) == "(" else i
 
-    def _kind(self, i):
-        return self.code[i].kind
+    def _nest(self, i, end, nl, nle):
+        """Count the construct whose keyword is at ``i``, one level below
+        ``nl``/``nle``; the index past the keyword and its paren group."""
+        self.count += 1
+        self.max_nl = max(self.max_nl, nl + 1)
+        self.max_nle = max(self.max_nle, nle + 1)
+        return self._paren(i + 1, end)
 
-    def _skip_group(self, i):
-        """i at '(' or '{': index just past the matching closer."""
-        return self.match[i] + 1
+    def _body(self, i, end, nl, nle):
+        """Scan the statement at ``i`` one level below ``nl``/``nle`` if it
+        lies before ``end``; the index past it."""
+        return self._statement(i, end, nl + 1, nle + 1) if i < end else i
+
+    def _block(self, i, end, nl, nle):
+        while i < end:
+            i = self._statement(i, end, nl, nle)
 
     def _braced_block(self, i, end, nl, nle):
         """i at '{': scan the block's statements, clipped to ``end``;
@@ -171,25 +198,20 @@ class _StatementScan:
 
     def _skip_to_semicolon(self, i):
         while i < self.end:
-            lex = self._lex(i)
+            lex = self.code[i].lexeme
             if lex in "({":
-                i = self._skip_group(i)
-                continue
-            if lex == ";":
+                i = self.match[i] + 1
+            elif lex == ";":
                 return i + 1
-            if lex == "}":
+            elif lex == "}":
                 return i  # malformed: statement runs into the closing brace
-            i += 1
+            else:
+                i += 1
         return self.end
 
-    def _block(self, i, end, nl, nle):
-        while i < end:
-            i = self._statement(i, end, nl, nle)
-
     def _statement(self, i, end, nl, nle):
-        lex = self._lex(i)
-        kind = self._kind(i)
-
+        """Scan the statement at ``i``; the index just past it."""
+        lex, kind = self.code[i].lexeme, self.code[i].kind
         if lex == ";":
             self.count += 1
             return i + 1
@@ -200,109 +222,63 @@ class _StatementScan:
 
         if kind == "keyword":
             if lex == "if":
-                return self._if(i, end, nl, nle)
-            if lex in ("for", "while", "switch", "synchronized"):
-                self.count += 1
-                self._enter(nl + 1, nle + 1)
-                i += 1
-                if i < end and self._lex(i) == "(":
-                    i = self._skip_group(i)
-                if lex == "switch":
-                    if i < end and self._lex(i) == "{":
-                        return self._braced_block(i, end, nl + 1, nle + 1)
-                    return i
-                return self._statement(i, end, nl + 1, nle + 1) if i < end else i
-            if lex == "do":
-                self.count += 1
-                self._enter(nl + 1, nle + 1)
-                i = self._statement(i + 1, end, nl + 1, nle + 1)
-                if i < end and self._lex(i) == "while":
+                while True:
+                    i = self._body(self._nest(i, end, nl, nle), end, nl, nle)
+                    if self._at(i, end) != "else":
+                        return i
+                    if self._at(i + 1, end) != "if":
+                        return self._body(i + 1, end, nl, nle)
                     i += 1
-                    if i < end and self._lex(i) == "(":
-                        i = self._skip_group(i)
-                    if i < end and self._lex(i) == ";":
+                    nl += 1  # else-if: deepens NL but not NLE
+            if lex in ("for", "while", "synchronized"):
+                return self._body(self._nest(i, end, nl, nle), end, nl, nle)
+            if lex == "switch":
+                i = self._nest(i, end, nl, nle)
+                if self._at(i, end) == "{":
+                    return self._braced_block(i, end, nl + 1, nle + 1)
+                return i
+            if lex == "do":
+                # no paren group follows ``do``: a window cut just after the
+                # keyword keeps _nest from looking for one.  The body is read
+                # even where it lies at the window's end.
+                self._nest(i, i + 1, nl, nle)
+                i = self._statement(i + 1, end, nl + 1, nle + 1)
+                if self._at(i, end) == "while":
+                    i = self._paren(i + 1, end)
+                    if self._at(i, end) == ";":
                         i += 1
                 return i
             if lex == "try":
-                return self._try(i, end, nl, nle)
+                i = self._nest(i, end, nl, nle)  # past a resource group
+                while True:
+                    if self._at(i, end) == "{":
+                        i = self._braced_block(i, end, nl + 1, nle + 1)
+                    if self._at(i, end) not in ("catch", "finally"):
+                        return i
+                    i = self._paren(i + 1, end)
             if lex in ("case", "default"):
-                while i < end and self._lex(i) != ":":
-                    if self._lex(i) in "({":
-                        i = self._skip_group(i)
-                    else:
-                        i += 1
+                while i < end and self.code[i].lexeme != ":":
+                    i = self.match[i] + 1 if self.code[i].lexeme in "({" else i + 1
                 return i + 1
             if lex == "else":
                 return i + 1  # orphaned else, tolerated
             if lex in ("class", "interface", "enum"):
                 # local class declaration: one statement, body opaque
                 self.count += 1
-                while i < end and self._lex(i) != "{":
+                while i < end and self.code[i].lexeme != "{":
                     i += 1
-                if i < end:
-                    return min(self.match[i] + 1, end)
-                return end
+                return min(self.match[i] + 1, end) if i < end else end
             if lex in STATEMENT_KEYWORDS:
                 self.count += 1
                 return self._skip_to_semicolon(i + 1)
 
         # labeled statement: Name ':' Statement
-        if (
-            kind == "identifier"
-            and i + 1 < end
-            and self._lex(i + 1) == ":"
-        ):
+        if kind == "identifier" and self._at(i + 1, end) == ":":
             return self._statement(i + 2, end, nl, nle) if i + 2 < end else end
 
         # expression or local declaration
         self.count += 1
         return self._skip_to_semicolon(i)
-
-    def _enter(self, nl, nle):
-        self.max_nl = max(self.max_nl, nl)
-        self.max_nle = max(self.max_nle, nle)
-
-    def _if(self, i, end, nl, nle):
-        self.count += 1
-        self._enter(nl + 1, nle + 1)
-        i += 1
-        if i < end and self._lex(i) == "(":
-            i = self._skip_group(i)
-        if i < end:
-            i = self._statement(i, end, nl + 1, nle + 1)
-        while i < end and self._lex(i) == "else":
-            i += 1
-            if i < end and self._lex(i) == "if":
-                # else-if: deepens NL but not NLE
-                self.count += 1
-                self._enter(nl + 2, nle + 1)
-                i += 1
-                if i < end and self._lex(i) == "(":
-                    i = self._skip_group(i)
-                if i < end:
-                    i = self._statement(i, end, nl + 2, nle + 1)
-                nl += 1
-                continue
-            if i < end:
-                i = self._statement(i, end, nl + 1, nle + 1)
-            break
-        return i
-
-    def _try(self, i, end, nl, nle):
-        self.count += 1
-        self._enter(nl + 1, nle + 1)
-        i += 1
-        if i < end and self._lex(i) == "(":  # try-with-resources
-            i = self._skip_group(i)
-        if i < end and self._lex(i) == "{":
-            i = self._braced_block(i, end, nl + 1, nle + 1)
-        while i < end and self._lex(i) in ("catch", "finally"):
-            i += 1
-            if i < end and self._lex(i) == "(":
-                i = self._skip_group(i)
-            if i < end and self._lex(i) == "{":
-                i = self._braced_block(i, end, nl + 1, nle + 1)
-        return i
 
 
 # ---------------------------------------------------------------------------
@@ -365,32 +341,26 @@ def _maintainability(hvol, mccc, lloc, cd):
 # per-level entry points
 # ---------------------------------------------------------------------------
 
+def _vector(level, values, elem):
+    """The level's metric vector, ``values`` in the level's column order."""
+    ordered = {k: values[k] for k in COLUMNS_BY_LEVEL[level] if k in values}
+    return MetricsVector(level=level, values=ordered, element=elem)
+
+
 def method_metrics(elem: SourceElement, ctx: TokenContext) -> MetricsVector:
     """Full metric vector for a method element."""
     assert elem.kind == "method"
-    v = {}
-    doc = ctx.doc_comment(elem)
-    dloc = (doc.end_line - doc.line + 1) if doc is not None else 0
-
-    loc, lloc, cloc = _line_counts(ctx, elem.start_line, elem.end_line)
-    v["LOC"], v["LLOC"], v["CLOC"] = float(loc), float(lloc), float(cloc)
-    v["TLOC"], v["TLLOC"] = float(loc), float(lloc)
-    v["TCLOC"] = float(cloc + dloc)
-    v["DLOC"] = float(dloc)
-    v["CD"] = _density(cloc, lloc)
-    v["TCD"] = _density(cloc + dloc, lloc)
-
+    v = _line_metrics(ctx, elem)
     body_start, body_end = _body_range(elem)
-    nos, nl, nle = _StatementScan(ctx.view, body_start, body_end).run()
-    v["NOS"], v["TNOS"] = float(nos), float(nos)
-    v["NL"], v["NLE"] = float(nl), float(nle)
+    scan = _StatementScan(ctx.view, body_start, body_end)
+    v["NOS"] = v["TNOS"] = float(scan.count)
+    v["NL"], v["NLE"] = float(scan.max_nl), float(scan.max_nle)
     v["NUMPAR"] = float(len(elem.param_types))
     code = ctx.view.tokens
     v["McCC"] = float(1 + _decision_points(code, body_start, body_end))
     v.update(_halstead(code, body_start, body_end))
     v.update(_maintainability(v["HVOL"], v["McCC"], v["LLOC"], v["CD"]))
-    ordered = {k: v[k] for k in METHOD_COLUMNS if k in v}
-    return MetricsVector(level="method", values=ordered, element=elem)
+    return _vector("method", v, elem)
 
 
 def _documented_public(ctx, elements):
@@ -400,17 +370,13 @@ def _documented_public(ctx, elements):
     return float(pda), float(len(public) - pda)
 
 
-def _is_getter(m):
-    for prefix in ("get", "is"):
-        n = m.name
-        if n.startswith(prefix) and len(n) > len(prefix) and n[len(prefix)].isupper():
-            return True
-    return False
-
-
-def _is_setter(m):
+def _accessor(m, prefixes):
+    """Whether the method's name is one of ``prefixes`` followed by an
+    upper-case letter."""
     n = m.name
-    return n.startswith("set") and len(n) > 3 and n[3].isupper()
+    return any(
+        n.startswith(p) and len(n) > len(p) and n[len(p)].isupper() for p in prefixes
+    )
 
 
 def class_metrics(
@@ -423,24 +389,11 @@ def class_metrics(
     already-computed vectors of directly nested classes.
     """
     assert elem.kind == "class"
-    v = {}
     direct = [m for m in members if m.element.parent_fqn == elem.fqn]
     nested = list(nested_classes)
-
-    doc = ctx.doc_comment(elem)
-    dloc = (doc.end_line - doc.line + 1) if doc is not None else 0
-    holes = [
-        (n.element.start_line, n.element.end_line)
-        for n in nested
-    ]
-    loc, lloc, cloc = _line_counts(ctx, elem.start_line, elem.end_line, holes)
-    tloc, tlloc, tcloc = _line_counts(ctx, elem.start_line, elem.end_line)
-    v["LOC"], v["LLOC"], v["CLOC"] = float(loc), float(lloc), float(cloc)
-    v["TLOC"], v["TLLOC"] = float(tloc), float(tlloc)
-    v["TCLOC"] = float(tcloc + dloc)
-    v["DLOC"] = float(dloc)
-    v["CD"] = _density(cloc, lloc)
-    v["TCD"] = _density(tcloc + dloc, tlloc)
+    v = _line_metrics(
+        ctx, elem, [(n.element.start_line, n.element.end_line) for n in nested]
+    )
 
     v["NL"] = max((m.values["NL"] for m in direct), default=0.0)
     v["NLE"] = max((m.values["NLE"] for m in direct), default=0.0)
@@ -450,32 +403,24 @@ def class_metrics(
 
     v["WMC"] = float(sum(m.values["McCC"] for m in direct))
 
-    nm = len(direct)
-    npm = sum(1 for m in direct if m.element.is_public)
-    ng = sum(1 for m in direct if _is_getter(m.element))
-    ns = sum(1 for m in direct if _is_setter(m.element))
-    na = sum(f.declarators for f in elem.fields)
-    npa = sum(f.declarators for f in elem.fields if "public" in f.modifiers)
+    local = {
+        "M": len(direct),
+        "PM": sum(1 for m in direct if m.element.is_public),
+        "G": sum(1 for m in direct if _accessor(m.element, ("get", "is"))),
+        "S": sum(1 for m in direct if _accessor(m.element, ("set",))),
+        "A": sum(f.declarators for f in elem.fields),
+        "PA": sum(f.declarators for f in elem.fields if "public" in f.modifiers),
+    }
     # No inheritance resolution: local counts equal plain counts.
-    v["NM"] = v["NLM"] = float(nm)
-    v["NPM"] = v["NLPM"] = float(npm)
-    v["NG"] = v["NLG"] = float(ng)
-    v["NS"] = v["NLS"] = float(ns)
-    v["NA"] = v["NLA"] = float(na)
-    v["NPA"] = v["NLPA"] = float(npa)
-    v["TNM"] = v["TNLM"] = float(nm + sum(n.values["TNM"] for n in nested))
-    v["TNPM"] = v["TNLPM"] = float(npm + sum(n.values["TNPM"] for n in nested))
-    v["TNG"] = v["TNLG"] = float(ng + sum(n.values["TNG"] for n in nested))
-    v["TNS"] = v["TNLS"] = float(ns + sum(n.values["TNS"] for n in nested))
-    v["TNA"] = v["TNLA"] = float(na + sum(n.values["TNA"] for n in nested))
-    v["TNPA"] = v["TNLPA"] = float(npa + sum(n.values["TNPA"] for n in nested))
+    for k, count in local.items():
+        v["N" + k] = v["NL" + k] = float(count)
+        total = count + sum(n.values["TN" + k] for n in nested)
+        v["TN" + k] = v["TNL" + k] = float(total)
 
     pda, pua = _documented_public(ctx, [x.element for x in direct + nested])
     v["PDA"], v["PUA"] = pda, pua
     v["AD"] = pda / (pda + pua) if (pda + pua) > 0 else 0.0
-
-    ordered = {k: v[k] for k in CLASS_COLUMNS if k in v}
-    return MetricsVector(level="class", values=ordered, element=elem)
+    return _vector("class", v, elem)
 
 
 def file_metrics(elem: SourceElement, elements, ctx: TokenContext) -> MetricsVector:
@@ -485,13 +430,10 @@ def file_metrics(elem: SourceElement, elements, ctx: TokenContext) -> MetricsVec
     documentation counts.
     """
     assert elem.kind == "file"
-    v = {}
-    loc, lloc, cloc = _line_counts(ctx, elem.start_line, elem.end_line)
-    v["LOC"], v["LLOC"], v["CLOC"] = float(loc), float(lloc), float(cloc)
+    v = _line_metrics(ctx, elem)
     code = ctx.view.tokens
     v["McCC"] = float(1 + _decision_points(code, 0, len(code)))
     v["PDA"], v["PUA"] = _documented_public(
         ctx, [e for e in elements if e.kind in ("class", "method")]
     )
-    ordered = {k: v[k] for k in FILE_COLUMNS if k in v}
-    return MetricsVector(level="file", values=ordered, element=elem)
+    return _vector("file", v, elem)

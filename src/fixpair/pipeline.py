@@ -74,9 +74,16 @@ class PipelineConfig:
             value = getattr(self, f.name)
             if f.type is str and not isinstance(value, (str, type(None))):
                 raise ConfigError(f"{f.name} must be a string, got {value!r}")
-            if f.type is tuple and not isinstance(value, tuple):
-                if not isinstance(value, list):
+            if f.type is bool and not isinstance(value, bool):
+                raise ConfigError(f"{f.name} must be true or false, got {value!r}")
+            if f.type is tuple:
+                if not isinstance(value, (tuple, list)):
                     raise ConfigError(f"{f.name} must be a list, got {value!r}")
+                for entry in value:
+                    if not isinstance(entry, str):
+                        raise ConfigError(
+                            f"{f.name} entries must be strings, got {entry!r}"
+                        )
                 setattr(self, f.name, tuple(value))
         if not self.levels:
             raise ConfigError("at least one level must be selected")

@@ -246,3 +246,130 @@ def mutate(source, seed):
     if op == 1:
         return source[:pos] + source[pos + 1:]
     return source[:pos] + char + source[pos + 1:]
+
+
+def _soup_statement(rng, depth, lines):
+    """One statement of a form the statement scanner treats on its own, with
+    its sub-statements braced or bare."""
+    pad = "    " * (depth + 2)
+    inner = depth < 3
+    roll = rng.randrange(22 if inner else 10)
+    if roll == 0:
+        lines.append(f"{pad}var{rng.randrange(4)} = {_expr(rng)};")
+    elif roll == 1:
+        keyword = rng.choice(["return", "throw", "break", "continue", "assert"])
+        lines.append(f"{pad}{keyword} {_expr(rng)};")
+    elif roll == 2:
+        # sometimes a stray brace or paren, an orphan else or a lone do
+        stray = rng.random() < 0.3
+        choices = ["{", "}", "(", ")", "else", "do"] if stray else [";", "{ }"]
+        lines.append(pad + rng.choice(choices))
+    elif roll == 3:
+        lines.append(f"{pad}{rng.choice(['// note', '/* a */ step();', 'step(); // tail'])}")
+    elif roll == 4:
+        label = rng.choice(["outer", "inner"])
+        labelled = rng.choice(["", "step();", "for (;;) break outer;", "x: y: z();"])
+        lines.append(f"{pad}{label}: {labelled}")
+    elif roll == 5:
+        lines.append(f"{pad}Runnable r = () -> {{ if ({_expr(rng)}) step(); }};")
+    elif roll == 6:
+        lines.append(f"{pad}list.forEach(x -> {{ while (x > 0) x--; }});")
+    elif roll == 7:
+        lines.append(
+            f"{pad}Object o = new Object() {{ int f() {{ do {{ }} while (a); return 1; }} }};"
+        )
+    elif roll == 8:
+        kind = rng.choice(["class", "interface", "enum"])
+        constants = "A, B;" if kind == "enum" else ""
+        lines.append(
+            f"{pad}{kind} L{rng.randrange(9)} {{ {constants} void go() {{ if (x) {{ y(); }} }} }}"
+        )
+    elif roll == 9:
+        lines.append(f"{pad}int v = a ? b : c, w = f((x), {{1}});")
+    elif roll in (10, 11):
+        lines.append(f"{pad}if ({_expr(rng)})")
+        _soup_body(rng, depth, lines)
+        for _ in range(rng.randrange(3)):
+            lines.append(f"{pad}else if ({_expr(rng)})")
+            _soup_body(rng, depth, lines)
+        if rng.random() < 0.5:
+            lines.append(f"{pad}else")
+            _soup_body(rng, depth, lines)
+    elif roll == 12:
+        loops = ["for (int i = 0; i < n; i++)", "for (String s : names)", "while (more())"]
+        lines.append(pad + rng.choice(loops))
+        _soup_body(rng, depth, lines)
+    elif roll == 13:
+        lines.append(f"{pad}do")
+        _soup_body(rng, depth, lines)
+        lines.append(f"{pad}{rng.choice(['while (a);', 'while (a)', ''])}")
+    elif roll == 14:
+        lines.append(f"{pad}synchronized ({rng.choice(['this', 'lock', ''])})")
+        _soup_body(rng, depth, lines)
+    elif roll == 15:
+        lines.append(f"{pad}switch ({_expr(rng)}) {{")
+        for k in range(rng.randrange(1, 4)):
+            lines.append(f"{pad}case {rng.choice([str(k), '(1 + 2)', 'A', '{3}'])}:")
+            _soup_statement(rng, depth + 1, lines)
+        if rng.random() < 0.5:
+            lines.append(f"{pad}default:")
+            _soup_statement(rng, depth + 1, lines)
+        lines.append(f"{pad}}}")
+    elif roll in (16, 17):
+        lines.append(f"{pad}try {rng.choice(['', '(Res r = open(); Res s = open(r)) '])}{{")
+        _soup_block(rng, depth + 1, lines)
+        lines.append(f"{pad}}}")
+        for _ in range(rng.randrange(3)):
+            lines.append(f"{pad}catch ({rng.choice(['Exception e', 'A | B e'])}) {{")
+            _soup_block(rng, depth + 1, lines)
+            lines.append(f"{pad}}}")
+        if rng.random() < 0.5:
+            lines.append(f"{pad}finally {{")
+            _soup_block(rng, depth + 1, lines)
+            lines.append(f"{pad}}}")
+    elif roll == 18:
+        lines.append(f"{pad}{{")
+        _soup_block(rng, depth + 1, lines)
+        lines.append(f"{pad}}}")
+    else:
+        lines.append(f"{pad}{rng.choice(['step', 'f0', 'log'])}({_expr(rng)});")
+
+
+def _soup_body(rng, depth, lines):
+    """The body of a control structure: a block or one bare statement."""
+    if rng.random() < 0.6:
+        lines.append("    " * (depth + 2) + "{")
+        _soup_block(rng, depth + 1, lines)
+        lines.append("    " * (depth + 2) + "}")
+    else:
+        _soup_statement(rng, depth + 1, lines)
+
+
+def _soup_block(rng, depth, lines):
+    for _ in range(rng.randrange(1, 4)):
+        _soup_statement(rng, depth, lines)
+
+
+def make_statements(seed):
+    """One random class whose method bodies mix every statement form the
+    statement scanner treats on its own: ``if``/``else if``/``else`` chains
+    (an orphan ``else`` too), loops, ``do ... while``, ``switch`` with
+    ``case``/``default``, ``synchronized``, labels, try-with-resources with
+    ``catch``/``finally``, local, anonymous and enum classes, lambdas,
+    comments, and stray braces and parens.  A quarter of the units are cut
+    off after a lone ``do``."""
+    rng = random.Random(seed)
+    lines = ["package soup;", "", "class S%d {" % seed]
+    for m in range(rng.randrange(1, 4)):
+        lines.append(f"    void m{m}(int a) {{")
+        _soup_block(rng, 0, lines)
+        lines.append("    }")
+    if rng.random() < 0.25:
+        # cut off after a lone ``do``: the body window ends just before the
+        # file's last token, and the scan reads that token as the do's body
+        lines.append("    void cut() {")
+        _soup_block(rng, 0, lines)
+        lines.append("        do " + rng.choice(["x", ";", "if", "while"]))
+    else:
+        lines.append("}")
+    return "\n".join(lines) + "\n"

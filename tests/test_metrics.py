@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -5,7 +6,9 @@ import pytest
 from fixpair.analyzer import analyze_source
 from fixpair.metrics import CLASS_COLUMNS, FILE_COLUMNS, METHOD_COLUMNS
 
-from snippets import make_class
+from snippets import make_class, make_statements, mutate
+
+STATEMENTS_DIGEST = "140130afc3063def2b5f828e0bd86c7c1cd2fd2c16a2c89e3d0c2bae837515d8"
 
 
 def analyzed(src, path="src/A.java"):
@@ -444,3 +447,17 @@ def test_fuzzed_invariants(seed):
     for (kind, fqn), vec in fa.vectors.items():
         if kind == "class" and fqn in wmc_check:
             assert vec.values["WMC"] == wmc_check[fqn]
+
+
+def test_statements_are_pinned():
+    """Every metric vector of 600 generated statement-soup units and a
+    one-character mutation of each, against a digest of the reference output
+    (any change to a NOS/NL/NLE rule, even on malformed input, shows here)."""
+    digest = hashlib.sha256()
+    for seed in range(600):
+        src = make_statements(seed)
+        for text in (src, mutate(src, seed)):
+            vectors = analyze_source("src/S.java", text).vectors
+            for key in sorted(vectors):
+                digest.update(repr((key, tuple(vectors[key].values.items()))).encode())
+    assert digest.hexdigest() == STATEMENTS_DIGEST

@@ -593,6 +593,11 @@ def test_config_validation_errors(tmp_path):
     ("seed", 1.0, "seed must be an integer, got 1.0"),
     ("jobs", 0, "jobs must be an integer >= 1, got 0"),
     ("jobs", "2", "jobs must be an integer >= 1, got '2'"),
+    ("keywords_only", "no", "keywords_only must be true or false, got 'no'"),
+    ("ignore_comment_only", 1, "ignore_comment_only must be true or false, got 1"),
+    ("bug_labels", [1], "bug_labels entries must be strings, got 1"),
+    ("test_globs", ("a", 3), "test_globs entries must be strings, got 3"),
+    ("levels", [["method"]], "levels entries must be strings, got ['method']"),
 ])
 def test_config_rejects_illegal_values_when_made(tmp_path, field, value, message):
     from fixpair.errors import ConfigError
@@ -859,13 +864,18 @@ def test_cli_evaluate_rejects_zero_repeats(pipeline_out, capsys):
     ("jobs", 0, "jobs must be an integer >= 1, got 0"),
     ("seed", "x", "seed must be an integer, got 'x'"),
     ("repo_id", ["demo"], "repo_id must be a string, got ['demo']"),
+    ("keywords_only", "no", "keywords_only must be true or false, got 'no'"),
+    ("bug_labels", [1], "bug_labels entries must be strings, got 1"),
+    ("test_globs", [3], "test_globs entries must be strings, got 3"),
+    ("levels", [[1]], "levels entries must be strings, got [1]"),
     # a broken config file (None: no file at all); its path leads the message
     ("config", None, "cannot read: No such file or directory"),
     ("config", b"{bad", "Expecting property name enclosed in double quotes"),
     ("config", b"\xff\xfe{}", "not UTF-8 (byte 0)"),
     ("config", b'["out"]', "a config file must hold a JSON object"),
     ("config", b"3", "a config file must hold a JSON object"),
-], ids=["repeats", "folds", "jobs", "seed", "repo_id", "no config file",
+], ids=["repeats", "folds", "jobs", "seed", "repo_id", "keywords_only", "bug_labels",
+        "test_globs", "levels", "no config file",
         "config not JSON", "config not UTF-8", "config a list", "config a number"])
 def test_cli_illegal_repeats_or_folds_is_a_config_error(
     pipeline_out, fixture_repo, tmp_path, capsys, form, command, setting, value,
@@ -999,6 +1009,11 @@ def test_cli_evaluate_external_predictions(tmp_path, capsys):
     (None, "cannot read: No such file or directory", None),
     (b"fqn,parent_fqn,predicted,actual\n\xff,C,buggy,buggy\n", "not UTF-8 (byte 32)",
      None),
+    # a field over the csv module's size limit
+    pytest.param(
+        "fqn,parent_fqn,predicted,actual\nC.a(),C," + "b" * 140_000 + ",buggy\n",
+        "field larger than field limit", None, id="field over the size limit",
+    ),
 ])
 def test_cli_evaluate_rejects_malformed_external_predictions(
     tmp_path, capsys, text, where, field
@@ -1036,6 +1051,11 @@ def test_cli_stats_matrix(tmp_path, capsys):
     # the file's bytes as they are (None: no file)
     (None, "cannot read: No such file or directory"),
     (b"\xff\xfe", "not UTF-8 (byte 0)"),
+    # a field over the csv module's size limit
+    pytest.param(
+        "row,a,b\nr1," + "5" * 140_000 + ",0.6\n", "field larger than field limit",
+        id="field over the size limit",
+    ),
 ])
 def test_cli_stats_rejects_a_malformed_matrix(tmp_path, capsys, text, where):
     path = tmp_path / "m.csv"
