@@ -2,62 +2,3 @@
 validate them with a built-in learning and statistics harness."""
 
 __version__ = "0.1.0"
-
-from .ingest import (
-    IssueRecord,
-    CommitRecord,
-    ProjectSnapshot,
-    filter_bug_issues,
-    load_snapshot,
-    save_snapshot,
-)
-from .linker import (
-    AnalysisPlan,
-    BugFixTimeline,
-    HistoryIndex,
-    build_timeline,
-    extract_issue_refs,
-    select_analysis_commits,
-)
-from .diffs import (
-    FileDiff,
-    Hunk,
-    LineRangeSet,
-    apply_file_diff,
-    elements_touched,
-    modified_ranges,
-    parse_unified_diff,
-)
-from .java import SourceElement, TokenStream, parse_elements, tokenize
-from .metrics import MetricsVector, class_metrics, file_metrics, method_metrics
-from .dataset import (
-    DatasetEntry,
-    IssueTouchSet,
-    accumulate_issue_touches,
-    build_entries,
-    export_csv,
-)
-from .filters import ConflictGroup, apply_filter, filter_entries, group_entries
-from .stats import (
-    PairedSampleMatrix,
-    effect_size_r,
-    friedman,
-    nemenyi,
-    rate,
-    wilcoxon_signed_rank,
-)
-
-__all__ = [
-    "IssueRecord", "CommitRecord", "ProjectSnapshot", "filter_bug_issues",
-    "load_snapshot", "save_snapshot", "AnalysisPlan", "BugFixTimeline",
-    "HistoryIndex", "build_timeline", "extract_issue_refs",
-    "select_analysis_commits", "FileDiff", "Hunk", "LineRangeSet",
-    "apply_file_diff", "elements_touched", "modified_ranges",
-    "parse_unified_diff", "SourceElement", "TokenStream", "parse_elements",
-    "tokenize", "MetricsVector", "class_metrics", "file_metrics",
-    "method_metrics", "DatasetEntry", "IssueTouchSet",
-    "accumulate_issue_touches", "build_entries", "export_csv",
-    "ConflictGroup", "apply_filter", "filter_entries", "group_entries",
-    "PairedSampleMatrix", "effect_size_r", "friedman", "nemenyi", "rate",
-    "wilcoxon_signed_rank",
-]

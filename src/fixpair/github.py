@@ -3,17 +3,23 @@
 Network use is confined to this module.  ``fetch_remote`` is single-flight
 per repo id, honors the per-hour request quota by sleeping until the
 advertised reset time (bounded), and never leaves a partial snapshot file on
-disk (the write is atomic).
+disk (the write is atomic).  Any other HTTP error status, a URL that cannot
+be requested, a failed connection (refused, unresolved, timed out) or a body
+that is not JSON raises a ``FixpairError`` naming the URL: a data error,
+exit 3 on the command line.
 """
 
+import http.client
+import json
 import os
 import threading
 import time
 from datetime import datetime, timezone
+from urllib.error import HTTPError
+from urllib.parse import urlencode
+from urllib.request import Request, urlopen
 
-import requests
-
-from .errors import AuthenticationError, RateLimitExhausted
+from .errors import AuthenticationError, FixpairError, RateLimitExhausted
 from .ingest import (
     CommitRecord,
     IssueRecord,
@@ -28,6 +34,7 @@ TOKEN_ENV_VAR = "FIXPAIR_GITHUB_TOKEN"
 DEFAULT_API_BASE = "https://api.github.com"
 _PER_PAGE = 100
 _MAX_RATE_LIMIT_WAITS = 3
+_TIMEOUT_S = 60.0
 
 _flight_locks = {}
 _flight_guard = threading.Lock()
@@ -39,35 +46,57 @@ def _lock_for(repo_id):
 
 
 class _Client:
-    def __init__(self, api_base, token, session=None, sleeper=time.sleep):
+    def __init__(self, api_base, token, sleeper=time.sleep):
         self.api_base = api_base.rstrip("/")
-        self.session = session or requests.Session()
         self.sleeper = sleeper
         self.headers = {"Accept": "application/vnd.github.v3+json"}
         if token:
             self.headers["Authorization"] = f"token {token}"
 
+    def _get(self, url):
+        """``(status, headers, body)`` of one GET.  An error status is
+        returned; a URL that cannot be requested or a failed connection
+        raises."""
+        try:
+            request = Request(url, headers=self.headers)
+            with urlopen(request, timeout=_TIMEOUT_S) as resp:
+                return resp.status, resp.headers, resp.read()
+        except HTTPError as exc:
+            with exc:
+                return exc.code, exc.headers, b""
+        except (ValueError, OSError, http.client.HTTPException) as exc:
+            reason = getattr(exc, "reason", exc)
+            raise FixpairError(f"GET {url} failed: {reason}") from None
+
     def get_json(self, path, params=None):
         url = f"{self.api_base}{path}"
+        if params:
+            url = f"{url}?{urlencode(params)}"
         waits = 0
         while True:
-            resp = self.session.get(url, params=params, headers=self.headers)
-            if resp.status_code == 401:
+            status, headers, body = self._get(url)
+            if status == 401:
                 raise AuthenticationError(f"token rejected for {url}")
-            if resp.status_code in (403, 429) and (
-                resp.headers.get("X-RateLimit-Remaining") == "0"
-            ):
+            if status in (403, 429) and headers.get("X-RateLimit-Remaining") == "0":
                 if waits >= _MAX_RATE_LIMIT_WAITS:
                     raise RateLimitExhausted(
                         f"rate limit not lifted after {waits} waits for {url}"
                     )
-                reset = int(resp.headers.get("X-RateLimit-Reset", "0"))
-                delay = max(1.0, reset - time.time())
+                reset = headers.get("X-RateLimit-Reset", "0")
+                if not reset.isdecimal():
+                    raise FixpairError(
+                        f"GET {url} answered X-RateLimit-Reset {reset!r}")
+                delay = max(1.0, int(reset) - time.time())
                 self.sleeper(min(delay, 3600.0))
                 waits += 1
                 continue
-            resp.raise_for_status()
-            return resp.json()
+            if not 200 <= status < 300:
+                raise FixpairError(f"GET {url} answered HTTP {status}")
+            try:
+                return json.loads(body)
+            except ValueError:
+                raise FixpairError(
+                    f"GET {url} answered a body that is not JSON") from None
 
     def paginate(self, path, params=None):
         page = 1
@@ -126,7 +155,7 @@ def _fetch_issues(client, repo_id):
     issues = []
     for item in client.paginate(f"/repos/{repo_id}/issues", {"state": "all"}):
         if "pull_request" in item:
-            continue  # the issues endpoint interleaves pull requests
+            continue  # the issues endpoint interleaves PRs
         number, closed = item["number"], item["state"] != "open"
         events = f"/repos/{repo_id}/issues/{number}/events"
         issues.append(
@@ -153,7 +182,6 @@ def fetch_remote(
     *,
     bug_labels=frozenset({"bug"}),
     api_base=DEFAULT_API_BASE,
-    session=None,
     sleeper=time.sleep,
 ) -> ProjectSnapshot:
     """Capture ``repo_id`` as a validated snapshot, optionally saved to ``out``.
@@ -164,7 +192,7 @@ def fetch_remote(
     """
     token = credentials or os.environ.get(TOKEN_ENV_VAR)
     with _lock_for(repo_id):
-        client = _Client(api_base, token, session=session, sleeper=sleeper)
+        client = _Client(api_base, token, sleeper=sleeper)
         commits = _fetch_commits(client, repo_id)
         snapshot = assemble_snapshot(
             repo_id,

@@ -1,4 +1,2 @@
-from .tokenizer import Token, TokenStream, tokenize
-from .structure import SourceElement, parse_elements
-
-__all__ = ["Token", "TokenStream", "tokenize", "SourceElement", "parse_elements"]
+"""The Java front end: a lexer (``tokenizer``) and a declaration parser
+(``structure``)."""

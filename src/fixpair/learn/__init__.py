@@ -1,27 +1,2 @@
-from .evaluate import (
-    ConfusionMatrix,
-    EvalResult,
-    LabeledInstance,
-    cross_validate,
-    instances_from_entries,
-    label_entries,
-    prf,
-    project_to_class,
-    undersample,
-)
-from .models import ALGORITHMS, register_algorithm, train
-
-__all__ = [
-    "ConfusionMatrix",
-    "EvalResult",
-    "LabeledInstance",
-    "ALGORITHMS",
-    "cross_validate",
-    "instances_from_entries",
-    "label_entries",
-    "prf",
-    "project_to_class",
-    "register_algorithm",
-    "train",
-    "undersample",
-]
+"""The validation harness: learners (``models``), their split kernel
+(``kernels``) and cross-validation with under-sampling (``evaluate``)."""

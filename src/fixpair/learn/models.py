@@ -2,8 +2,7 @@
 random_tree, random_forest.
 
 All of them train deterministically under a fixed seed and predict binary
-labels (1 = buggy).  ``register_algorithm`` lets callers plug additional
-trainers into the same harness; external prediction files are scored by
+labels (1 = buggy).  External prediction files are scored by
 ``evaluate.evaluate_external`` instead.
 """
 
@@ -15,15 +14,6 @@ import numpy as np
 
 from . import kernels
 from .kernels import entropy
-
-ALGORITHMS = (
-    "one_r",
-    "naive_bayes",
-    "logistic",
-    "decision_tree",
-    "random_tree",
-    "random_forest",
-)
 
 # C4.5-style pessimistic pruning confidence (CF = 0.25, one-tailed z).
 _PRUNE_Z = 0.6744897501960817
@@ -329,7 +319,7 @@ def train_random_forest(X, y, hyper, seed):
 
 
 # ---------------------------------------------------------------------------
-# registry
+# algorithm table
 # ---------------------------------------------------------------------------
 
 TRAINERS = {
@@ -341,14 +331,11 @@ TRAINERS = {
     "random_forest": train_random_forest,
 }
 
-
-def register_algorithm(name, trainer):
-    """Add a trainer callable ``(X, y, hyper, seed) -> model`` to the harness."""
-    TRAINERS[name] = trainer
+ALGORITHMS = tuple(TRAINERS)
 
 
 def train(algorithm, X, y, hyperparameters=None, rng_seed=0):
-    """Train one of the registered algorithms on a feature matrix."""
+    """Train one of the ``ALGORITHMS`` on a feature matrix."""
     if algorithm not in TRAINERS:
         raise ValueError(
             f"unknown algorithm {algorithm!r}; choose from {sorted(TRAINERS)}"

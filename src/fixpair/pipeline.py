@@ -31,8 +31,7 @@ from .gitio import GitRepo, git
 from .ingest import load_issue_specs, load_snapshot, read_input, save_snapshot
 from .ingest import snapshot_from_local_repo
 from .java.structure import SourceElement
-from .learn import cross_validate, instances_from_entries
-from .learn.evaluate import prf, project_folds
+from .learn.evaluate import cross_validate, instances_from_entries, prf, project_folds
 from .learn.models import ALGORITHMS
 from .linker import (
     BugFixTimeline,

@@ -25,7 +25,6 @@ from fixpair.learn.models import (
     TRAINERS,
     ConstantModel,
     OneRModel,
-    register_algorithm,
     train,
 )
 
@@ -506,7 +505,7 @@ def test_fold_reduction_warns():
         cross_validate("one_r", instances, k=10, repeats=1, seed=0)
 
 
-def test_constant_classifiers_on_balanced_data():
+def test_constant_classifiers_on_balanced_data(monkeypatch):
     """Summed over the two constant predictors on balanced symmetric folds the
     confusion matrix is a quarter in each cell: P = R = F = 0.5 exactly."""
 
@@ -516,29 +515,25 @@ def test_constant_classifiers_on_balanced_data():
 
         return trainer
 
-    register_algorithm("always_buggy", constant_trainer(1))
-    register_algorithm("always_clean", constant_trainer(0))
-    try:
-        rng = random.Random(15)
-        instances = make_instances(20, 20, rng)
-        res_b = cross_validate(
-            "always_buggy", instances, k=4, repeats=1, seed=2, resample=False
-        )
-        res_c = cross_validate(
-            "always_clean", instances, k=4, repeats=1, seed=2, resample=False
-        )
-        # each stratified fold is balanced, so the buggy-constant run is exact
-        assert (res_b.precision, res_b.recall) == (0.5, 1.0)
-        combined = EvalResult.from_matrices(
-            "constant", "instances",
-            res_b.fold_matrices + res_c.fold_matrices, repeats=1,
-        )
-        assert combined.precision == 0.5
-        assert combined.recall == 0.5
-        assert combined.f_measure == 0.5
-    finally:
-        TRAINERS.pop("always_buggy", None)
-        TRAINERS.pop("always_clean", None)
+    monkeypatch.setitem(TRAINERS, "always_buggy", constant_trainer(1))
+    monkeypatch.setitem(TRAINERS, "always_clean", constant_trainer(0))
+    rng = random.Random(15)
+    instances = make_instances(20, 20, rng)
+    res_b = cross_validate(
+        "always_buggy", instances, k=4, repeats=1, seed=2, resample=False
+    )
+    res_c = cross_validate(
+        "always_clean", instances, k=4, repeats=1, seed=2, resample=False
+    )
+    # each stratified fold is balanced, so the buggy-constant run is exact
+    assert (res_b.precision, res_b.recall) == (0.5, 1.0)
+    combined = EvalResult.from_matrices(
+        "constant", "instances",
+        res_b.fold_matrices + res_c.fold_matrices, repeats=1,
+    )
+    assert combined.precision == 0.5
+    assert combined.recall == 0.5
+    assert combined.f_measure == 0.5
 
 
 def test_projected_cross_validation_runs():
