@@ -10,13 +10,7 @@ import dataclasses
 import os
 import sys
 
-from .errors import (
-    ConfigError,
-    FixpairError,
-    SnapshotFormatError,
-    SnapshotInvariantError,
-    StageError,
-)
+from .errors import ConfigError, FixpairError, SnapshotFormatError, StageError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -281,7 +275,7 @@ def main(argv=None):
     except StageError as exc:
         print(f"stage error: {exc}", file=sys.stderr)
         return EXIT_STAGE
-    except (SnapshotFormatError, SnapshotInvariantError, FixpairError) as exc:
+    except FixpairError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

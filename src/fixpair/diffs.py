@@ -16,19 +16,6 @@ class Hunk:
     new_len: int
     lines: list = field(default_factory=list)  # (tag, text); tag in {context, add, del}
 
-    def validate(self):
-        n_ctx = sum(1 for t, _ in self.lines if t == "context")
-        n_add = sum(1 for t, _ in self.lines if t == "add")
-        n_del = sum(1 for t, _ in self.lines if t == "del")
-        if n_ctx + n_del != self.old_len:
-            raise DiffParseError(
-                f"hunk old side has {n_ctx + n_del} lines, header says {self.old_len}"
-            )
-        if n_ctx + n_add != self.new_len:
-            raise DiffParseError(
-                f"hunk new side has {n_ctx + n_add} lines, header says {self.new_len}"
-            )
-
 
 @dataclass
 class FileDiff:
@@ -184,7 +171,6 @@ def parse_unified_diff(text: str) -> list:
             if i < n and lines[i].startswith("\\"):
                 _mark_no_newline(current, hunk)
                 i += 1
-            hunk.validate()
             continue
         # anything else is preamble (diff --git, index, mode and
         # "Binary files ... differ" lines, ...)

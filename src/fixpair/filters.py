@@ -131,6 +131,4 @@ def _filter_group(group, strategy, rng_seed):
 
 def filter_entries(entries, strategy, rng_seed=0) -> list:
     """Group, filter, and return the surviving entries."""
-    if strategy == "none":
-        return list(entries)
     return apply_filter(group_entries(entries), strategy, rng_seed)

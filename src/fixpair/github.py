@@ -4,9 +4,9 @@ Network use is confined to this module.  ``fetch_remote`` is single-flight
 per repo id, honors the per-hour request quota by sleeping until the
 advertised reset time (bounded), and never leaves a partial snapshot file on
 disk (the write is atomic).  Any other HTTP error status, a URL that cannot
-be requested, a failed connection (refused, unresolved, timed out) or a body
-that is not JSON raises a ``FixpairError`` naming the URL: a data error,
-exit 3 on the command line.
+be requested, a failed connection (refused, unresolved, timed out), a body
+that is not JSON or JSON of the wrong shape raises a ``FixpairError`` naming
+the URL: a data error, exit 3 on the command line.
 """
 
 import http.client
@@ -14,7 +14,9 @@ import json
 import os
 import threading
 import time
+from dataclasses import replace
 from datetime import datetime, timezone
+from functools import partial
 from urllib.error import HTTPError
 from urllib.parse import urlencode
 from urllib.request import Request, urlopen
@@ -68,7 +70,10 @@ class _Client:
             reason = getattr(exc, "reason", exc)
             raise FixpairError(f"GET {url} failed: {reason}") from None
 
-    def get_json(self, path, params=None):
+    def get_json(self, path, read, params=None):
+        """``read`` of the JSON answer to a GET of ``path``.  An answer that
+        ``read`` cannot take apart (a missing key, a list where an object
+        belongs, ...) is a ``FixpairError`` naming the URL."""
         url = f"{self.api_base}{path}"
         if params:
             url = f"{url}?{urlencode(params)}"
@@ -93,16 +98,29 @@ class _Client:
             if not 200 <= status < 300:
                 raise FixpairError(f"GET {url} answered HTTP {status}")
             try:
-                return json.loads(body)
+                doc = json.loads(body)
             except ValueError:
                 raise FixpairError(
                     f"GET {url} answered a body that is not JSON") from None
+            try:
+                return read(doc)
+            except (KeyError, TypeError, AttributeError) as exc:
+                raise FixpairError(
+                    f"GET {url} answered JSON of the wrong shape: "
+                    f"{type(exc).__name__}: {exc}") from None
 
-    def paginate(self, path, params=None):
+    def paginate(self, path, read, params=None):
+        """``read`` of each item of the list on every page of ``path``."""
+
+        def read_page(doc):
+            if not isinstance(doc, list):
+                raise TypeError(f"{type(doc).__name__} where a list belongs")
+            return [read(item) for item in doc]
+
         page = 1
         while True:
             chunk = self.get_json(
-                path, {**(params or {}), "per_page": _PER_PAGE, "page": page}
+                path, read_page, {**(params or {}), "per_page": _PER_PAGE, "page": page}
             )
             if not chunk:
                 return
@@ -112,66 +130,69 @@ class _Client:
             page += 1
 
 
+def _commit_record(sha, detail):
+    """The commit ``sha`` of a commit's detail answer."""
+    file_diffs = []
+    for f in detail.get("files", []):
+        patch = f.get("patch")
+        status = f.get("status")
+        old_path = f.get("previous_filename") or f["filename"]
+        new_path = f["filename"]
+        if status == "added":
+            old_path = "/dev/null"
+        if status == "removed":
+            new_path, old_path = "/dev/null", f["filename"]
+        if patch:
+            text = (f"--- {header_path(old_path, 'a/')}\n"
+                    f"+++ {header_path(new_path, 'b/')}\n{patch}\n")
+            file_diffs.extend(parse_unified_diff(text))
+    author = detail.get("author") or {}
+    commit_info = detail["commit"]
+    return CommitRecord(
+        hash=sha,
+        parents=tuple(p["sha"] for p in detail.get("parents", [])),
+        author_id=str(author.get("login") or commit_info["author"].get("name", "")),
+        timestamp=parse_utc(commit_info["committer"]["date"]),
+        message=commit_info.get("message", ""),
+        file_diffs=tuple(file_diffs),
+    )
+
+
 def _fetch_commits(client, repo_id):
-    commits = []
-    for item in client.paginate(f"/repos/{repo_id}/commits"):
-        sha = item["sha"]
-        detail = client.get_json(f"/repos/{repo_id}/commits/{sha}")
-        file_diffs = []
-        for f in detail.get("files", []):
-            patch = f.get("patch")
-            status = f.get("status")
-            old_path = f.get("previous_filename") or f["filename"]
-            new_path = f["filename"]
-            if status == "added":
-                old_path = "/dev/null"
-            if status == "removed":
-                new_path, old_path = "/dev/null", f["filename"]
-            if patch:
-                text = (f"--- {header_path(old_path, 'a/')}\n"
-                        f"+++ {header_path(new_path, 'b/')}\n{patch}\n")
-                parsed = parse_unified_diff(text)
-                if parsed:
-                    file_diffs.extend(parsed)
-        author = detail.get("author") or {}
-        commit_info = detail["commit"]
-        commits.append(
-            CommitRecord(
-                hash=sha,
-                parents=tuple(p["sha"] for p in detail.get("parents", [])),
-                author_id=str(
-                    author.get("login") or commit_info["author"].get("name", "")
-                ),
-                timestamp=parse_utc(commit_info["committer"]["date"]),
-                message=commit_info.get("message", ""),
-                file_diffs=tuple(file_diffs),
-            )
-        )
-    return commits
+    path = f"/repos/{repo_id}/commits"
+    return [
+        client.get_json(f"{path}/{sha}", partial(_commit_record, sha))
+        for sha in client.paginate(path, lambda item: item["sha"])
+    ]
+
+
+def _issue_record(item):
+    """The issue of an issues-list item, without its fixing commits; None for
+    a pull request, which the issues endpoint interleaves."""
+    if "pull_request" in item:
+        return None
+    closed = item["state"] != "open"
+    return IssueRecord(
+        id=item["number"],
+        state="closed" if closed else "open",
+        created_at=parse_utc(item["created_at"]),
+        closed_at=parse_utc(item["closed_at"]) if closed else None,
+        labels=frozenset(l["name"] for l in item.get("labels", [])),
+    )
 
 
 def _fetch_issues(client, repo_id):
     """Issues with the bare hashes of the commits that closed them."""
     issues = []
-    for item in client.paginate(f"/repos/{repo_id}/issues", {"state": "all"}):
-        if "pull_request" in item:
-            continue  # the issues endpoint interleaves PRs
-        number, closed = item["number"], item["state"] != "open"
-        events = f"/repos/{repo_id}/issues/{number}/events"
-        issues.append(
-            IssueRecord(
-                id=number,
-                state="closed" if closed else "open",
-                created_at=parse_utc(item["created_at"]),
-                closed_at=parse_utc(item["closed_at"]) if closed else None,
-                labels=frozenset(l["name"] for l in item.get("labels", [])),
-                fixing_commits=tuple(
-                    e["commit_id"]
-                    for e in (client.paginate(events) if closed else ())
-                    if e.get("event") == "closed" and e.get("commit_id")
-                ),
+    listed = client.paginate(f"/repos/{repo_id}/issues", _issue_record, {"state": "all"})
+    for issue in filter(None, listed):
+        if issue.state == "closed":
+            events = f"/repos/{repo_id}/issues/{issue.id}/events"
+            closing = client.paginate(
+                events, lambda e: e.get("event") == "closed" and e.get("commit_id")
             )
-        )
+            issue = replace(issue, fixing_commits=tuple(filter(None, closing)))
+        issues.append(issue)
     return issues
 
 

@@ -21,8 +21,9 @@ first parent.
 A snapshot of a local clone (:func:`snapshot_from_local_repo`) runs two git
 processes whatever the length of the history: one ``git log`` for the
 commits and one ``git diff-tree --stdin`` that diffs every commit against its
-first parent.  ``diff-tree`` is plumbing, so the patches do not depend on
-the user's porcelain ``diff.*`` settings.
+first parent, reading the commit list from a temporary file.  ``diff-tree``
+is plumbing, so the patches do not depend on the user's porcelain ``diff.*``
+settings.
 """
 
 import csv
@@ -31,7 +32,6 @@ import os
 import re
 import subprocess
 import tempfile
-import threading
 from contextlib import closing
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
@@ -39,20 +39,18 @@ from functools import cached_property
 
 from .atomic import atomic_open
 from .diffs import parse_unified_diff, render_unified
-from .errors import SnapshotFormatError, SnapshotInvariantError
+from .errors import DiffParseError, SnapshotFormatError, SnapshotInvariantError
 from .gitio import git
 
 SNAPSHOT_VERSION = 1
 _HASH_RE = re.compile(r"^(?:[0-9a-f]{40}|[0-9a-f]{64})$")
 
 
-def parse_utc(value, *, path=None, field_name=None):
+def parse_utc(value):
     try:
         dt = datetime.fromisoformat(value.replace("Z", "+00:00"))
     except (ValueError, AttributeError) as exc:
-        raise SnapshotFormatError(
-            f"bad timestamp {value!r}: {exc}", path=path, field=field_name
-        ) from None
+        raise SnapshotFormatError(f"bad timestamp {value!r}: {exc}") from None
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     return dt.astimezone(timezone.utc)
@@ -284,25 +282,39 @@ def _object(doc, path, where, field=None):
     return doc
 
 
-def _issue_from_json(doc, path, where):
+def _timestamp(doc, key, path, where):
+    """The UTC datetime of the string ``doc[key]``; a bad one names both."""
+    value = _require(doc, key, str, path, where)
+    try:
+        return parse_utc(value)
+    except SnapshotFormatError as exc:
+        raise SnapshotFormatError(f"{where}: {exc}", path=path, field=key) from None
+
+
+def _issue_from_json(doc, path, where, spec=False):
+    """The IssueRecord of the issue object ``doc``.  An issues file (``spec``)
+    may leave out the labels and the fixing commits, given as bare hashes; a
+    snapshot dates these and names the issue by its id."""
     _object(doc, path, where, "issues")
-    where = f"issue #{doc.get('id', '?')}"
-    fixing = []
-    for n, fc in enumerate(_require(doc, "fixing_commits", list, path, where)):
-        _object(fc, path, f"{where}.fixing_commits[{n}]", "fixing_commits")
-        fixing.append(
-            (
-                _require(fc, "hash", str, path, where),
-                parse_utc(_require(fc, "date", str, path, where), path=path),
-            )
-        )
-    closed_at = doc.get("closed_at")
+    closed = doc.get("closed_at") is not None
+    if spec:
+        fixing = _strings(doc, "fixing_commits", path, where, optional=True)
+    else:
+        where = f"issue #{doc.get('id', '?')}"
+        fixing = []
+        for n, fc in enumerate(_require(doc, "fixing_commits", list, path, where)):
+            entry = f"{where}.fixing_commits[{n}]"
+            _object(fc, path, entry, "fixing_commits")
+            fixing.append((
+                _require(fc, "hash", str, path, entry),
+                _timestamp(fc, "date", path, entry),
+            ))
     return IssueRecord(
         id=_require(doc, "id", int, path, where),
         state=_require(doc, "state", str, path, where),
-        created_at=parse_utc(_require(doc, "created_at", str, path, where), path=path),
-        closed_at=parse_utc(closed_at, path=path) if closed_at is not None else None,
-        labels=frozenset(_strings(doc, "labels", path, where)),
+        created_at=_timestamp(doc, "created_at", path, where),
+        closed_at=_timestamp(doc, "closed_at", path, where) if closed else None,
+        labels=frozenset(_strings(doc, "labels", path, where, optional=spec)),
         fixing_commits=tuple(fixing),
     )
 
@@ -313,9 +325,15 @@ def _commit_from_json(doc, path, where):
     where = f"commit {hash_[:12]}"
     file_diffs = []
     for n, fd in enumerate(_require(doc, "file_diffs", list, path, where)):
-        _object(fd, path, f"{where}.file_diffs[{n}]", "file_diffs")
+        entry = f"{where}.file_diffs[{n}]"
+        _object(fd, path, entry, "file_diffs")
         patch = _require(fd, "patch", str, path, where)
-        parsed = parse_unified_diff(patch)
+        try:
+            parsed = parse_unified_diff(patch)
+        except DiffParseError as exc:
+            raise SnapshotFormatError(
+                f"{entry}: {exc}", path=path, field="file_diffs"
+            ) from None
         if len(parsed) != 1:
             raise SnapshotFormatError(
                 f"{where}: each file_diffs entry must hold exactly one file's "
@@ -328,7 +346,7 @@ def _commit_from_json(doc, path, where):
         hash=hash_,
         parents=tuple(_strings(doc, "parents", path, where)),
         author_id=_require(doc, "author_id", str, path, where),
-        timestamp=parse_utc(_require(doc, "timestamp", str, path, where), path=path),
+        timestamp=_timestamp(doc, "timestamp", path, where),
         message=_require(doc, "message", str, path, where),
         file_diffs=tuple(file_diffs),
     )
@@ -345,7 +363,7 @@ def load_snapshot(path) -> ProjectSnapshot:
         )
     snapshot = ProjectSnapshot(
         repo_id=_require(doc, "repo", str, path, "snapshot"),
-        captured_at=parse_utc(_require(doc, "captured_at", str, path, "snapshot"), path=path),
+        captured_at=_timestamp(doc, "captured_at", path, "snapshot"),
         issues=tuple(
             _issue_from_json(i, path, f"issues[{n}]")
             for n, i in enumerate(_require(doc, "issues", list, path, "snapshot"))
@@ -372,31 +390,23 @@ def _first_parent_patches(repo, commits):
     One ``git diff-tree --stdin`` process diffs every commit against its first
     parent (a root against the empty tree).  ``--always`` prints a header for
     every commit, even one with an empty diff, so the headers must come back
-    in input order.  Stdin is written from a thread and stdout is read as a
-    stream, so neither pipe can block the other and the whole output is never
-    held at once.
+    in input order.  Git reads the commit list from a temporary file and its
+    stdout is read as a stream, so no pipe can block and the whole output is
+    never held at once.
     """
     args = ["diff-tree", "--stdin", "--root", "--always", "-p", "--no-color",
             "--no-renames"]
-    with tempfile.TemporaryFile() as err:
+    with tempfile.TemporaryFile() as listed, tempfile.TemporaryFile() as err:
+        for sha, parents in commits:
+            line = f"{sha} {parents[0]}\n" if parents else f"{sha}\n"
+            listed.write(line.encode("ascii"))
+        listed.seek(0)
         proc = subprocess.Popen(
             ["git", "-C", str(repo), *args],
-            stdin=subprocess.PIPE,
+            stdin=listed,
             stdout=subprocess.PIPE,
             stderr=err,
         )
-
-        def feed():
-            try:
-                with proc.stdin:
-                    for sha, parents in commits:
-                        line = f"{sha} {parents[0]}\n" if parents else f"{sha}\n"
-                        proc.stdin.write(line.encode("ascii"))
-            except BrokenPipeError:
-                pass  # git exited early; its status and stderr say why
-
-        writer = threading.Thread(target=feed, daemon=True)
-        writer.start()
         try:
             due = (sha for sha, _ in commits)
             sha, lines = None, []
@@ -435,7 +445,6 @@ def _first_parent_patches(repo, commits):
             if proc.poll() is None:
                 proc.kill()
             proc.wait()
-            writer.join()
 
 
 def snapshot_from_local_repo(
@@ -443,7 +452,6 @@ def snapshot_from_local_repo(
     issues,
     bug_labels=frozenset({"bug"}),
     repo_id=None,
-    captured_at=None,
 ) -> ProjectSnapshot:
     """Build a snapshot from a local clone plus an externally supplied issue
     list, through :func:`assemble_snapshot`."""
@@ -469,11 +477,10 @@ def snapshot_from_local_repo(
             )
             for (sha, parents, author, date, message), patch_text in zip(logged, patches)
         ]
-    if captured_at is None:
-        captured_at = max(
-            (c.timestamp for c in commits),
-            default=datetime(1970, 1, 1, tzinfo=timezone.utc),
-        )
+    captured_at = max(
+        (c.timestamp for c in commits),
+        default=datetime(1970, 1, 1, tzinfo=timezone.utc),
+    )
     return assemble_snapshot(
         repo_id or os.path.basename(os.path.abspath(repo_path)),
         captured_at,
@@ -500,23 +507,7 @@ def load_issue_specs(path) -> list:
     docs = read_input(path)
     if not isinstance(docs, list):
         raise SnapshotFormatError("issues file must hold a list of issues", path=path)
-    issues = []
-    for n, doc in enumerate(docs):
-        where = f"issues[{n}]"
-        _object(doc, path, where)
-        closed_at = doc.get("closed_at")
-        issues.append(
-            IssueRecord(
-                id=_require(doc, "id", int, path, where),
-                state=_require(doc, "state", str, path, where),
-                created_at=parse_utc(
-                    _require(doc, "created_at", str, path, where), path=path
-                ),
-                closed_at=parse_utc(closed_at, path=path) if closed_at else None,
-                labels=frozenset(_strings(doc, "labels", path, where, optional=True)),
-                fixing_commits=tuple(
-                    _strings(doc, "fixing_commits", path, where, optional=True)
-                ),
-            )
-        )
-    return issues
+    return [
+        _issue_from_json(doc, path, f"issues[{n}]", spec=True)
+        for n, doc in enumerate(docs)
+    ]

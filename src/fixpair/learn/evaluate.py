@@ -205,15 +205,7 @@ def _xy(instances):
     return X, y
 
 
-def cross_validate(
-    algorithm,
-    instances,
-    k=10,
-    repeats=1,
-    seed=0,
-    hyperparameters=None,
-    resample=True,
-) -> EvalResult:
+def cross_validate(algorithm, instances, k=10, repeats=1, seed=0) -> EvalResult:
     """Stratified k-fold CV with per-training-fold random under-sampling.
 
     Folds are fixed by ``seed``; each repeat redraws the under-sample and
@@ -229,15 +221,11 @@ def cross_validate(
     for r in range(repeats):
         for fi, test_idx in enumerate(folds):
             train_idx = [i for f in folds for i in f if f is not test_idx]
-            train_set = [instances[i] for i in train_idx]
-            if resample:
-                train_set = undersample(
-                    train_set, rng_seed=seed * 7_919 + r * 101 + fi
-                )
-            X, y = _xy(train_set)
-            model = train(
-                algorithm, X, y, hyperparameters, rng_seed=seed * 31 + r * 7 + fi
+            train_set = undersample(
+                [instances[i] for i in train_idx], rng_seed=seed * 7_919 + r * 101 + fi
             )
+            X, y = _xy(train_set)
+            model = train(algorithm, X, y, rng_seed=seed * 31 + r * 7 + fi)
             test_set = [instances[i] for i in test_idx]
             Xt, yt = _xy(test_set)
             pred = model.predict(Xt)
@@ -293,14 +281,11 @@ def project_folds(result) -> EvalResult:
 
 
 def cross_validate_projected(
-    algorithm, instances, k=10, repeats=1, seed=0, hyperparameters=None
+    algorithm, instances, k=10, repeats=1, seed=0
 ) -> EvalResult:
     """Method-level CV whose per-fold matrices are projected to class level."""
     return project_folds(
-        cross_validate(
-            algorithm, instances, k=k, repeats=repeats, seed=seed,
-            hyperparameters=hyperparameters,
-        )
+        cross_validate(algorithm, instances, k=k, repeats=repeats, seed=seed)
     )
 
 
@@ -336,7 +321,7 @@ def load_predictions_csv(path) -> list:
     return rows
 
 
-def evaluate_external(rows, algorithm="external", projected=False) -> EvalResult:
+def evaluate_external(rows, projected=False) -> EvalResult:
     """Score an externally produced prediction list with the same reporting."""
     if projected:
         matrix = project_to_class(rows)
@@ -345,5 +330,5 @@ def evaluate_external(rows, algorithm="external", projected=False) -> EvalResult
         for _, _, predicted, actual in rows:
             matrix.record(predicted, actual)
     return EvalResult.from_matrices(
-        algorithm, "projected" if projected else "instances", [matrix], 1, rows
+        "external", "projected" if projected else "instances", [matrix], 1, rows
     )

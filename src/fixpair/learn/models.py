@@ -343,7 +343,3 @@ def train(algorithm, X, y, hyperparameters=None, rng_seed=0):
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     return TRAINERS[algorithm](X, y, dict(hyperparameters or {}), rng_seed)
-
-
-def predict(model, X):
-    return model.predict(np.asarray(X, dtype=np.float64))

@@ -112,8 +112,7 @@ class HistoryIndex:
         self.timestamps = timestamps
         # latest[p]: the latest timestamp at positions 0..p, nondecreasing
         self.latest = list(accumulate(timestamps, max))
-        self.position = {h: i for i, h in enumerate(chain)}
-        self.resolved = dict(self.position)
+        self.resolved = {h: i for i, h in enumerate(chain)}
         self._referencing = {}  # keywords_only -> {issue id: [commit hash]}
         # ascending walk assigns each off-chain commit the earliest chain
         # position from which it is reachable: its merge commit's position
@@ -277,7 +276,7 @@ class AnalysisPlan:
         return [e.commit_hash for e in self.entries]
 
 
-def select_analysis_commits(timelines, history=None) -> AnalysisPlan:
+def select_analysis_commits(timelines, history) -> AnalysisPlan:
     """Deduplicated, history-ordered commits that require analysis.
 
     Orange and last-green commits need full analysis (metrics); intermediate
@@ -293,10 +292,7 @@ def select_analysis_commits(timelines, history=None) -> AnalysisPlan:
             wants.setdefault(h, False)
         for h, is_full in wants.items():
             full[h] = full.get(h, False) or is_full
-    if history is not None:
-        ordered = sorted(full, key=history.order_key)
-    else:
-        ordered = sorted(full)
+    ordered = sorted(full, key=history.order_key)
     return AnalysisPlan(
         entries=tuple(PlanEntry(h, full[h]) for h in ordered)
     )

@@ -144,6 +144,9 @@ def fake_api():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}", _Handler.behavior
     server.shutdown()
+    server.server_close()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 def test_fetch_builds_validated_snapshot(fake_api, tmp_path):

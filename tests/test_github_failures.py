@@ -100,6 +100,20 @@ def test_body_that_is_not_json_is_a_data_error(answering, tmp_path, capsys):
     assert "JSON" in err
 
 
+@pytest.mark.parametrize("body, detail", [
+    (b'[{"nosha": 1}]', "KeyError: 'sha'"),
+    (b'{"sha": "' + b"a" * 40 + b'"}', "dict where a list belongs"),
+])
+def test_answer_of_the_wrong_shape_is_a_data_error(
+    answering, tmp_path, capsys, body, detail
+):
+    base = answering(200, body)
+    out = tmp_path / "snap.json"
+    rc, err = _fetch(base, out, capsys)
+    _assert_data_error(rc, err, f"{base}/repos/demo/proj/commits", out)
+    assert detail in err
+
+
 def test_api_base_without_a_scheme_is_a_data_error(tmp_path, capsys):
     out = tmp_path / "snap.json"
     rc, err = _fetch("api.example", out, capsys)

@@ -1,6 +1,7 @@
 import json
 import os
 import subprocess
+import threading
 from datetime import datetime, timezone
 
 import pytest
@@ -159,6 +160,14 @@ def test_parse_failure_has_diagnostics(tmp_path):
           "labels": [["bug"]]}],
         "issues[0]", "labels",
     ),
+    # a timestamp that does not parse names its entry and field
+    ([{"id": 1, "state": "open", "created_at": "yesterday"}], "issues[0]", "created_at"),
+    (
+        [{"id": 1, "state": "open", "created_at": "2024-01-01T00:00:00Z"},
+         {"id": 2, "state": "closed", "created_at": "2024-01-01T00:00:00Z",
+          "closed_at": "tomorrow"}],
+        "issues[1]", "closed_at",
+    ),
 ])
 def test_malformed_issue_specs_name_the_entry_and_field(tmp_path, docs, where, field):
     path = tmp_path / "issues.json"
@@ -187,6 +196,19 @@ def test_issue_specs_must_be_a_list_of_objects(tmp_path, doc):
     (("commits", 0, "parents"), [None], "commit bbbbbbbbbbbb", "parents"),
     (("commits", 0, "file_diffs"), ["--- a/x"], "file_diffs[0]", "file_diffs"),
     ((), 3, "snapshot", None),
+    (("issues", 0, "created_at"), "yesterday", "issue #1", "created_at"),
+    (("issues", 0, "closed_at"), "yesterday", "issue #1", "closed_at"),
+    (("issues", 0, "fixing_commits", 0, "date"), "soon", "fixing_commits[0]", "date"),
+    (("commits", 0, "timestamp"), "noon", "commit bbbbbbbbbbbb", "timestamp"),
+    (("captured_at",), "now", "snapshot", "captured_at"),
+    # a hunk longer than its header: the parser's location stays in the message
+    (
+        ("commits", 0, "file_diffs"),
+        [{"patch": "--- a/x\n+++ b/x\n@@ -1,1 +1,1 @@\n-a\n-b\n"}],
+        "commit bbbbbbbbbbbb.file_diffs[0]: hunk body does not reconcile with "
+        "its header (line 5, byte 35)",
+        "file_diffs",
+    ),
 ])
 def test_malformed_snapshot_entries_name_the_entry_and_field(
     tmp_path, keys, value, where, field
@@ -421,6 +443,14 @@ def test_capture_starts_two_git_processes(
     git = [p for p in started_processes if p.args[0] == "git"]
     assert len(git) <= 2
     assert all(p.poll() is not None for p in git)
+
+
+def test_capture_starts_no_thread(odd_repo, monkeypatch):
+    def refuse(thread):
+        raise AssertionError("the capture started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert len(_captured(odd_repo[0]).commits) == 6
 
 
 def test_capture_rejects_a_missing_or_misordered_commit(odd_repo):

@@ -257,9 +257,6 @@ def test_random_forest_needs_a_tree():
     for n_trees in (0, -1):
         with pytest.raises(ValueError, match="n_trees"):
             train("random_forest", X, y, {"n_trees": n_trees})
-    instances = make_instances(10, 10, random.Random(10))
-    with pytest.raises(ValueError, match="n_trees"):
-        cross_validate("random_forest", instances, k=2, hyperparameters={"n_trees": 0})
 
 
 # --- oracles for the array learners ----------------------------------------------
@@ -519,12 +516,8 @@ def test_constant_classifiers_on_balanced_data(monkeypatch):
     monkeypatch.setitem(TRAINERS, "always_clean", constant_trainer(0))
     rng = random.Random(15)
     instances = make_instances(20, 20, rng)
-    res_b = cross_validate(
-        "always_buggy", instances, k=4, repeats=1, seed=2, resample=False
-    )
-    res_c = cross_validate(
-        "always_clean", instances, k=4, repeats=1, seed=2, resample=False
-    )
+    res_b = cross_validate("always_buggy", instances, k=4, repeats=1, seed=2)
+    res_c = cross_validate("always_clean", instances, k=4, repeats=1, seed=2)
     # each stratified fold is balanced, so the buggy-constant run is exact
     assert (res_b.precision, res_b.recall) == (0.5, 1.0)
     combined = EvalResult.from_matrices(

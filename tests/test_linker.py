@@ -251,7 +251,7 @@ def test_merge_commit_resolution():
     a = commit("a", day=1)
     snap = snapshot([commits[0], m, x, b, a])
     hist = HistoryIndex(snap)
-    assert hist.position[sha("e")] == 2
+    assert hist.resolve(sha("e")) == 2
     assert hist.resolve(sha("c")) == 2  # merged commit takes the merge position
 
     issue = IssueRecord(
@@ -344,7 +344,7 @@ def test_plan_dedup_and_promotion():
 
 
 def test_plan_empty():
-    assert select_analysis_commits([]).entries == ()
+    assert select_analysis_commits([], HistoryIndex(snapshot([]))).entries == ()
 
 
 def test_plan_superset_and_order(fixture_snapshot):
