@@ -5,8 +5,9 @@ per repo id, honors the per-hour request quota by sleeping until the
 advertised reset time (bounded), and never leaves a partial snapshot file on
 disk (the write is atomic).  Any other HTTP error status, a URL that cannot
 be requested, a failed connection (refused, unresolved, timed out), a body
-that is not JSON or JSON of the wrong shape raises a ``FixpairError`` naming
-the URL: a data error, exit 3 on the command line.
+that is not JSON, JSON of the wrong shape or a value of the wrong type (an
+issue number, a label name, a commit hash or message) raises a
+``FixpairError`` naming the URL: a data error, exit 3 on the command line.
 """
 
 import http.client
@@ -130,6 +131,15 @@ class _Client:
             page += 1
 
 
+def _typed(value, kind):
+    """``value`` if it is a JSON value of type ``kind``, else a ``TypeError``
+    (so a ``true`` is not taken for an ``int``)."""
+    if type(value) is not kind:
+        raise TypeError(
+            f"{type(value).__name__} {value!r} where {kind.__name__} belongs")
+    return value
+
+
 def _commit_record(sha, detail):
     """The commit ``sha`` of a commit's detail answer."""
     file_diffs = []
@@ -150,10 +160,10 @@ def _commit_record(sha, detail):
     commit_info = detail["commit"]
     return CommitRecord(
         hash=sha,
-        parents=tuple(p["sha"] for p in detail.get("parents", [])),
+        parents=tuple(_typed(p["sha"], str) for p in detail.get("parents", [])),
         author_id=str(author.get("login") or commit_info["author"].get("name", "")),
         timestamp=parse_utc(commit_info["committer"]["date"]),
-        message=commit_info.get("message", ""),
+        message=_typed(commit_info.get("message", ""), str),
         file_diffs=tuple(file_diffs),
     )
 
@@ -162,7 +172,7 @@ def _fetch_commits(client, repo_id):
     path = f"/repos/{repo_id}/commits"
     return [
         client.get_json(f"{path}/{sha}", partial(_commit_record, sha))
-        for sha in client.paginate(path, lambda item: item["sha"])
+        for sha in client.paginate(path, lambda item: _typed(item["sha"], str))
     ]
 
 
@@ -173,11 +183,11 @@ def _issue_record(item):
         return None
     closed = item["state"] != "open"
     return IssueRecord(
-        id=item["number"],
+        id=_typed(item["number"], int),
         state="closed" if closed else "open",
         created_at=parse_utc(item["created_at"]),
         closed_at=parse_utc(item["closed_at"]) if closed else None,
-        labels=frozenset(l["name"] for l in item.get("labels", [])),
+        labels=frozenset(_typed(l["name"], str) for l in item.get("labels", [])),
     )
 
 

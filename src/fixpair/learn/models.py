@@ -18,6 +18,15 @@ from .kernels import entropy
 # C4.5-style pessimistic pruning confidence (CF = 0.25, one-tailed z).
 _PRUNE_Z = 0.6744897501960817
 
+# The learners' fixed settings.
+VAR_FLOOR = 1e-9  # naive Bayes: least per-class variance
+LEARNING_RATE = 0.1  # logistic regression: gradient step
+ITERATIONS = 500  # logistic regression: gradient steps
+L2 = 1e-3  # logistic regression: weight penalty
+TREE_MIN_LEAF = 2  # decision tree: least rows per leaf (then pruned)
+RANDOM_TREE_MIN_LEAF = 1  # random tree and forest: least rows per leaf
+N_TREES = 50  # random forest: bagged random trees
+
 
 def _rng(seed):
     return np.random.Generator(np.random.PCG64(int(seed) & 0xFFFFFFFFFFFFFFFF))
@@ -29,17 +38,6 @@ class ConstantModel:
 
     def predict(self, X):
         return np.full(X.shape[0], self.label, dtype=np.int64)
-
-
-def _degenerate(y):
-    classes = np.unique(y)
-    if len(classes) < 2:
-        warnings.warn(
-            "training set contains a single class; using a constant classifier",
-            stacklevel=3,
-        )
-        return ConstantModel(label=int(classes[0]) if len(classes) else 0)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -61,10 +59,7 @@ class OneRModel:
 _TIED = np.iinfo(np.int64).max  # the error of a cut between equal values
 
 
-def train_one_r(X, y, hyper, seed):
-    model = _degenerate(y)
-    if model is not None:
-        return model
+def train_one_r(X, y, seed):
     n, d = X.shape
     total_pos = int(y.sum())
     order = np.argsort(X, axis=0, kind="mergesort")
@@ -111,18 +106,14 @@ class NaiveBayesModel:
         return (scores[1] > scores[0]).astype(np.int64)
 
 
-def train_naive_bayes(X, y, hyper, seed):
-    model = _degenerate(y)
-    if model is not None:
-        return model
-    var_floor = hyper.get("var_floor", 1e-9)
+def train_naive_bayes(X, y, seed):
     means = np.zeros((2, X.shape[1]))
     variances = np.ones((2, X.shape[1]))
     log_priors = np.zeros(2)
     for c in (0, 1):
         rows = X[y == c]
         means[c] = rows.mean(axis=0)
-        variances[c] = np.maximum(rows.var(axis=0), var_floor)
+        variances[c] = np.maximum(rows.var(axis=0), VAR_FLOOR)
         log_priors[c] = math.log(rows.shape[0] / X.shape[0])
     return NaiveBayesModel(means=means, variances=variances, log_priors=log_priors)
 
@@ -144,13 +135,7 @@ class LogisticModel:
         return (logits > 0).astype(np.int64)
 
 
-def train_logistic(X, y, hyper, seed):
-    model = _degenerate(y)
-    if model is not None:
-        return model
-    lr = hyper.get("learning_rate", 0.1)
-    iters = hyper.get("iterations", 500)
-    l2 = hyper.get("l2", 1e-3)
+def train_logistic(X, y, seed):
     center = X.mean(axis=0)
     scale = X.std(axis=0)
     scale = np.where(scale > 0, scale, 1.0)
@@ -159,12 +144,12 @@ def train_logistic(X, y, hyper, seed):
     w = np.zeros(d)
     b = 0.0
     yf = y.astype(np.float64)
-    for _ in range(iters):
+    for _ in range(ITERATIONS):
         logits = z @ w + b
         p = 1.0 / (1.0 + np.exp(-logits))
         g = p - yf
-        w -= lr * ((z.T @ g) / n + l2 * w)
-        b -= lr * (g.sum() / n)
+        w -= LEARNING_RATE * ((z.T @ g) / n + L2 * w)
+        b -= LEARNING_RATE * (g.sum() / n)
     return LogisticModel(weights=w, bias=b, center=center, scale=scale)
 
 
@@ -208,14 +193,10 @@ class TreeModel:
         return out
 
 
-def _grow(X, y, idx, min_leaf, max_depth, depth, feature_sampler):
+def _grow(X, y, idx, min_leaf, feature_sampler):
     yn = y[idx]
     node = _Node(n=len(idx), pos=int(yn.sum()))
-    if (
-        node.pos in (0, node.n)
-        or node.n < 2 * min_leaf
-        or (max_depth is not None and depth >= max_depth)
-    ):
+    if node.pos in (0, node.n) or node.n < 2 * min_leaf:
         return node
     feat_idx = feature_sampler()
     Xn = X[idx]
@@ -228,8 +209,8 @@ def _grow(X, y, idx, min_leaf, max_depth, depth, feature_sampler):
     mask = Xn[:, f] < thr
     node.feature = int(f)
     node.threshold = float(thr)
-    node.left = _grow(X, y, idx[mask], min_leaf, max_depth, depth + 1, feature_sampler)
-    node.right = _grow(X, y, idx[~mask], min_leaf, max_depth, depth + 1, feature_sampler)
+    node.left = _grow(X, y, idx[mask], min_leaf, feature_sampler)
+    node.right = _grow(X, y, idx[~mask], min_leaf, feature_sampler)
     return node
 
 
@@ -255,39 +236,26 @@ def _prune(node):
     return subtree
 
 
-def train_decision_tree(X, y, hyper, seed):
-    model = _degenerate(y)
-    if model is not None:
-        return model
-    min_leaf = hyper.get("min_leaf", 2)
-    max_depth = hyper.get("max_depth")
+def train_decision_tree(X, y, seed):
     all_features = np.arange(X.shape[1], dtype=np.int64)
-    root = _grow(
-        X, y, np.arange(X.shape[0]), min_leaf, max_depth, 0, lambda: all_features
-    )
-    if hyper.get("prune", True):
-        _prune(root)
+    root = _grow(X, y, np.arange(X.shape[0]), TREE_MIN_LEAF, lambda: all_features)
+    _prune(root)
     return TreeModel(root=root)
 
 
-def _random_tree(X, y, hyper, rng):
-    min_leaf = hyper.get("min_leaf", 1)
-    max_depth = hyper.get("max_depth")
+def _random_tree(X, y, rng):
     d = X.shape[1]
     k = max(1, int(math.isqrt(d)))
 
     def sampler():
         return np.sort(rng.choice(d, size=k, replace=False))
 
-    root = _grow(X, y, np.arange(X.shape[0]), min_leaf, max_depth, 0, sampler)
+    root = _grow(X, y, np.arange(X.shape[0]), RANDOM_TREE_MIN_LEAF, sampler)
     return TreeModel(root=root)
 
 
-def train_random_tree(X, y, hyper, seed):
-    model = _degenerate(y)
-    if model is not None:
-        return model
-    return _random_tree(X, y, hyper, _rng(seed))
+def train_random_tree(X, y, seed):
+    return _random_tree(X, y, _rng(seed))
 
 
 @dataclass
@@ -299,22 +267,13 @@ class ForestModel:
         return (probs * 2 >= 1.0).astype(np.int64)
 
 
-def train_random_forest(X, y, hyper, seed):
-    n_trees = hyper.get("n_trees", 50)
-    if n_trees < 1:
-        raise ValueError(f"a random forest needs n_trees >= 1, got {n_trees}")
-    model = _degenerate(y)
-    if model is not None:
-        return model
-    if n_trees == 1:
-        # degenerate ensemble: exactly a random tree, no bootstrap
-        return ForestModel(trees=[train_random_tree(X, y, hyper, seed)])
+def train_random_forest(X, y, seed):
     trees = []
     n = X.shape[0]
-    for t in range(n_trees):
+    for t in range(N_TREES):
         rng = _rng(seed * 1_000_003 + t)
         sample = rng.integers(0, n, size=n)
-        trees.append(_random_tree(X[sample], y[sample], hyper, rng))
+        trees.append(_random_tree(X[sample], y[sample], rng))
     return ForestModel(trees=trees)
 
 
@@ -334,12 +293,20 @@ TRAINERS = {
 ALGORITHMS = tuple(TRAINERS)
 
 
-def train(algorithm, X, y, hyperparameters=None, rng_seed=0):
-    """Train one of the ``ALGORITHMS`` on a feature matrix."""
+def train(algorithm, X, y, *, rng_seed=0):
+    """Train one of the ``ALGORITHMS`` on a feature matrix.  A training set
+    of a single class gives a constant model of that class, with a warning."""
     if algorithm not in TRAINERS:
         raise ValueError(
             f"unknown algorithm {algorithm!r}; choose from {sorted(TRAINERS)}"
         )
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    return TRAINERS[algorithm](X, y, dict(hyperparameters or {}), rng_seed)
+    classes = np.unique(y)
+    if len(classes) < 2:
+        warnings.warn(
+            "training set contains a single class; using a constant classifier",
+            stacklevel=2,
+        )
+        return ConstantModel(label=int(classes[0]) if len(classes) else 0)
+    return TRAINERS[algorithm](X, y, rng_seed)

@@ -42,7 +42,6 @@ class IssueRef:
     confident: bool  # word boundary before the '#'
     keyworded: bool  # preceded by a fix/close/resolve keyword
     foreign: bool  # owner/repo#id cross-repository form
-    start: int
 
 
 def extract_issue_refs_detailed(message: str) -> list:
@@ -65,7 +64,6 @@ def extract_issue_refs_detailed(message: str) -> list:
                 confident=confident,
                 keyworded=keyworded,
                 foreign=foreign,
-                start=hash_pos,
             )
         )
     return refs

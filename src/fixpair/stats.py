@@ -381,9 +381,6 @@ class WilcoxonResult:
         return iter((self.z, self.p_value))
 
 
-Z_CRIT = 1.96  # two-tailed alpha = 0.05
-
-
 def wilcoxon_signed_rank(a, b) -> WilcoxonResult:
     """Normal-approximation Wilcoxon signed-rank test on paired samples.
 

@@ -24,8 +24,6 @@ ALLOWED = {
             "kept for perfbench/tracer.py, which wraps it by name"
         for p in ("k", "repeats", "seed")
     },
-    ("learn/models.py", "train", "hyperparameters"):
-        "the learners' settings; the pipeline trains with their defaults",
 }
 
 

@@ -1,6 +1,7 @@
 """A remote fetch that fails is a data error naming the URL: exit 3, no
 traceback and no snapshot file.  The API is a local fake; no network."""
 
+import json
 import socket
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -11,29 +12,33 @@ from fixpair.cli import main
 
 
 class _Answer(BaseHTTPRequestHandler):
-    """Gives every GET the class's ``status``, ``extra_headers`` and ``body``."""
+    """Gives every GET the class's ``status`` and ``extra_headers``, and the
+    body ``routes`` holds for its path, else ``body``."""
 
     def log_message(self, *args):
         pass
 
     def do_GET(self):
+        body = self.routes.get(self.path.split("?")[0], self.body)
         self.send_response(self.status)
         for name, value in self.extra_headers.items():
             self.send_header(name, value)
-        self.send_header("Content-Length", str(len(self.body)))
+        self.send_header("Content-Length", str(len(body)))
         self.end_headers()
-        self.wfile.write(self.body)
+        self.wfile.write(body)
 
 
 @pytest.fixture
 def answering():
-    """``serve(status, body, headers)`` starts a server that gives every GET
-    that one answer, and returns its base URL."""
+    """``serve(status, body, headers, routes)`` starts a server that gives
+    every GET that one answer, with the body ``routes`` holds for the path
+    if there is one, and returns its base URL."""
     servers = []
 
-    def serve(status, body=b"{}", headers=None):
+    def serve(status, body=b"{}", headers=None, routes=None):
         handler = type("Handler", (_Answer,), {
             "status": status, "body": body, "extra_headers": headers or {},
+            "routes": routes or {},
         })
         server = HTTPServer(("127.0.0.1", 0), handler)
         threading.Thread(target=server.serve_forever, daemon=True).start()
@@ -100,17 +105,52 @@ def test_body_that_is_not_json_is_a_data_error(answering, tmp_path, capsys):
     assert "JSON" in err
 
 
-@pytest.mark.parametrize("body, detail", [
-    (b'[{"nosha": 1}]', "KeyError: 'sha'"),
-    (b'{"sha": "' + b"a" * 40 + b'"}', "dict where a list belongs"),
-])
+COMMITS = "/repos/demo/proj/commits"
+ISSUES = "/repos/demo/proj/issues"
+SHA = "a" * 40
+DETAIL = f"{COMMITS}/{SHA}"
+ONE_COMMIT = json.dumps([{"sha": SHA}]).encode()
+
+
+def _issues(number=8, label="bug"):
+    return json.dumps([{
+        "number": number, "state": "open", "labels": [{"name": label}],
+        "created_at": "2024-01-01T12:00:00Z",
+    }]).encode()
+
+
+def _commit(parent=SHA, message="m"):
+    return json.dumps({
+        "sha": SHA, "parents": [{"sha": parent}],
+        "commit": {"author": {"name": "A"}, "message": message,
+                   "committer": {"date": "2024-01-01T10:00:00Z"}},
+    }).encode()
+
+
+@pytest.mark.parametrize("routes, path, detail", [
+    ({COMMITS: b'[{"nosha": 1}]'}, COMMITS, "KeyError: 'sha'"),
+    ({COMMITS: json.dumps({"sha": SHA}).encode()}, COMMITS,
+     "dict where a list belongs"),
+    ({COMMITS: b'[{"sha": 7}]'}, COMMITS, "int 7 where str belongs"),
+    ({COMMITS: b"[]", ISSUES: _issues(number="8")}, ISSUES,
+     "str '8' where int belongs"),
+    ({COMMITS: b"[]", ISSUES: _issues(number=True)}, ISSUES,
+     "bool True where int belongs"),
+    ({COMMITS: b"[]", ISSUES: _issues(label=3)}, ISSUES,
+     "int 3 where str belongs"),
+    ({COMMITS: ONE_COMMIT, DETAIL: _commit(parent=7)}, DETAIL,
+     "int 7 where str belongs"),
+    ({COMMITS: ONE_COMMIT, DETAIL: _commit(message=5)}, DETAIL,
+     "int 5 where str belongs"),
+], ids=["no-sha", "object-for-list", "int-sha", "str-number", "bool-number",
+        "int-label", "int-parent", "int-message"])
 def test_answer_of_the_wrong_shape_is_a_data_error(
-    answering, tmp_path, capsys, body, detail
+    answering, tmp_path, capsys, routes, path, detail
 ):
-    base = answering(200, body)
+    base = answering(200, b"[]", routes=routes)
     out = tmp_path / "snap.json"
     rc, err = _fetch(base, out, capsys)
-    _assert_data_error(rc, err, f"{base}/repos/demo/proj/commits", out)
+    _assert_data_error(rc, err, f"{base}{path}", out)
     assert detail in err
 
 

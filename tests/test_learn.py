@@ -22,6 +22,7 @@ from fixpair.learn.evaluate import (
 )
 from fixpair.learn.kernels import best_split, entropy
 from fixpair.learn.models import (
+    ALGORITHMS,
     TRAINERS,
     ConstantModel,
     OneRModel,
@@ -196,16 +197,6 @@ def test_logistic_separable_f_at_least_099():
     assert prf(m).f_measure >= 0.99
 
 
-def test_random_forest_one_tree_equals_random_tree():
-    rng = np.random.default_rng(3)
-    X = rng.normal(size=(80, 5))
-    y = (X[:, 1] + X[:, 3] > 0).astype(np.int64)
-    Xt = rng.normal(size=(40, 5))
-    forest = train("random_forest", X, y, {"n_trees": 1}, rng_seed=99)
-    tree = train("random_tree", X, y, {}, rng_seed=99)
-    assert (forest.predict(Xt) == tree.predict(Xt)).all()
-
-
 def test_naive_bayes_separates_clear_gaussians():
     rng = np.random.default_rng(4)
     X0 = rng.normal(-3, 1, size=(50, 3))
@@ -220,17 +211,28 @@ def test_decision_tree_learns_separable_rule():
     rng = np.random.default_rng(6)
     X = rng.normal(size=(200, 4))
     y = (X[:, 2] > 0.3).astype(np.int64)
-    model = train("decision_tree", X, y, {}, rng_seed=0)
+    model = train("decision_tree", X, y, rng_seed=0)
     assert (model.predict(X) == y).mean() > 0.95
 
 
-def test_degenerate_single_class_warns_and_is_constant():
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_degenerate_single_class_warns_and_is_constant(algo):
     X = np.zeros((10, 2))
     y = np.ones(10, dtype=np.int64)
-    with pytest.warns(UserWarning):
-        model = train("random_forest", X, y)
+    with pytest.warns(UserWarning, match="single class"):
+        model = train(algo, X, y)
     assert isinstance(model, ConstantModel)
     assert (model.predict(np.zeros((5, 2))) == 1).all()
+
+
+def test_settings_are_fixed():
+    """The learners train one configuration; a settings dict is refused, and
+    cannot pass for the seed."""
+    X = np.array([[0.0], [1.0], [2.0], [3.0]])
+    y = np.array([0, 0, 1, 1])
+    for algo in ALGORITHMS:
+        with pytest.raises(TypeError):
+            train(algo, X, y, {"iterations": 200})
 
 
 def test_unknown_algorithm():
@@ -243,20 +245,10 @@ def test_training_is_deterministic_under_seed():
     X = rng.normal(size=(100, 6))
     y = (X[:, 0] > 0).astype(np.int64)
     Xt = rng.normal(size=(30, 6))
-    for algo in ("one_r", "naive_bayes", "logistic", "decision_tree",
-                 "random_tree", "random_forest"):
-        a = train(algo, X, y, {"n_trees": 5}, rng_seed=7).predict(Xt)
-        b = train(algo, X, y, {"n_trees": 5}, rng_seed=7).predict(Xt)
+    for algo in ALGORITHMS:
+        a = train(algo, X, y, rng_seed=7).predict(Xt)
+        b = train(algo, X, y, rng_seed=7).predict(Xt)
         assert (a == b).all(), algo
-
-
-def test_random_forest_needs_a_tree():
-    rng = np.random.default_rng(10)
-    X = rng.normal(size=(20, 3))
-    y = (X[:, 0] > 0).astype(np.int64)
-    for n_trees in (0, -1):
-        with pytest.raises(ValueError, match="n_trees"):
-            train("random_forest", X, y, {"n_trees": n_trees})
 
 
 # --- oracles for the array learners ----------------------------------------------
@@ -349,8 +341,8 @@ def test_logistic_matches_mean_gradient_loop():
         X = rng.normal(size=(n, d)) * rng.uniform(0.1, 10, size=d)
         y = rng.integers(0, 2, size=n).astype(np.int64)
         y[:2] = (0, 1)
-        model = train("logistic", X, y, {"iterations": 200})
-        w, b = _logistic_scalar(X, y, iters=200)
+        model = train("logistic", X, y)
+        w, b = _logistic_scalar(X, y)
         assert model.weights.tobytes() == w.tobytes()
         assert model.bias == b
 
@@ -507,7 +499,7 @@ def test_constant_classifiers_on_balanced_data(monkeypatch):
     confusion matrix is a quarter in each cell: P = R = F = 0.5 exactly."""
 
     def constant_trainer(label):
-        def trainer(X, y, hyper, seed):
+        def trainer(X, y, seed):
             return ConstantModel(label=label)
 
         return trainer
