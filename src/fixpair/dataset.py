@@ -16,7 +16,7 @@ from .atomic import atomic_open
 from .diffs import elements_touched, modified_ranges
 from .errors import AnalysisMissingError
 from .linker import buggy_interval_positions
-from .metrics import COLUMNS_BY_LEVEL
+from .metrics import COLUMNS_BY_LEVEL, MetricsVector
 
 LEVELS = ("file", "class", "method")
 
@@ -230,8 +230,6 @@ def export_csv(entries, level, path, parent_column=False) -> None:
 
 def load_entries_csv(path, level) -> list:
     """Read an exported CSV back into dataset entries (inverse of export)."""
-    from .metrics import MetricsVector  # local import avoids a cycle at import time
-
     columns = COLUMNS_BY_LEVEL[level]
     entries = []
     with open(path, encoding="utf-8", newline="") as fh:

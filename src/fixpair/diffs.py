@@ -6,15 +6,25 @@ from dataclasses import dataclass, field
 from .errors import DiffParseError
 
 _HUNK_RE = re.compile(r"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@")
+_NO_NEWLINE = "\\ No newline at end of file"
 
 
 @dataclass
 class Hunk:
+    """One hunk; :func:`render_unified` writes its header with explicit counts
+    and no section text.
+
+    ``lines`` holds the body lines as written: ``" "``, ``"-"`` or ``"+"``
+    and the text.  An empty body line is an empty context line, ``" "``.  The
+    marker ``\\ No newline at end of file`` follows the last line of a side
+    that has no final newline, once, in that canonical text.
+    """
+
     old_start: int
     old_len: int
     new_start: int
     new_len: int
-    lines: list = field(default_factory=list)  # (tag, text); tag in {context, add, del}
+    lines: list = field(default_factory=list)
 
 
 @dataclass
@@ -22,8 +32,6 @@ class FileDiff:
     old_path: str
     new_path: str
     hunks: list = field(default_factory=list)
-    old_no_newline: bool = False  # old side lacks a trailing newline
-    new_no_newline: bool = False
 
     @property
     def is_add(self):
@@ -144,33 +152,30 @@ def parse_unified_diff(text: str) -> list:
             current.hunks.append(hunk)
             i += 1
             need_old, need_new = old_len, new_len
-            while need_old > 0 or need_new > 0:
-                if i >= n:
-                    err("unexpected end of diff inside hunk", i - 1)
-                body = lines[i]
-                if body.startswith("\\"):
-                    _mark_no_newline(current, hunk)
+            # the body, then a no-newline marker after its last line
+            while i < n and (need_old > 0 or need_new > 0 or lines[i][:1] == "\\"):
+                body = lines[i] or " "
+                kind = body[0]
+                if kind == "\\":  # the marker: once, and only after a line
+                    if hunk.lines and hunk.lines[-1] != _NO_NEWLINE:
+                        hunk.lines.append(_NO_NEWLINE)
                     i += 1
                     continue
-                if body.startswith("+"):
-                    hunk.lines.append(("add", body[1:]))
+                if kind == "+":
                     need_new -= 1
-                elif body.startswith("-"):
-                    hunk.lines.append(("del", body[1:]))
+                elif kind == "-":
                     need_old -= 1
-                elif body.startswith(" ") or body == "":
-                    hunk.lines.append(("context", body[1:]))
+                elif kind == " ":
                     need_old -= 1
                     need_new -= 1
                 else:
                     err(f"unexpected line inside hunk: {body!r}", i)
                 if need_old < 0 or need_new < 0:
                     err("hunk body does not reconcile with its header", i)
+                hunk.lines.append(body)
                 i += 1
-            # trailing no-newline marker after the last hunk line
-            if i < n and lines[i].startswith("\\"):
-                _mark_no_newline(current, hunk)
-                i += 1
+            if need_old > 0 or need_new > 0:
+                err("unexpected end of diff inside hunk", i - 1)
             continue
         # anything else is preamble (diff --git, index, mode and
         # "Binary files ... differ" lines, ...)
@@ -179,36 +184,19 @@ def parse_unified_diff(text: str) -> list:
     return diffs
 
 
-def _mark_no_newline(diff, hunk):
-    if not hunk.lines:
-        return
-    tag = hunk.lines[-1][0]
-    if tag in ("context", "del"):
-        diff.old_no_newline = True
-    if tag in ("context", "add"):
-        diff.new_no_newline = True
-
-
 def modified_ranges(diff: FileDiff, side: str) -> LineRangeSet:
     """Changed line numbers on one side; context lines never count."""
     if side not in ("old", "new"):
         raise ValueError(f"side must be 'old' or 'new', got {side!r}")
+    mark = "-" if side == "old" else "+"
     touched = []
     for hunk in diff.hunks:
-        old_line = hunk.old_start
-        new_line = hunk.new_start
-        for tag, _ in hunk.lines:
-            if tag == "context":
-                old_line += 1
-                new_line += 1
-            elif tag == "del":
-                if side == "old":
-                    touched.append(old_line)
-                old_line += 1
-            elif tag == "add":
-                if side == "new":
-                    touched.append(new_line)
-                new_line += 1
+        line_no = hunk.old_start if side == "old" else hunk.new_start
+        for line in hunk.lines:
+            if line[0] == mark:
+                touched.append(line_no)
+            if line[0] in (" ", mark):
+                line_no += 1
     return LineRangeSet.from_lines(touched)
 
 
@@ -217,9 +205,6 @@ def elements_touched(ranges: LineRangeSet, elements) -> set:
     return {
         e.fqn for e in elements if ranges.intersects(e.start_line, e.end_line)
     }
-
-
-_NO_NEWLINE = "\\ No newline at end of file"
 
 
 def render_unified(diff: FileDiff) -> str:
@@ -232,30 +217,9 @@ def render_unified(diff: FileDiff) -> str:
         f"--- {header_path(diff.old_path, 'a/')}",
         f"+++ {header_path(diff.new_path, 'b/')}",
     ]
-    flat = [
-        (hi, li, tag, text)
-        for hi, h in enumerate(diff.hunks)
-        for li, (tag, text) in enumerate(h.lines)
-    ]
-    last_old = max(
-        (k for k, (_, _, tag, _) in enumerate(flat) if tag in ("context", "del")),
-        default=None,
-    )
-    last_new = max(
-        (k for k, (_, _, tag, _) in enumerate(flat) if tag in ("context", "add")),
-        default=None,
-    )
-    k = 0
     for h in diff.hunks:
         out.append(f"@@ -{h.old_start},{h.old_len} +{h.new_start},{h.new_len} @@")
-        for tag, text in h.lines:
-            prefix = {"context": " ", "add": "+", "del": "-"}[tag]
-            out.append(prefix + text)
-            if diff.old_no_newline and k == last_old:
-                out.append(_NO_NEWLINE)
-            elif diff.new_no_newline and k == last_new:
-                out.append(_NO_NEWLINE)
-            k += 1
+        out.extend(h.lines)
     return "\n".join(out) + "\n"
 
 
@@ -277,6 +241,7 @@ def apply_file_diff(old_text: str, diff: FileDiff) -> str:
     """
     old_lines, old_trailing = _split_keep(old_text)
     new_lines = []
+    new_no_newline = False
     cursor = 0  # 0-based index into old_lines
     for hunk in diff.hunks:
         hunk_old_start = hunk.old_start - 1 if hunk.old_len > 0 else hunk.old_start
@@ -284,25 +249,28 @@ def apply_file_diff(old_text: str, diff: FileDiff) -> str:
             raise DiffParseError("overlapping hunks")
         new_lines.extend(old_lines[cursor:hunk_old_start])
         cursor = hunk_old_start
-        for tag, content in hunk.lines:
-            if tag in ("context", "del"):
+        for k, line in enumerate(hunk.lines):
+            kind, content = line[0], line[1:]
+            if kind == "\\":  # the side of the line before it lacks a final newline
+                new_no_newline |= hunk.lines[k - 1][0] != "-"
+            elif kind == "+":
+                new_lines.append(content)
+            else:
                 if cursor >= len(old_lines) or old_lines[cursor] != content:
                     got = old_lines[cursor] if cursor < len(old_lines) else "<eof>"
                     raise DiffParseError(
                         f"hunk does not apply at old line {cursor + 1}: "
                         f"expected {content!r}, found {got!r}"
                     )
-                if tag == "context":
+                if kind == " ":
                     new_lines.append(content)
                 cursor += 1
-            else:  # add
-                new_lines.append(content)
     new_lines.extend(old_lines[cursor:])
 
     if diff.new_path == "/dev/null" or not new_lines:
         return ""
     body = "\n".join(new_lines)
-    if diff.new_no_newline:
+    if new_no_newline:
         return body
     # A hunk that shows the tail of the file would carry a no-newline marker
     # if the new file lacked one; its absence means a trailing newline.

@@ -5,9 +5,10 @@ per repo id, honors the per-hour request quota by sleeping until the
 advertised reset time (bounded), and never leaves a partial snapshot file on
 disk (the write is atomic).  Any other HTTP error status, a URL that cannot
 be requested, a failed connection (refused, unresolved, timed out), a body
-that is not JSON, JSON of the wrong shape or a value of the wrong type (an
-issue number, a label name, a commit hash or message) raises a
-``FixpairError`` naming the URL: a data error, exit 3 on the command line.
+that is not JSON, JSON of the wrong shape, a value of the wrong type (an
+issue number, a label name, a commit hash or message), a bad timestamp or a
+patch that does not parse raises a ``FixpairError`` naming the URL: a data
+error, exit 3 on the command line.
 """
 
 import http.client
@@ -74,7 +75,7 @@ class _Client:
     def get_json(self, path, read, params=None):
         """``read`` of the JSON answer to a GET of ``path``.  An answer that
         ``read`` cannot take apart (a missing key, a list where an object
-        belongs, ...) is a ``FixpairError`` naming the URL."""
+        belongs, a bad timestamp, ...) is a ``FixpairError`` naming the URL."""
         url = f"{self.api_base}{path}"
         if params:
             url = f"{url}?{urlencode(params)}"
@@ -105,7 +106,7 @@ class _Client:
                     f"GET {url} answered a body that is not JSON") from None
             try:
                 return read(doc)
-            except (KeyError, TypeError, AttributeError) as exc:
+            except (KeyError, TypeError, AttributeError, FixpairError) as exc:
                 raise FixpairError(
                     f"GET {url} answered JSON of the wrong shape: "
                     f"{type(exc).__name__}: {exc}") from None

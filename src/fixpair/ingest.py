@@ -16,7 +16,11 @@ snapshot file instead of live data.  Format (UTF-8 JSON, version 1):
 
 Commits are listed head-first: the first entry is the head of the default
 branch.  Every ``patch`` is one file's unified diff against the commit's
-first parent.
+first parent: its ``---``/``+++`` header pair, then its hunks.  A hunk header
+has explicit counts (``@@ -a,b +c,d @@``) and no section text; the body lines
+are kept as written.  The marker ``\\ No newline at end of file`` follows the
+last line of a side that has no final newline, and an empty body line is an
+empty context line (``" "``).
 
 A snapshot of a local clone (:func:`snapshot_from_local_repo`) runs two git
 processes whatever the length of the history: one ``git log`` for the

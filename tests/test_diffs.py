@@ -36,10 +36,10 @@ def test_example_diff_shape():
     assert d.old_path == "/path/to/original"
     assert d.new_path == "/path/to/new"
     assert len(d.hunks) == 1
-    tags = [t for t, _ in d.hunks[0].lines]
-    assert tags.count("add") == 1
-    assert tags.count("del") == 1
-    assert tags.count("context") == 3
+    kinds = [line[0] for line in d.hunks[0].lines]
+    assert kinds.count("+") == 1
+    assert kinds.count("-") == 1
+    assert kinds.count(" ") == 3
 
 
 def test_example_diff_modified_lines():
@@ -129,7 +129,7 @@ def test_context_only_hunk_has_empty_ranges():
 def test_no_newline_markers_roundtrip():
     text = "--- a\n+++ b\n@@ -1,1 +1,1 @@\n-old\n+new\n\\ No newline at end of file\n"
     d = parse_unified_diff(text)[0]
-    assert d.new_no_newline and not d.old_no_newline
+    assert d.hunks[0].lines == ["-old", "+new", "\\ No newline at end of file"]
     assert apply_file_diff("old\n", d) == "new"
     assert parse_unified_diff(render_unified(d)) == [d]
 
@@ -151,7 +151,7 @@ def test_quoted_paths_are_unquoted():
     "a/tab\there.java", "back\\slash.java", '"quoted"', "trailing ", "b/new\nline",
 ])
 def test_every_path_survives_render_and_parse(path):
-    hunk = Hunk(1, 1, 1, 1, [("del", "x"), ("add", "y")])
+    hunk = Hunk(1, 1, 1, 1, ["-x", "+y"])
     d = FileDiff(old_path=path, new_path=path, hunks=[hunk])
     text = render_unified(d)
     assert parse_unified_diff(text) == [d]

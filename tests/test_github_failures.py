@@ -112,18 +112,19 @@ DETAIL = f"{COMMITS}/{SHA}"
 ONE_COMMIT = json.dumps([{"sha": SHA}]).encode()
 
 
-def _issues(number=8, label="bug"):
+def _issues(number=8, label="bug", created_at="2024-01-01T12:00:00Z", **closed):
+    state = "closed" if closed else "open"
     return json.dumps([{
-        "number": number, "state": "open", "labels": [{"name": label}],
-        "created_at": "2024-01-01T12:00:00Z",
+        "number": number, "state": state, "labels": [{"name": label}],
+        "created_at": created_at, **closed,
     }]).encode()
 
 
-def _commit(parent=SHA, message="m"):
+def _commit(parent=SHA, message="m", date="2024-01-01T10:00:00Z", files=()):
     return json.dumps({
-        "sha": SHA, "parents": [{"sha": parent}],
+        "sha": SHA, "parents": [{"sha": parent}], "files": list(files),
         "commit": {"author": {"name": "A"}, "message": message,
-                   "committer": {"date": "2024-01-01T10:00:00Z"}},
+                   "committer": {"date": date}},
     }).encode()
 
 
@@ -142,8 +143,16 @@ def _commit(parent=SHA, message="m"):
      "int 7 where str belongs"),
     ({COMMITS: ONE_COMMIT, DETAIL: _commit(message=5)}, DETAIL,
      "int 5 where str belongs"),
+    ({COMMITS: b"[]", ISSUES: _issues(created_at=5)}, ISSUES, "bad timestamp 5"),
+    ({COMMITS: b"[]", ISSUES: _issues(closed_at="yesterday")}, ISSUES,
+     "bad timestamp 'yesterday'"),
+    ({COMMITS: ONE_COMMIT, DETAIL: _commit(date=7)}, DETAIL, "bad timestamp 7"),
+    ({COMMITS: ONE_COMMIT, DETAIL: _commit(files=[{
+        "filename": "f.txt", "status": "modified", "patch": "@@ -1,3 +1,1 @@\n-x"}])},
+     DETAIL, "unexpected end of diff inside hunk"),
 ], ids=["no-sha", "object-for-list", "int-sha", "str-number", "bool-number",
-        "int-label", "int-parent", "int-message"])
+        "int-label", "int-parent", "int-message", "int-created-at",
+        "word-closed-at", "int-commit-date", "cut-patch"])
 def test_answer_of_the_wrong_shape_is_a_data_error(
     answering, tmp_path, capsys, routes, path, detail
 ):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixpair.diffs import parse_unified_diff
+from fixpair.diffs import apply_file_diff, parse_unified_diff, render_unified
 from fixpair.errors import SnapshotFormatError, SnapshotInvariantError
 from fixpair.ingest import (
     CommitRecord,
@@ -74,13 +74,22 @@ def test_roundtrip(tmp_path):
     assert not [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
 
 
+MINI_PROJECT = os.path.join(os.path.dirname(__file__), "fixtures", "mini-project.snapshot")
+
+
 def test_mini_project_golden_fixture():
-    path = os.path.join(os.path.dirname(__file__), "fixtures", "mini-project.snapshot")
-    snap = load_snapshot(path)
+    snap = load_snapshot(MINI_PROJECT)
     assert len(snap.issues) == 3
     assert len(snap.commits) == 12
     assert snap.repo_id == "mini/project"
     assert all(i.state == "closed" and i.fixing_commits for i in snap.issues)
+
+
+def test_mini_project_fixture_saves_back_to_its_own_bytes(tmp_path):
+    path = tmp_path / "snapshot.json"
+    save_snapshot(load_snapshot(MINI_PROJECT), path)
+    with open(MINI_PROJECT, "rb") as fh:
+        assert path.read_bytes() == fh.read()
 
 
 def test_fixture_roundtrip(fixture_snapshot, tmp_path):
@@ -404,9 +413,60 @@ def test_a_text_file_beside_a_binary_file_keeps_its_hunk(odd_repo, tmp_path):
     snap = _captured(repo)
     tail = snap.commit(hashes["tail"]).file_diffs
     assert [(d.path, d.is_delete, len(d.hunks)) for d in tail] == [("a.txt", True, 1)]
-    assert tail[0].hunks[0].lines == [("del", "one"), ("del", "2"), ("del", "two")]
+    assert tail[0].hunks[0].lines == ["-one", "-2", "-two"]
     save_snapshot(snap, tmp_path / "snapshot.json")
     assert load_snapshot(tmp_path / "snapshot.json") == snap
+
+
+def _git_show(repo, rev, path):
+    return subprocess.run(
+        ["git", "-C", repo, "show", f"{rev}:{path}"], stdout=subprocess.PIPE, check=True,
+    ).stdout.decode()
+
+
+def test_missing_final_newlines_keep_their_markers(tmp_path):
+    from conftest import RepoBuilder
+
+    b = RepoBuilder(str(tmp_path / "repo"))
+    b.write("f.txt", "one\ntwo\nthree\n")
+    b.write("g.txt", "alpha\nbeta\ngamma")
+    b.commit("root", "root")
+    b.write("f.txt", "one\ntwo\nthree")
+    b.commit("drop", "drop the final newline")
+    b.write("f.txt", "one\ntwo\nthree\n")
+    b.commit("restore", "restore it")
+    b.write("g.txt", "ALPHA\nbeta\ngamma")
+    b.commit("early", "change an earlier line")
+    b.write("g.txt", "ALPHA\nbeta\nGAMMA")
+    b.commit("last", "change the last line")
+    snap = snapshot_from_local_repo(b.path, [], repo_id="demo/eol")
+    marker = "\\ No newline at end of file"
+    tails = {
+        "drop": ["-three", "+three", marker],
+        "restore": ["-three", marker, "+three"],
+        "early": [" beta", " gamma", marker],
+        "last": ["-gamma", marker, "+GAMMA", marker],
+    }
+    env = dict(os.environ, GIT_CONFIG_NOSYSTEM="1", GIT_CONFIG_GLOBAL=os.devnull)
+    for name, sha in b.hashes.items():
+        commit = snap.commit(sha)
+        parent = commit.parents[0] if commit.parents else EMPTY_TREE
+        for d in commit.file_diffs:
+            printed = subprocess.run(
+                ["git", "-C", b.path, "diff", "--no-color", parent, sha, "--", d.path],
+                stdout=subprocess.PIPE, check=True, env=env,
+            ).stdout.decode().split("\n")[:-1]
+            body = printed[[l[:4] for l in printed].index("+++ ") + 1:]
+            lines = [l for h in d.hunks for l in h.lines]
+            assert lines == [l for l in body if not l.startswith("@@")], (name, d.path)
+            old = "" if d.is_add else _git_show(b.path, parent, d.path)
+            assert apply_file_diff(old, d) == _git_show(b.path, sha, d.path)
+            assert parse_unified_diff(render_unified(d)) == [d]
+            if name in tails:
+                assert lines[-len(tails[name]):] == tails[name], name
+    path = tmp_path / "snapshot.json"
+    save_snapshot(snap, path)
+    assert load_snapshot(path) == snap
 
 
 def test_paths_under_a_top_level_b_directory_survive_a_reload(tmp_path):
