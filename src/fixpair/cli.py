@@ -7,6 +7,7 @@ problem, 4 stage failure.
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 
@@ -163,11 +164,17 @@ def _cmd_evaluate(args):
 def _cmd_stats(args):
     from .stats import format_significance_table, friedman, nemenyi
 
+    if args.alpha is not None:
+        if args.out:
+            raise ConfigError("--alpha applies to --matrix; the --out tables use 0.05")
+        if not 0 < args.alpha < 1:
+            raise ConfigError(f"--alpha must be in (0, 1), got {args.alpha}")
     if args.matrix:
         matrix = _read_matrix(args.matrix)
         fr = friedman(matrix)
         print(f"friedman chi2={fr.statistic:.6f} p={fr.p_value:.6g}")
-        print(format_significance_table(nemenyi(matrix, alpha=args.alpha)))
+        alpha = 0.05 if args.alpha is None else args.alpha
+        print(format_significance_table(nemenyi(matrix, alpha=alpha)))
         return EXIT_OK
     if not args.out:
         raise ConfigError("stats needs --matrix or --out")
@@ -201,12 +208,19 @@ def _read_matrix(path):
         rows = []
         for row, rec in enumerate(records[first - 1:], start=first):
             try:
-                rows.append([float(v) for v in rec[1:]])
+                rows.append([_finite(v) for v in rec[1:]])
             except ValueError as exc:
                 raise FixpairError(f"row {row}: {exc}") from None
         return PairedSampleMatrix.from_rows(rows, col_labels=labels)
     except FixpairError as exc:
         raise SnapshotFormatError(str(exc), path=path) from None
+
+
+def _finite(s):
+    value = float(s)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {s!r}")
+    return value
 
 
 def _is_float(s):
@@ -254,7 +268,7 @@ def build_parser():
     p = sub.add_parser("stats", help="significance tables (Friedman + Nemenyi)")
     p.add_argument("--out", help="pipeline output dir with eval results")
     p.add_argument("--matrix", help="CSV matrix: first column labels, one treatment per column")
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=float, help="Nemenyi level for --matrix (default 0.05)")
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("run", help="run the full pipeline")

@@ -113,7 +113,6 @@ def _add_with_closure(touches, elem):
 class BuildResult:
     entries_by_level: dict
     drop_log: list
-    contributing_issues: set
 
 
 def build_entries(touch_sets, timelines, metrics_by_commit, history) -> BuildResult:
@@ -143,33 +142,27 @@ def build_entries(touch_sets, timelines, metrics_by_commit, history) -> BuildRes
         return sum(pos in iv for iv in intervals_by_element.get((level, fqn), ()))
 
     drop_log = []
-    contributing = set()
     wanted = {}  # (commit, level, fqn) -> None, dedup across issues
     for t, ts in live:
         for mh in (t.orange, t.last_green):
             if mh not in metrics_by_commit:
                 raise AnalysisMissingError(mh, f"needed by issue {t.issue_id}")
-        touched_any = False
         for level in LEVELS:
             for fqn in sorted(ts.fqns_by_level[level]):
                 buggy_vec = metrics_by_commit[t.orange].get((level, fqn))
                 fixed_vec = metrics_by_commit[t.last_green].get((level, fqn))
                 if buggy_vec is not None:
                     wanted[(t.orange, level, fqn)] = None
-                    touched_any = True
                 else:
                     drop_log.append(
                         (t.issue_id, t.orange, level, fqn, "created by the fix")
                     )
                 if fixed_vec is not None:
                     wanted[(t.last_green, level, fqn)] = None
-                    touched_any = True
                 else:
                     drop_log.append(
                         (t.issue_id, t.last_green, level, fqn, "gone after the fix")
                     )
-        if touched_any:
-            contributing.add(t.issue_id)
 
     entries_by_level = {l: [] for l in LEVELS}
     for commit_hash, level, fqn in wanted:
@@ -188,11 +181,7 @@ def build_entries(touch_sets, timelines, metrics_by_commit, history) -> BuildRes
         entries_by_level[level].sort(
             key=lambda e: (history.resolve(e.commit_hash), e.fqn)
         )
-    return BuildResult(
-        entries_by_level=entries_by_level,
-        drop_log=drop_log,
-        contributing_issues=contributing,
-    )
+    return BuildResult(entries_by_level=entries_by_level, drop_log=drop_log)
 
 
 def format_metric(value) -> str:

@@ -33,14 +33,6 @@ class ConflictGroup:
     feature_key: tuple
     members: list = field(default_factory=list)  # (index, entry, is_buggy)
 
-    @property
-    def n_buggy(self):
-        return sum(1 for _, _, buggy in self.members if buggy)
-
-    @property
-    def n_clean(self):
-        return len(self.members) - self.n_buggy
-
 
 def _raw_features(entry) -> tuple:
     return (entry.level, *map(entry.metrics.values.get, COLUMNS_BY_LEVEL[entry.level]))

@@ -1,9 +1,9 @@
 """GitHub REST v3 client that captures a project snapshot.
 
-Network use is confined to this module.  ``fetch_remote`` is single-flight
-per repo id, honors the per-hour request quota by sleeping until the
-advertised reset time (bounded), and never leaves a partial snapshot file on
-disk (the write is atomic).  Any other HTTP error status, a URL that cannot
+Network use is confined to this module.  ``fetch_remote`` honors the
+per-hour request quota by sleeping until the advertised reset time
+(bounded), and never leaves a partial snapshot file on disk (the write is
+atomic).  Any other HTTP error status, a URL that cannot
 be requested, a failed connection (refused, unresolved, timed out), a body
 that is not JSON, JSON of the wrong shape, a value of the wrong type (an
 issue number, a label name, a commit hash or message), a bad timestamp or a
@@ -14,7 +14,6 @@ error, exit 3 on the command line.
 import http.client
 import json
 import os
-import threading
 import time
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -39,14 +38,6 @@ DEFAULT_API_BASE = "https://api.github.com"
 _PER_PAGE = 100
 _MAX_RATE_LIMIT_WAITS = 3
 _TIMEOUT_S = 60.0
-
-_flight_locks = {}
-_flight_guard = threading.Lock()
-
-
-def _lock_for(repo_id):
-    with _flight_guard:
-        return _flight_locks.setdefault(repo_id, threading.Lock())
 
 
 class _Client:
@@ -223,16 +214,15 @@ def fetch_remote(
     anything is written.
     """
     token = credentials or os.environ.get(TOKEN_ENV_VAR)
-    with _lock_for(repo_id):
-        client = _Client(api_base, token, sleeper=sleeper)
-        commits = _fetch_commits(client, repo_id)
-        snapshot = assemble_snapshot(
-            repo_id,
-            datetime.now(timezone.utc),
-            commits,
-            _fetch_issues(client, repo_id),
-            bug_labels,
-        )
-        if out is not None:
-            save_snapshot(snapshot, out)
-        return snapshot
+    client = _Client(api_base, token, sleeper=sleeper)
+    commits = _fetch_commits(client, repo_id)
+    snapshot = assemble_snapshot(
+        repo_id,
+        datetime.now(timezone.utc),
+        commits,
+        _fetch_issues(client, repo_id),
+        bug_labels,
+    )
+    if out is not None:
+        save_snapshot(snapshot, out)
+    return snapshot

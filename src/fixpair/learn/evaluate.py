@@ -61,7 +61,6 @@ class PrfResult:
     precision: float
     recall: float
     f_measure: float
-    zero_division: bool = False
 
     def __iter__(self):
         return iter((self.precision, self.recall, self.f_measure))
@@ -70,22 +69,15 @@ class PrfResult:
 def prf(m: ConfusionMatrix) -> PrfResult:
     """precision = tp/(tp+fp); recall = tp/(tp+fn); F = harmonic mean.
 
-    Zero denominators yield 0 and set the ``zero_division`` flag.
+    Zero denominators yield 0.
     """
-    flagged = False
-    if m.tp + m.fp > 0:
-        precision = m.tp / (m.tp + m.fp)
-    else:
-        precision, flagged = 0.0, True
-    if m.tp + m.fn > 0:
-        recall = m.tp / (m.tp + m.fn)
-    else:
-        recall, flagged = 0.0, True
+    precision = m.tp / (m.tp + m.fp) if m.tp + m.fp > 0 else 0.0
+    recall = m.tp / (m.tp + m.fn) if m.tp + m.fn > 0 else 0.0
     if precision + recall > 0:
         f = 2.0 * precision * recall / (precision + recall)
     else:
-        f, flagged = 0.0, True
-    return PrfResult(precision, recall, f, flagged)
+        f = 0.0
+    return PrfResult(precision, recall, f)
 
 
 def label_entries(entries) -> list:
@@ -170,15 +162,11 @@ class EvalResult:
     f_measure: float
     fold_matrices: list = field(default_factory=list)
     repeats: int = 1
-    zero_division: bool = False
     predictions: list = field(default_factory=list)  # (fqn, parent, pred, actual)
 
     @classmethod
     def from_matrices(cls, algorithm, level, matrices, repeats, predictions=()):
-        total = ConfusionMatrix()
-        for m in matrices:
-            total = total + m
-        p = prf(total)
+        p = prf(sum(matrices, ConfusionMatrix()))
         return cls(
             algorithm=algorithm,
             level=level,
@@ -187,16 +175,8 @@ class EvalResult:
             f_measure=p.f_measure,
             fold_matrices=list(matrices),
             repeats=repeats,
-            zero_division=p.zero_division,
             predictions=list(predictions),
         )
-
-    @property
-    def matrix(self):
-        total = ConfusionMatrix()
-        for m in self.fold_matrices:
-            total = total + m
-        return total
 
 
 def _xy(instances):

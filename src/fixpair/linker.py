@@ -39,13 +39,12 @@ _KEYWORD_RE = re.compile(
 @dataclass(frozen=True)
 class IssueRef:
     id: int
-    confident: bool  # word boundary before the '#'
     keyworded: bool  # preceded by a fix/close/resolve keyword
     foreign: bool  # owner/repo#id cross-repository form
 
 
 def extract_issue_refs_detailed(message: str) -> list:
-    """All ``#id`` references with confidence/keyword/foreign classification."""
+    """All ``#id`` references with keyword/foreign classification."""
     foreign_spans = [(m.start(), m.end()) for m in _FOREIGN_RE.finditer(message)]
     refs = []
     for m in _REF_RE.finditer(message):
@@ -56,16 +55,9 @@ def extract_issue_refs_detailed(message: str) -> list:
         foreign = any(a <= hash_pos < b for a, b in foreign_spans)
         before = message[:hash_pos]
         prev = before[-1] if before else ""
-        confident = not (prev.isalnum() or prev == "_")
+        confident = not (prev.isalnum() or prev == "_")  # a boundary before '#'
         keyworded = bool(_KEYWORD_RE.search(before)) and confident
-        refs.append(
-            IssueRef(
-                id=number,
-                confident=confident,
-                keyworded=keyworded,
-                foreign=foreign,
-            )
-        )
+        refs.append(IssueRef(id=number, keyworded=keyworded, foreign=foreign))
     return refs
 
 
@@ -268,10 +260,6 @@ class PlanEntry:
 @dataclass(frozen=True)
 class AnalysisPlan:
     entries: tuple = ()
-
-    @property
-    def hashes(self):
-        return [e.commit_hash for e in self.entries]
 
 
 def select_analysis_commits(timelines, history) -> AnalysisPlan:

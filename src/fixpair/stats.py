@@ -332,7 +332,6 @@ P_CAP_LOW = 0.001
 class NemenyiResult:
     col_labels: tuple
     mean_ranks: tuple
-    rank_diff: tuple  # signed mean-rank differences, antisymmetric
     q_stats: tuple  # |diff| / se
     p_values: tuple  # clipped to [P_CAP_LOW, P_CAP_HIGH]
     q_crit: float
@@ -353,15 +352,13 @@ def nemenyi(m, alpha=0.05) -> NemenyiResult:
     n, k = m.n_rows, m.n_cols
     mean_ranks = friedman(m).mean_ranks
     se = math.sqrt(k * (k + 1) / (6.0 * n))
-    diff = np.subtract.outer(mean_ranks, mean_ranks)
-    q = np.abs(diff) / se
+    q = np.abs(np.subtract.outer(mean_ranks, mean_ranks)) / se
     # the infinite-df tail of every pair at once; q = 0 has cdf 0
     p = np.clip(1.0 - _srange_cdf_rows(q.ravel(), k), P_CAP_LOW, P_CAP_HIGH)
     q_crit = studentized_range_isf(alpha, k, df=n)
     return NemenyiResult(
         col_labels=m.col_labels,
         mean_ranks=mean_ranks,
-        rank_diff=tuple(map(tuple, diff.tolist())),
         q_stats=tuple(map(tuple, q.tolist())),
         p_values=tuple(map(tuple, p.reshape(k, k).tolist())),
         q_crit=q_crit,

@@ -143,6 +143,12 @@ def test_created_method_yields_fixed_only_entry():
     assert (sha("a"), "p.A.m3()void") not in method_entries
 
 
+def contributing_issues(result, timelines):
+    """The issues whose buggy or fixed state yields an entry."""
+    commits = {e.commit_hash for rows in result.entries_by_level.values() for e in rows}
+    return {t.issue_id for t in timelines if {t.orange, t.last_green} & commits}
+
+
 def test_isolated_bug_pairs():
     snap, analyses, metrics, timeline = make_scenario()
     touches = accumulate_issue_touches(timeline, snap, analyses)
@@ -151,7 +157,7 @@ def test_isolated_bug_pairs():
         entries = {e.commit_hash: e for e in result.entries_by_level[level]}
         assert entries[sha("a")].bug_count == 1
         assert entries[sha("b")].bug_count == 0
-    assert result.contributing_issues == {1}
+    assert contributing_issues(result, [timeline]) == {1}
 
 
 def test_missing_analysis_is_hard_error():
@@ -317,5 +323,5 @@ def fixture_dataset(fixture_snapshot, fixture_repo):
     }
     touch_sets = [accumulate_issue_touches(t, snap, analyses) for t in timelines]
     result = build_entries(touch_sets, timelines, metrics, hist)
-    assert result.contributing_issues == {1, 2, 3}
+    assert contributing_issues(result, timelines) == {1, 2, 3}
     return result.entries_by_level

@@ -148,7 +148,8 @@ def test_groups_partition_dataset():
     assert len(groups) == 2
     assert sum(len(g.members) for g in groups) == len(entries)
     for g in groups:
-        assert g.n_buggy + g.n_clean == len(g.members)
+        labels = [buggy for _, _, buggy in g.members]
+        assert labels.count(True) + labels.count(False) == len(g.members)
 
 
 def test_unknown_strategy_rejected():

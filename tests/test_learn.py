@@ -399,7 +399,6 @@ def test_prf_known_values():
     assert (res.precision, res.recall, res.f_measure) == (0.6, 0.6, 0.6)
     res = prf(ConfusionMatrix(tp=0, fp=0, fn=5, tn=0))
     assert res.precision == 0 and res.recall == 0 and res.f_measure == 0
-    assert res.zero_division
     res = prf(ConfusionMatrix(tp=8, fp=2, fn=4, tn=0))
     assert res.precision == pytest.approx(0.8)
     assert res.recall == pytest.approx(2 / 3)
@@ -484,7 +483,7 @@ def test_matrix_cells_sum_to_instances_times_repeats():
     rng = random.Random(13)
     instances = make_instances(20, 20, rng, shift=1.0)
     res = cross_validate("one_r", instances, k=4, repeats=3, seed=1)
-    assert res.matrix.total() == len(instances) * 3
+    assert sum(res.fold_matrices, ConfusionMatrix()).total() == len(instances) * 3
 
 
 def test_fold_reduction_warns():
@@ -563,6 +562,8 @@ def test_external_predictions_csv(tmp_path):
     )
     rows = load_predictions_csv(path)
     res = evaluate_external(rows)
-    assert res.matrix.tp == 1 and res.matrix.fp == 1 and res.matrix.tn == 1
+    matrix = sum(res.fold_matrices, ConfusionMatrix())
+    assert matrix.tp == 1 and matrix.fp == 1 and matrix.tn == 1
     projected = evaluate_external(rows, projected=True)
-    assert projected.matrix.total() == 2  # classes C and D
+    # classes C and D
+    assert sum(projected.fold_matrices, ConfusionMatrix()).total() == 2

@@ -63,8 +63,10 @@ def test_merge_message_multiple_and_duplicate():
 def test_low_confidence_kept_but_flagged():
     refs = extract_issue_refs_detailed("version#2 bump")
     assert [r.id for r in refs] == [2]
-    assert not refs[0].confident
     assert extract_issue_refs("version#2 bump") == {2}
+    # flagged: a keyword does not introduce a reference without a boundary
+    assert extract_issue_refs("fixes issue#2", keywords_only=True) == set()
+    assert extract_issue_refs("fixes issue #2", keywords_only=True) == {2}
 
 
 def test_cross_repo_reference_recorded_but_ignored():
@@ -337,7 +339,7 @@ def test_plan_dedup_and_promotion():
     )
     t2 = build_timeline(other, snap)
     plan = select_analysis_commits([t, t2], HistoryIndex(snap))
-    hashes = plan.hashes
+    hashes = [e.commit_hash for e in plan.entries]
     assert len(hashes) == len(set(hashes))
     # b is t's intermediate green but t2's last green: promoted to full
     assert {e.commit_hash: e.full_analysis for e in plan.entries}[sha("b")]
@@ -352,7 +354,7 @@ def test_plan_superset_and_order(fixture_snapshot):
     closed = [i for i in fixture_snapshot.issues if i.state == "closed"]
     timelines = [build_timeline(i, fixture_snapshot, hist) for i in closed]
     plan = select_analysis_commits(timelines, hist)
-    hashes = set(plan.hashes)
+    hashes = {e.commit_hash for e in plan.entries}
     full = {e.commit_hash: e.full_analysis for e in plan.entries}
     for t in timelines:
         assert t.orange in hashes
@@ -362,7 +364,7 @@ def test_plan_superset_and_order(fixture_snapshot):
         # orange precedes every green in history order
         for g in t.green:
             assert hist.resolve(t.orange) < hist.resolve(g)
-    positions = [hist.resolve(h) for h in plan.hashes]
+    positions = [hist.resolve(e.commit_hash) for e in plan.entries]
     assert positions == sorted(positions)
 
 

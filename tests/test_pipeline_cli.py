@@ -251,7 +251,7 @@ def test_fewer_levels_leave_no_stale_nemenyi_table(pipeline_out, tmp_path):
     ]
 
 
-def test_parallel_analinstall_matches_serial(fixture_repo, tmp_path):
+def test_parallel_analysis_matches_serial(fixture_repo, tmp_path):
     base = PipelineConfig(
         out=str(tmp_path / "serial"),
         repo=fixture_repo["repo"],
@@ -1048,6 +1048,9 @@ def test_cli_stats_matrix(tmp_path, capsys):
     ("row,a,b\nr1,0.5,0.6\nr2,0.4,high\n", "row 3: could not convert string to float: 'high'"),
     ("r1,0.5,0.6\nr2,,0.7\n", "row 2: could not convert string to float: ''"),
     ("row,a,b\nr1,0.5,0.6\n", "at least 2 rows"),
+    ("r,a,b\n1,nan,0.6\n2,0.3,0.2\n", "row 2: not a finite number: 'nan'"),
+    ("r,a,b\n1,0.5,0.6\n2,0.3,-inf\n", "row 3: not a finite number: '-inf'"),
+    ("r1,0.5,0.6\nr2,Infinity,0.7\n", "row 2: not a finite number: 'Infinity'"),
     # the file's bytes as they are (None: no file)
     (None, "cannot read: No such file or directory"),
     (b"\xff\xfe", "not UTF-8 (byte 0)"),
@@ -1066,6 +1069,35 @@ def test_cli_stats_rejects_a_malformed_matrix(tmp_path, capsys, text, where):
     assert main(["stats", "--matrix", str(path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"data error: {path}: ") and where in err
+
+
+@pytest.mark.parametrize("source, alpha, message", [
+    ("--matrix", "1.5", "--alpha must be in (0, 1), got 1.5"),
+    ("--matrix", "0", "--alpha must be in (0, 1), got 0.0"),
+    ("--matrix", "1", "--alpha must be in (0, 1), got 1.0"),
+    ("--matrix", "-0.1", "--alpha must be in (0, 1), got -0.1"),
+    ("--matrix", "nan", "--alpha must be in (0, 1), got nan"),
+    ("--out", "0.1", "--alpha applies to --matrix"),
+])
+def test_cli_stats_rejects_alpha_it_cannot_use(tmp_path, capsys, source, alpha, message):
+    path = tmp_path / "m.csv"
+    path.write_text("row,a,b\nr1,0.5,0.6\nr2,0.4,0.65\nr3,0.45,0.6\n")
+    target = path if source == "--matrix" else tmp_path
+    assert main(["stats", source, str(target), "--alpha", alpha]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ") and message in captured.err
+
+
+def test_cli_stats_alpha_sets_the_matrix_critical_value(tmp_path, capsys):
+    path = tmp_path / "m.csv"
+    path.write_text("row,a,b\nr1,0.5,0.6\nr2,0.4,0.65\nr3,0.45,0.6\n")
+    assert main(["stats", "--matrix", str(path)]) == 0
+    default = capsys.readouterr().out
+    assert main(["stats", "--matrix", str(path), "--alpha", "0.05"]) == 0
+    assert capsys.readouterr().out == default
+    assert main(["stats", "--matrix", str(path), "--alpha", "0.1"]) == 0
+    assert capsys.readouterr().out != default
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -347,7 +347,7 @@ def test_friedman_needs_two_columns():
 
 def test_nemenyi_identical_columns_capped():
     res = nemenyi([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
-    assert res.rank_diff[0][1] == 0.0
+    assert res.q_stats[0][1] == 0.0
     assert res.p_values[0][1] == 0.9  # reporting cap
 
 
@@ -357,9 +357,9 @@ def test_nemenyi_antisymmetry_and_diagonal():
     res = nemenyi(m.tolist())
     k = 4
     for i in range(k):
-        assert res.rank_diff[i][i] == 0.0
+        assert res.q_stats[i][i] == 0.0
         for j in range(k):
-            assert res.rank_diff[i][j] == pytest.approx(-res.rank_diff[j][i])
+            assert res.q_stats[i][j] == pytest.approx(res.q_stats[j][i])
             assert 0.0 < res.p_values[i][j] <= 0.9
             assert res.q_stats[i][j] >= 0.0
 
@@ -369,7 +369,7 @@ def test_nemenyi_two_treatments_sign_consistency():
     res = nemenyi(m)
     # column 1 dominates: its mean rank is higher
     assert res.mean_ranks[1] > res.mean_ranks[0]
-    assert res.rank_diff[1][0] > 0
+    assert res.q_stats[1][0] > 0
     ranks = [2.0, 1.0]  # brute-force expectation per row: col1 always ranked 2
     assert res.mean_ranks == pytest.approx((1.0, 2.0))
 
