@@ -164,6 +164,8 @@ def _cmd_evaluate(args):
 def _cmd_stats(args):
     from .stats import format_significance_table, friedman, nemenyi
 
+    if args.matrix and args.out:
+        raise ConfigError("--matrix and --out exclude each other")
     if args.alpha is not None:
         if args.out:
             raise ConfigError("--alpha applies to --matrix; the --out tables use 0.05")

@@ -41,10 +41,6 @@ class FileDiff:
     def is_delete(self):
         return self.new_path == "/dev/null"
 
-    @property
-    def path(self):
-        return self.old_path if self.new_path == "/dev/null" else self.new_path
-
 
 @dataclass(frozen=True)
 class LineRangeSet:
@@ -65,9 +61,6 @@ class LineRangeSet:
 
     def __bool__(self):
         return bool(self.ranges)
-
-    def __contains__(self, line):
-        return any(a <= line <= b for a, b in self.ranges)
 
     def intersects(self, start, end):
         return any(a <= end and start <= b for a, b in self.ranges)

@@ -42,13 +42,10 @@ def _serialize(raw) -> tuple:
     return (raw[0],) + tuple(map(format_metric, raw[1:]))
 
 
-def feature_key(entry) -> tuple:
-    """Level plus the serialized metric vector; hash, fqn, and bug count are
-    excluded so conflicts are defined purely on the features."""
-    return _serialize(_raw_features(entry))
-
-
 def group_entries(entries) -> list:
+    """Entries grouped by feature key: the level plus the serialized metric
+    vector.  Hash, fqn and bug count are left out, so conflicts are defined
+    purely on the features."""
     groups = {}
     keys = {}  # raw features -> feature key; equal numbers serialize alike
     for idx, e in enumerate(entries):

@@ -62,9 +62,6 @@ class PrfResult:
     recall: float
     f_measure: float
 
-    def __iter__(self):
-        return iter((self.precision, self.recall, self.f_measure))
-
 
 def prf(m: ConfusionMatrix) -> PrfResult:
     """precision = tp/(tp+fp); recall = tp/(tp+fn); F = harmonic mean.

@@ -36,44 +36,28 @@ _KEYWORD_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class IssueRef:
-    id: int
-    keyworded: bool  # preceded by a fix/close/resolve keyword
-    foreign: bool  # owner/repo#id cross-repository form
-
-
-def extract_issue_refs_detailed(message: str) -> list:
-    """All ``#id`` references with keyword/foreign classification."""
-    foreign_spans = [(m.start(), m.end()) for m in _FOREIGN_RE.finditer(message)]
-    refs = []
-    for m in _REF_RE.finditer(message):
-        number = int(m.group(1))
-        if number <= 0:
-            continue
-        hash_pos = m.start()
-        foreign = any(a <= hash_pos < b for a, b in foreign_spans)
-        before = message[:hash_pos]
-        prev = before[-1] if before else ""
-        confident = not (prev.isalnum() or prev == "_")  # a boundary before '#'
-        keyworded = bool(_KEYWORD_RE.search(before)) and confident
-        refs.append(IssueRef(id=number, keyworded=keyworded, foreign=foreign))
-    return refs
-
-
 def extract_issue_refs(message: str, keywords_only: bool = False) -> set:
     """Distinct issue ids referenced from a commit message.
 
-    Cross-repository references are recorded by the detailed variant but
-    never returned here.  Low-confidence matches (no word boundary before
-    the ``#``) are kept unless ``keywords_only`` restricts the result to
-    keyword-introduced references.
+    Cross-repository ``owner/repo#id`` references are skipped.  Every other
+    ``#id`` counts, unless ``keywords_only`` keeps only the ones a
+    fix/close/resolve keyword introduces, with a word boundary before the
+    ``#``.
     """
-    return {
-        r.id
-        for r in extract_issue_refs_detailed(message)
-        if not r.foreign and (r.keyworded if keywords_only else True)
-    }
+    foreign_spans = [(m.start(), m.end()) for m in _FOREIGN_RE.finditer(message)]
+    ids = set()
+    for m in _REF_RE.finditer(message):
+        number = int(m.group(1))
+        hash_pos = m.start()
+        if number <= 0 or any(a <= hash_pos < b for a, b in foreign_spans):
+            continue
+        if keywords_only:
+            before = message[:hash_pos]
+            prev = before[-1:]
+            if prev.isalnum() or prev == "_" or not _KEYWORD_RE.search(before):
+                continue
+        ids.add(number)
+    return ids
 
 
 class HistoryIndex:

@@ -7,6 +7,7 @@ import random
 import subprocess
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,7 +138,7 @@ def test_criterion_3_diff_replay_and_touch_oracle(fixture_repo):
         for d in parse_unified_diff(text):
             old = _git_show(repo, hashes[a], d.old_path) if not d.is_add else ""
             new = _git_show(repo, hashes[b], d.new_path) if not d.is_delete else ""
-            assert apply_file_diff(old, d) == new, (a, b, d.path)
+            assert apply_file_diff(old, d) == new, (a, b, d.old_path, d.new_path)
             replayed += 1
     assert replayed >= 14
 
@@ -184,8 +185,8 @@ def test_criterion_4_dataset_construction(fixture_repo, tmp_path):
         run_pipeline(config, stop_after="build")
 
     for name in ("file.csv", "class.csv", "method.csv", "method-p.csv"):
-        got = open(os.path.join(out, "dataset", "full", name), "rb").read()
-        want = open(os.path.join(GOLDEN_DIR, name), "rb").read()
+        got = Path(out, "dataset", "full", name).read_bytes()
+        want = Path(GOLDEN_DIR, name).read_bytes()
         assert got == want, f"{name} is not byte-identical to the golden copy"
 
     entries = load_entries_csv(

@@ -13,6 +13,9 @@
   are matched by name too, so a dead name that shares its name with a live
   one goes unseen; a name read only from outside goes in ``UNREAD`` with
   its reason.
+* Every dunder method but ``__init__`` and ``__post_init__``, which Python
+  calls by protocol rather than by name, is in ``PROTOCOL`` with the package
+  expression that invokes it.
 """
 
 import ast
@@ -120,7 +123,8 @@ UNREAD = {
     **{
         ("stats.py", name): "criterion 8"
         for name in ("wilcoxon_signed_rank", "effect_size_r", "rate",
-                     "WilcoxonResult.n_nonzero", "EffectSize.magnitude")
+                     "WilcoxonResult.z", "WilcoxonResult.n_nonzero",
+                     "EffectSize.r", "EffectSize.magnitude")
     },
     ("java/tokenizer.py", "TokenStream.text"): "the tokenizer round-trip oracle",
     ("java/tokenizer.py", "TokenStream.diagnostics"):
@@ -211,3 +215,34 @@ def test_every_name_is_read_inside_the_package():
         for cited in re.findall(r"perfbench/[\w/]+\.py", reason):
             with open(os.path.join(ROOT, cited), encoding="utf-8") as fh:
                 assert qualname.rpartition(".")[2] in fh.read(), (qualname, cited)
+
+
+# (module, Class.dunder) -> (module, expression) that invokes it
+PROTOCOL = {
+    ("learn/evaluate.py", "ConfusionMatrix.__add__"):
+        ("learn/evaluate.py", "sum(matrices, ConfusionMatrix())"),
+    ("diffs.py", "LineRangeSet.__bool__"): ("dataset.py", "bool(old)"),
+    ("gitio.py", "GitRepo.__enter__"): ("pipeline.py", "with GitRepo("),
+    ("gitio.py", "GitRepo.__exit__"): ("pipeline.py", "with GitRepo("),
+}
+
+
+def dunder_methods():
+    return {
+        (module, f"{node.name}.{item.name}")
+        for module, tree in _parse_package()
+        for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and _dunder(item.name) and item.name not in ("__init__", "__post_init__")
+    }
+
+
+def test_every_dunder_is_invoked_inside_the_package():
+    dunders = dunder_methods()
+    assert sorted(dunders - PROTOCOL.keys()) == []
+    # an entry whose dunder is gone goes too
+    assert sorted(PROTOCOL.keys() - dunders) == []
+    for module, expression in PROTOCOL.values():
+        with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+            assert expression in fh.read(), (module, expression)

@@ -290,5 +290,3 @@ def test_line_range_set_properties(lines):
         assert b1 + 1 < a2
         assert a1 <= b1 and a2 <= b2
     assert set(rs.lines()) == set(lines)
-    for l in lines:
-        assert l in rs

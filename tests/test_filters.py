@@ -7,7 +7,6 @@ from fixpair.dataset import DatasetEntry
 from fixpair.filters import (
     STRATEGIES,
     apply_filter,
-    feature_key,
     filter_entries,
     group_entries,
 )
@@ -137,9 +136,10 @@ def test_deterministic_under_seed():
 def test_feature_key_ignores_identity_fields():
     e1, e2 = make_entries(1, 1)
     assert e1.commit_hash != e2.commit_hash and e1.bug_count != e2.bug_count
-    assert feature_key(e1) == feature_key(e2)
     different = make_entries(1, 0, loc=9.0)[0]
-    assert feature_key(different) != feature_key(e1)
+    groups = group_entries([e1, e2, different])
+    assert [[idx for idx, _, _ in g.members] for g in groups] == [[0, 1], [2]]
+    assert groups[0].feature_key != groups[1].feature_key
 
 
 def test_groups_partition_dataset():

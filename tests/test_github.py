@@ -172,7 +172,9 @@ def test_fetch_keeps_a_top_level_a_directory(fake_api, tmp_path, monkeypatch):
     monkeypatch.setitem(ROUTES, f"/repos/demo/proj/commits/{SHA_NEW}", detail)
     out = tmp_path / "snap.json"
     snap = fetch_remote("demo/proj", "tok", out, api_base=base)
-    assert [d.path for d in snap.commit(SHA_NEW).file_diffs] == ["a/B.java"]
+    assert [(d.old_path, d.new_path) for d in snap.commit(SHA_NEW).file_diffs] == [
+        ("a/B.java", "a/B.java")
+    ]
     from fixpair.ingest import load_snapshot
 
     assert load_snapshot(out) == snap

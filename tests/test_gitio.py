@@ -26,25 +26,25 @@ def archive_tree(repo, commit):
 
 
 def test_checkout_matches_archive_oracle(fixture_repo):
-    repo = GitRepo(fixture_repo["repo"])
-    for name, commit in fixture_repo["hashes"].items():
-        assert repo.checkout_tree(commit) == archive_tree(
-            fixture_repo["repo"], commit
-        ), name
+    with GitRepo(fixture_repo["repo"]) as repo:
+        for name, commit in fixture_repo["hashes"].items():
+            assert repo.checkout_tree(commit) == archive_tree(
+                fixture_repo["repo"], commit
+            ), name
 
 
 def test_repeated_checkouts_identical(fixture_repo):
-    repo = GitRepo(fixture_repo["repo"])
-    head = fixture_repo["hashes"]["C12"]
-    first = repo.checkout_tree(head)
-    for _ in range(10):
-        assert repo.checkout_tree(head) == first
+    with GitRepo(fixture_repo["repo"]) as repo:
+        head = fixture_repo["hashes"]["C12"]
+        first = repo.checkout_tree(head)
+        for _ in range(10):
+            assert repo.checkout_tree(head) == first
 
 
 def test_unknown_hash_error(fixture_repo):
-    repo = GitRepo(fixture_repo["repo"])
-    with pytest.raises(CheckoutError) as err:
-        repo.checkout_tree("0" * 40)
+    with GitRepo(fixture_repo["repo"]) as repo:
+        with pytest.raises(CheckoutError) as err:
+            repo.checkout_tree("0" * 40)
     assert err.value.kind == "unknown"
 
 
@@ -73,9 +73,9 @@ def test_unreachable_commit_error(fixture_repo, tmp_path):
     ).stdout.decode().strip()
     subprocess.run(["git", "-C", clone, "checkout", "-q", "master"], check=True)
     subprocess.run(["git", "-C", clone, "branch", "-q", "-D", "orphan"], check=True)
-    repo = GitRepo(clone)
-    with pytest.raises(CheckoutError) as err:
-        repo.checkout_tree(orphan)
+    with GitRepo(clone) as repo:
+        with pytest.raises(CheckoutError) as err:
+            repo.checkout_tree(orphan)
     assert err.value.kind == "unreachable"
 
 

@@ -412,7 +412,7 @@ def test_a_text_file_beside_a_binary_file_keeps_its_hunk(odd_repo, tmp_path):
     repo, hashes = odd_repo
     snap = _captured(repo)
     tail = snap.commit(hashes["tail"]).file_diffs
-    assert [(d.path, d.is_delete, len(d.hunks)) for d in tail] == [("a.txt", True, 1)]
+    assert [(d.old_path, d.is_delete, len(d.hunks)) for d in tail] == [("a.txt", True, 1)]
     assert tail[0].hunks[0].lines == ["-one", "-2", "-two"]
     save_snapshot(snap, tmp_path / "snapshot.json")
     assert load_snapshot(tmp_path / "snapshot.json") == snap
@@ -453,14 +453,14 @@ def test_missing_final_newlines_keep_their_markers(tmp_path):
         parent = commit.parents[0] if commit.parents else EMPTY_TREE
         for d in commit.file_diffs:
             printed = subprocess.run(
-                ["git", "-C", b.path, "diff", "--no-color", parent, sha, "--", d.path],
+                ["git", "-C", b.path, "diff", "--no-color", parent, sha, "--", d.new_path],
                 stdout=subprocess.PIPE, check=True, env=env,
             ).stdout.decode().split("\n")[:-1]
             body = printed[[l[:4] for l in printed].index("+++ ") + 1:]
             lines = [l for h in d.hunks for l in h.lines]
-            assert lines == [l for l in body if not l.startswith("@@")], (name, d.path)
-            old = "" if d.is_add else _git_show(b.path, parent, d.path)
-            assert apply_file_diff(old, d) == _git_show(b.path, sha, d.path)
+            assert lines == [l for l in body if not l.startswith("@@")], (name, d.new_path)
+            old = "" if d.is_add else _git_show(b.path, parent, d.old_path)
+            assert apply_file_diff(old, d) == _git_show(b.path, sha, d.new_path)
             assert parse_unified_diff(render_unified(d)) == [d]
             if name in tails:
                 assert lines[-len(tails[name]):] == tails[name], name
@@ -481,7 +481,8 @@ def test_paths_under_a_top_level_b_directory_survive_a_reload(tmp_path):
     path = tmp_path / "snapshot.json"
     save_snapshot(snap, path)
     loaded = load_snapshot(path)
-    assert [d.path for d in loaded.commit(b.hashes["fix"]).file_diffs] == ["b/X.java"]
+    diffs = loaded.commit(b.hashes["fix"]).file_diffs
+    assert [(d.old_path, d.new_path) for d in diffs] == [("b/X.java", "b/X.java")]
     assert loaded == snap
 
 

@@ -5,6 +5,7 @@ import os
 import re
 import shutil
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -65,16 +66,14 @@ def test_expected_artifact_layout(pipeline_out):
 
 def test_golden_dataset_byte_identical(pipeline_out):
     for name in DATASET_FILES:
-        got = open(
-            os.path.join(pipeline_out["out"], "dataset", "full", name), "rb"
-        ).read()
-        want = open(os.path.join(GOLDEN_DIR, name), "rb").read()
+        got = Path(pipeline_out["out"], "dataset", "full", name).read_bytes()
+        want = Path(GOLDEN_DIR, name).read_bytes()
         assert got == want, f"{name} diverges from the golden copy"
 
 
 def test_golden_plan(pipeline_out):
-    got = open(os.path.join(pipeline_out["out"], "plan.txt"), "rb").read()
-    want = open(os.path.join(GOLDEN_DIR, "plan.txt"), "rb").read()
+    got = Path(pipeline_out["out"], "plan.txt").read_bytes()
+    want = Path(GOLDEN_DIR, "plan.txt").read_bytes()
     assert got == want
 
 
@@ -226,13 +225,13 @@ def test_missing_nemenyi_table_reruns_stats(pipeline_out, tmp_path):
     out = str(tmp_path / "out")
     shutil.copytree(pipeline_out["out"], out)
     table = os.path.join(out, "stats", "nemenyi_subtract_class.txt")
-    want = open(table, "rb").read()
+    want = Path(table).read_bytes()
     os.remove(table)
     stages = quiet_run(dataclasses.replace(pipeline_out["config"], out=out))["stages"]
     assert stages["evaluate"]["status"] == "cached"
     assert stages["stats"]["status"] == "fresh"
     assert os.path.relpath(table, out) in stages["stats"]["artifacts"]
-    assert open(table, "rb").read() == want
+    assert Path(table).read_bytes() == want
 
 
 def test_fewer_levels_leave_no_stale_nemenyi_table(pipeline_out, tmp_path):
@@ -271,8 +270,8 @@ def test_parallel_analysis_matches_serial(fixture_repo, tmp_path):
     par_dir = os.path.join(str(tmp_path / "par"), "analysis")
     assert sorted(os.listdir(serial_dir)) == sorted(os.listdir(par_dir))
     for name in os.listdir(serial_dir):
-        a = open(os.path.join(serial_dir, name), "rb").read()
-        b = open(os.path.join(par_dir, name), "rb").read()
+        a = Path(serial_dir, name).read_bytes()
+        b = Path(par_dir, name).read_bytes()
         assert a == b, name
 
 
@@ -327,11 +326,11 @@ def test_moved_class_goldens(moved_class_repo, tmp_path):
     quiet_run(config, stop_after="build")
     golden = os.path.join(GOLDEN_DIR, "moved-class")
     for name in DATASET_FILES:
-        got = open(os.path.join(out, "dataset", "full", name), "rb").read()
-        want = open(os.path.join(golden, name), "rb").read()
+        got = Path(out, "dataset", "full", name).read_bytes()
+        want = Path(golden, name).read_bytes()
         assert got == want, f"{name} diverges from the golden copy"
-    got = open(os.path.join(out, "plan.txt"), "rb").read()
-    assert got == open(os.path.join(golden, "plan.txt"), "rb").read()
+    got = Path(out, "plan.txt").read_bytes()
+    assert got == Path(golden, "plan.txt").read_bytes()
 
 
 def test_fresh_snapshot_run_parses_snapshot_once(fixture_repo, tmp_path, monkeypatch):
@@ -455,7 +454,7 @@ def test_degraded_timeline_excluded_from_dataset(tmp_path):
     )
     quiet_run(cfg, stop_after="build")
     # the unresolvable issue is dropped at ingestion (no fixing commits left)
-    snap = open(tmp_path / "out" / "snapshot" / "snapshot.json").read()
+    snap = (tmp_path / "out" / "snapshot" / "snapshot.json").read_text()
     assert '"id": 2' not in snap
     method_csv = (tmp_path / "out" / "dataset" / "full" / "method.csv").read_text()
     rows = [r for r in method_csv.strip().split("\n")[1:]]
@@ -1087,6 +1086,17 @@ def test_cli_stats_rejects_alpha_it_cannot_use(tmp_path, capsys, source, alpha, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("config error: ") and message in captured.err
+
+
+@pytest.mark.parametrize("out", ["existing", "missing"])
+def test_cli_stats_rejects_both_sources(tmp_path, capsys, out):
+    path = tmp_path / "m.csv"
+    path.write_text("row,a,b\nr1,0.5,0.6\nr2,0.4,0.65\nr3,0.45,0.6\n")
+    target = tmp_path if out == "existing" else tmp_path / "no" / "dir"
+    assert main(["stats", "--matrix", str(path), "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: --matrix and --out exclude each other\n"
 
 
 def test_cli_stats_alpha_sets_the_matrix_critical_value(tmp_path, capsys):

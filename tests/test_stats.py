@@ -14,7 +14,6 @@ from fixpair.stats import (
     effect_size_r,
     format_significance_table,
     friedman,
-    gammainc_upper,
     nemenyi,
     normal_sf,
     rate,
@@ -29,20 +28,25 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 def test_chi2_sf_matches_scipy():
     for x in (0.1, 0.7, 2.0, 6.0, 25.0, 120.0):
-        for df in (1, 2, 4, 10, 30):
+        for df in (1, 2, 3, 4, 5, 10, 11, 30, 31):
             assert chi2_sf(x, df) == pytest.approx(
                 sstats.chi2.sf(x, df), abs=1e-12
             )
 
 
-def test_gamma_switch_regions():
-    # series (x < a+1) and continued fraction (x >= a+1) both in play
-    assert gammainc_upper(5.0, 2.0) == pytest.approx(
-        sstats.gamma.sf(2.0, 5.0), abs=1e-13
-    )
-    assert gammainc_upper(5.0, 9.0) == pytest.approx(
-        sstats.gamma.sf(9.0, 5.0), abs=1e-13
-    )
+def test_chi2_sf_relative_error_in_the_far_tail():
+    # wherever scipy's tail is at least 1e-300, to 1e-12 of its value
+    xs = np.linspace(0.05, 1000.0, 400)
+    for df in range(1, 61):
+        for x, expected in zip(xs.tolist(), sstats.chi2.sf(xs, df).tolist()):
+            if expected >= 1e-300:
+                assert chi2_sf(x, df) == pytest.approx(expected, rel=1e-12), (x, df)
+
+
+def test_chi2_sf_even_df_below_and_above_the_mean():
+    # Q(5, 2) and Q(5, 9): the even-df sum on either side of x = a + 1
+    assert chi2_sf(4.0, 10) == pytest.approx(sstats.gamma.sf(2.0, 5.0), abs=1e-13)
+    assert chi2_sf(18.0, 10) == pytest.approx(sstats.gamma.sf(9.0, 5.0), abs=1e-13)
 
 
 def test_normal_sf():
