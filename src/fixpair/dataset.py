@@ -10,7 +10,7 @@ overlapping other bug.
 
 import csv
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .atomic import atomic_open
 from .diffs import elements_touched, modified_ranges
@@ -19,15 +19,6 @@ from .linker import buggy_interval_positions
 from .metrics import COLUMNS_BY_LEVEL, MetricsVector
 
 LEVELS = ("file", "class", "method")
-
-
-@dataclass
-class IssueTouchSet:
-    issue_id: int
-    fqns_by_level: dict = field(default_factory=lambda: {l: set() for l in LEVELS})
-
-    def is_empty(self):
-        return not any(self.fqns_by_level.values())
 
 
 @dataclass(frozen=True)
@@ -67,14 +58,15 @@ def _comment_only(diff, analyses, parent_hash, commit_hash):
 
 def accumulate_issue_touches(
     timeline, snapshot, analyses, ignore_comment_only=False
-) -> IssueTouchSet:
-    """Union of elements touched by any of the timeline's fixing commits.
+) -> dict:
+    """Union of elements touched by any of the timeline's fixing commits, as
+    {level -> set of FQNs} for every level.
 
     ``analyses`` maps commit hash -> {path -> FileAnalysis} and must cover
     every green commit and its first parent.  The result is closed upward:
     a touched method implies its class and file.
     """
-    touches = IssueTouchSet(issue_id=timeline.issue_id)
+    touches = {level: set() for level in LEVELS}
     for green_hash in timeline.green:
         commit = snapshot.commit(green_hash)
         if commit is None:
@@ -100,13 +92,13 @@ def _add_touched(touches, ranges, file_elements):
 
 
 def _add_with_closure(touches, elem):
-    touches.fqns_by_level[elem.kind].add(elem.fqn)
+    touches[elem.kind].add(elem.fqn)
     if elem.kind == "method":
         if elem.parent_fqn:
-            touches.fqns_by_level["class"].add(elem.parent_fqn)
-        touches.fqns_by_level["file"].add(elem.path)
+            touches["class"].add(elem.parent_fqn)
+        touches["file"].add(elem.path)
     elif elem.kind == "class":
-        touches.fqns_by_level["file"].add(elem.path)
+        touches["file"].add(elem.path)
 
 
 @dataclass
@@ -115,26 +107,19 @@ class BuildResult:
     drop_log: list
 
 
-def build_entries(touch_sets, timelines, metrics_by_commit, history) -> BuildResult:
+def build_entries(bugs, metrics_by_commit, history) -> BuildResult:
     """Before-fix and after-fix entries for every touched element.
 
+    ``bugs`` holds a ``(timeline, touches)`` pair for every live timeline,
+    with ``touches`` from :func:`accumulate_issue_touches`.
     ``metrics_by_commit`` maps commit hash -> {(level, fqn) -> MetricsVector}
-    and must hold full metrics for the orange and last-green commit of every
-    live timeline.
+    and must hold full metrics for the orange and last-green commit of each.
     """
-    by_issue = {t.issue_id: t for t in timelines}
-    live = []
-    for ts in touch_sets:
-        t = by_issue.get(ts.issue_id)
-        if t is None or not t.live or ts.is_empty():
-            continue
-        live.append((t, ts))
-
     intervals_by_element = {}  # (level, fqn) -> buggy intervals of its issues
-    for t, ts in live:
+    for t, touches in bugs:
         interval = buggy_interval_positions(t, history)
-        for level in LEVELS:
-            for fqn in ts.fqns_by_level[level]:
+        for level, fqns in touches.items():
+            for fqn in fqns:
                 intervals_by_element.setdefault((level, fqn), []).append(interval)
 
     def bug_count(commit_hash, level, fqn):
@@ -143,26 +128,22 @@ def build_entries(touch_sets, timelines, metrics_by_commit, history) -> BuildRes
 
     drop_log = []
     wanted = {}  # (commit, level, fqn) -> None, dedup across issues
-    for t, ts in live:
-        for mh in (t.orange, t.last_green):
-            if mh not in metrics_by_commit:
-                raise AnalysisMissingError(mh, f"needed by issue {t.issue_id}")
+    for t, touches in bugs:
+        states = (
+            (t.orange, "created by the fix"),
+            (t.last_green, "gone after the fix"),
+        )
         for level in LEVELS:
-            for fqn in sorted(ts.fqns_by_level[level]):
-                buggy_vec = metrics_by_commit[t.orange].get((level, fqn))
-                fixed_vec = metrics_by_commit[t.last_green].get((level, fqn))
-                if buggy_vec is not None:
-                    wanted[(t.orange, level, fqn)] = None
-                else:
-                    drop_log.append(
-                        (t.issue_id, t.orange, level, fqn, "created by the fix")
-                    )
-                if fixed_vec is not None:
-                    wanted[(t.last_green, level, fqn)] = None
-                else:
-                    drop_log.append(
-                        (t.issue_id, t.last_green, level, fqn, "gone after the fix")
-                    )
+            for fqn in sorted(touches[level]):
+                for commit, reason in states:
+                    if commit not in metrics_by_commit:
+                        raise AnalysisMissingError(
+                            commit, f"needed by issue {t.issue_id}"
+                        )
+                    if (level, fqn) in metrics_by_commit[commit]:
+                        wanted[(commit, level, fqn)] = None
+                    else:
+                        drop_log.append((t.issue_id, commit, level, fqn, reason))
 
     entries_by_level = {l: [] for l in LEVELS}
     for commit_hash, level, fqn in wanted:

@@ -19,19 +19,12 @@ picks are deterministic under the seed.
 import functools
 import hashlib
 import math
-from dataclasses import dataclass, field
 
 from .dataset import format_metric
 from .learn.models import _rng
 from .metrics import COLUMNS_BY_LEVEL
 
 STRATEGIES = ("none", "removal", "subtract", "single", "gcf")
-
-
-@dataclass
-class ConflictGroup:
-    feature_key: tuple
-    members: list = field(default_factory=list)  # (index, entry, is_buggy)
 
 
 def _raw_features(entry) -> tuple:
@@ -42,21 +35,19 @@ def _serialize(raw) -> tuple:
     return (raw[0],) + tuple(map(format_metric, raw[1:]))
 
 
-def group_entries(entries) -> list:
-    """Entries grouped by feature key: the level plus the serialized metric
-    vector.  Hash, fqn and bug count are left out, so conflicts are defined
-    purely on the features."""
+def group_entries(entries) -> dict:
+    """{feature key -> members} in first-seen order, each member an
+    ``(index, entry, is_buggy)`` triple.  The feature key is the level plus
+    the serialized metric vector; hash, fqn and bug count are left out, so
+    conflicts are defined purely on the features."""
     groups = {}
     keys = {}  # raw features -> feature key; equal numbers serialize alike
     for idx, e in enumerate(entries):
         raw = _raw_features(e)
         if raw not in keys:
             keys[raw] = _serialize(raw)
-        key = keys[raw]
-        if key not in groups:
-            groups[key] = ConflictGroup(feature_key=key)
-        groups[key].members.append((idx, e, e.bug_count > 0))
-    return list(groups.values())
+        groups.setdefault(keys[raw], []).append((idx, e, e.bug_count > 0))
+    return groups
 
 
 def _group_rng(key, seed):
@@ -75,31 +66,28 @@ def _pick(members, count, rng):
 
 
 def apply_filter(groups, strategy, rng_seed=0) -> list:
-    """Resolve every conflict group with one strategy; returns surviving
-    entries in their original dataset order."""
+    """Resolve every conflict group of :func:`group_entries` with one
+    strategy; returns surviving entries in their original dataset order."""
     if strategy not in STRATEGIES:
         raise ValueError(
             f"unknown filter strategy {strategy!r}; choose from {STRATEGIES}"
         )
     survivors = []
-    for group in groups:
-        kept = _filter_group(group, strategy, rng_seed)
-        survivors.extend(kept)
+    for key, members in groups.items():
+        survivors.extend(_filter_group(key, members, strategy, rng_seed))
     survivors.sort(key=lambda m: m[0])
     return [entry for _, entry, _ in survivors]
 
 
-def _filter_group(group, strategy, rng_seed):
-    members = sorted(
-        group.members, key=lambda m: (m[1].commit_hash, m[1].fqn, m[0])
-    )
+def _filter_group(key, members, strategy, rng_seed):
+    members = sorted(members, key=lambda m: (m[1].commit_hash, m[1].fqn, m[0]))
     buggy = [m for m in members if m[2]]
     clean = [m for m in members if not m[2]]
     b, c = len(buggy), len(clean)
     if strategy == "none" or b == 0 or c == 0:
         return members
     # most groups never draw, so their generator is built on first use
-    rng = functools.cache(functools.partial(_group_rng, group.feature_key, rng_seed))
+    rng = functools.cache(functools.partial(_group_rng, key, rng_seed))
     major, minor = (buggy, clean) if b > c else (clean, buggy)
     if strategy == "removal":
         return [] if b == c else major

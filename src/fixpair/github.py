@@ -6,9 +6,9 @@ per-hour request quota by sleeping until the advertised reset time
 atomic).  Any other HTTP error status, a URL that cannot
 be requested, a failed connection (refused, unresolved, timed out), a body
 that is not JSON, JSON of the wrong shape, a value of the wrong type (an
-issue number, a label name, a commit hash or message), a bad timestamp or a
-patch that does not parse raises a ``FixpairError`` naming the URL: a data
-error, exit 3 on the command line.
+issue number, a label name, a commit hash or message, a closing commit id), a
+bad timestamp or a patch that does not parse raises a ``FixpairError`` naming
+the URL: a data error, exit 3 on the command line.
 """
 
 import http.client
@@ -183,6 +183,12 @@ def _issue_record(item):
     )
 
 
+def _closing_commit(event):
+    """The commit id of a "closed" issue event, else None."""
+    commit = event.get("commit_id") if event.get("event") == "closed" else None
+    return commit if commit is None else _typed(commit, str)
+
+
 def _fetch_issues(client, repo_id):
     """Issues with the bare hashes of the commits that closed them."""
     issues = []
@@ -190,9 +196,7 @@ def _fetch_issues(client, repo_id):
     for issue in filter(None, listed):
         if issue.state == "closed":
             events = f"/repos/{repo_id}/issues/{issue.id}/events"
-            closing = client.paginate(
-                events, lambda e: e.get("event") == "closed" and e.get("commit_id")
-            )
+            closing = client.paginate(events, _closing_commit)
             issue = replace(issue, fixing_commits=tuple(filter(None, closing)))
         issues.append(issue)
     return issues

@@ -180,17 +180,15 @@ def assemble_snapshot(repo_id, captured_at, commits, issues, bug_labels):
     """The validated snapshot of ``commits`` (head first) and ``issues``,
     however they were captured.
 
-    A fixing commit, a hash or a ``(hash, date)`` pair, takes the date of the
-    captured commit with that hash; one that was not captured is dropped.
+    Each issue's fixing commits are hashes; one takes the date of the
+    captured commit with that hash, and one that was not captured is dropped.
     Only bug issues are kept (:func:`filter_bug_issues`), sorted by id.
     """
     dates = {c.hash: c.timestamp for c in commits}
     resolved = []
     for issue in issues:
-        hashes = (e[0] if isinstance(e, tuple) else e for e in issue.fixing_commits)
-        fixing = sorted(
-            ((h, dates[h]) for h in hashes if h in dates), key=lambda p: (p[1], p[0])
-        )
+        fixing = [(h, dates[h]) for h in issue.fixing_commits if h in dates]
+        fixing.sort(key=lambda p: (p[1], p[0]))
         resolved.append(replace(issue, fixing_commits=tuple(fixing)))
     return ProjectSnapshot(
         repo_id=repo_id,

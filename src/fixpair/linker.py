@@ -225,9 +225,7 @@ def build_timeline(issue, snapshot, history=None, keywords_only=False) -> BugFix
 
 def buggy_interval_positions(timeline, history):
     """Chain positions where the bug is present (orange back through blue,
-    forward through everything before the last fix)."""
-    if not timeline.live:
-        return range(0)
+    forward through everything before the last fix); ``timeline`` is live."""
     start = history.resolve(timeline.orange)
     if timeline.blue:
         start = min(start, min(history.resolve(h) for h in timeline.blue))

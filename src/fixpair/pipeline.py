@@ -458,14 +458,14 @@ def _stage_chain(config, stages):
             for h, mode in needed.items()
             if mode == "full"
         }
-        live = [t for t in timelines if t.live]
-        touch_sets = [
-            ds.accumulate_issue_touches(
+        bugs = [
+            (t, ds.accumulate_issue_touches(
                 t, snapshot, analyses, config.ignore_comment_only
-            )
-            for t in live
+            ))
+            for t in timelines
+            if t.live
         ]
-        result = ds.build_entries(touch_sets, live, metrics_by_commit, history)
+        result = ds.build_entries(bugs, metrics_by_commit, history)
         written = ds.export_dataset(
             result.entries_by_level, stages.rel("dataset", "full")
         )

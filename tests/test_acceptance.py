@@ -181,7 +181,7 @@ def test_criterion_4_dataset_construction(fixture_repo, tmp_path):
         seed=7,
     )
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", UserWarning)
         run_pipeline(config, stop_after="build")
 
     for name in ("file.csv", "class.csv", "method.csv", "method-p.csv"):
@@ -418,7 +418,7 @@ def test_criterion_9_planted_signal():
     shuffled = _planted_instances(424242, shuffle=True)
     bands = {}
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", UserWarning)
         for algo in ("one_r", "naive_bayes", "logistic", "decision_tree",
                      "random_tree", "random_forest"):
             r = cross_validate(algo, shuffled, k=10, repeats=1, seed=99)
@@ -463,7 +463,7 @@ def test_criterion_10_determinism(fixture_repo, tmp_path):
             seed=7,
         )
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            warnings.simplefilter("ignore", UserWarning)
             run_pipeline(config)
         trees.append(_tree_bytes(out))
     assert trees[0].keys() == trees[1].keys()

@@ -95,9 +95,9 @@ def make_scenario():
 def test_touches_closure_and_both_sides():
     snap, analyses, _, timeline = make_scenario()
     touches = accumulate_issue_touches(timeline, snap, analyses)
-    assert touches.fqns_by_level["method"] == {"p.A.m2()void", "p.A.m3()void"}
-    assert touches.fqns_by_level["class"] == {"p.A"}
-    assert touches.fqns_by_level["file"] == {"src/p/A.java"}
+    assert touches["method"] == {"p.A.m2()void", "p.A.m3()void"}
+    assert touches["class"] == {"p.A"}
+    assert touches["file"] == {"src/p/A.java"}
 
 
 def test_a_binary_file_after_the_java_file_leaves_its_touches():
@@ -113,14 +113,14 @@ def test_a_binary_file_after_the_java_file_leaves_its_touches():
     fix = dataclasses.replace(snap.commits[0], file_diffs=tuple(parse_unified_diff(diff)))
     snap = dataclasses.replace(snap, commits=(fix,) + snap.commits[1:])
     touches = accumulate_issue_touches(timeline, snap, analyses)
-    assert touches.fqns_by_level["method"] == {"p.A.m2()void", "p.A.m3()void"}
-    assert touches.fqns_by_level["file"] == {"src/p/A.java"}
+    assert touches["method"] == {"p.A.m2()void", "p.A.m3()void"}
+    assert touches["file"] == {"src/p/A.java"}
 
 
 def test_deleted_method_yields_buggy_entry_and_drop_log():
     snap, analyses, metrics, timeline = make_scenario()
     touches = accumulate_issue_touches(timeline, snap, analyses)
-    result = build_entries([touches], [timeline], metrics, HistoryIndex(snap))
+    result = build_entries([(timeline, touches)], metrics, HistoryIndex(snap))
     method_entries = {
         (e.commit_hash, e.fqn): e for e in result.entries_by_level["method"]
     }
@@ -134,7 +134,7 @@ def test_deleted_method_yields_buggy_entry_and_drop_log():
 def test_created_method_yields_fixed_only_entry():
     snap, analyses, metrics, timeline = make_scenario()
     touches = accumulate_issue_touches(timeline, snap, analyses)
-    result = build_entries([touches], [timeline], metrics, HistoryIndex(snap))
+    result = build_entries([(timeline, touches)], metrics, HistoryIndex(snap))
     method_entries = {
         (e.commit_hash, e.fqn): e for e in result.entries_by_level["method"]
     }
@@ -152,7 +152,7 @@ def contributing_issues(result, timelines):
 def test_isolated_bug_pairs():
     snap, analyses, metrics, timeline = make_scenario()
     touches = accumulate_issue_touches(timeline, snap, analyses)
-    result = build_entries([touches], [timeline], metrics, HistoryIndex(snap))
+    result = build_entries([(timeline, touches)], metrics, HistoryIndex(snap))
     for level in ("class", "file"):
         entries = {e.commit_hash: e for e in result.entries_by_level[level]}
         assert entries[sha("a")].bug_count == 1
@@ -194,11 +194,11 @@ def test_comment_only_diff_can_be_suppressed():
     }
     timeline = BugFixTimeline(issue_id=1, orange=sha("a"), green=(sha("b"),))
     default = accumulate_issue_touches(timeline, snap, analyses)
-    assert default.fqns_by_level["method"]  # mapped by default (pipeline behavior)
+    assert default["method"]  # mapped by default (pipeline behavior)
     suppressed = accumulate_issue_touches(
         timeline, snap, analyses, ignore_comment_only=True
     )
-    assert suppressed.is_empty()
+    assert not any(suppressed.values())
 
 
 # --- CSV ----------------------------------------------------------------------
@@ -321,7 +321,9 @@ def fixture_dataset(fixture_snapshot, fixture_repo):
         for h, files in analyses.items()
         if modes[h]
     }
-    touch_sets = [accumulate_issue_touches(t, snap, analyses) for t in timelines]
-    result = build_entries(touch_sets, timelines, metrics, hist)
+    bugs = [
+        (t, accumulate_issue_touches(t, snap, analyses)) for t in timelines if t.live
+    ]
+    result = build_entries(bugs, metrics, hist)
     assert contributing_issues(result, timelines) == {1, 2, 3}
     return result.entries_by_level

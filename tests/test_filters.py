@@ -138,18 +138,20 @@ def test_feature_key_ignores_identity_fields():
     assert e1.commit_hash != e2.commit_hash and e1.bug_count != e2.bug_count
     different = make_entries(1, 0, loc=9.0)[0]
     groups = group_entries([e1, e2, different])
-    assert [[idx for idx, _, _ in g.members] for g in groups] == [[0, 1], [2]]
-    assert groups[0].feature_key != groups[1].feature_key
+    indices = [[idx for idx, _, _ in members] for members in groups.values()]
+    assert indices == [[0, 1], [2]]
+    first_key, second_key = groups
+    assert first_key != second_key
 
 
 def test_groups_partition_dataset():
     entries = make_entries(2, 3) + make_entries(1, 1, loc=42.0, start=50)
     groups = group_entries(entries)
     assert len(groups) == 2
-    assert sum(len(g.members) for g in groups) == len(entries)
-    for g in groups:
-        labels = [buggy for _, _, buggy in g.members]
-        assert labels.count(True) + labels.count(False) == len(g.members)
+    assert sum(len(members) for members in groups.values()) == len(entries)
+    for members in groups.values():
+        labels = [buggy for _, _, buggy in members]
+        assert labels.count(True) + labels.count(False) == len(members)
 
 
 def test_unknown_strategy_rejected():

@@ -109,6 +109,7 @@ COMMITS = "/repos/demo/proj/commits"
 ISSUES = "/repos/demo/proj/issues"
 SHA = "a" * 40
 DETAIL = f"{COMMITS}/{SHA}"
+EVENTS = f"{ISSUES}/8/events"
 ONE_COMMIT = json.dumps([{"sha": SHA}]).encode()
 
 
@@ -118,6 +119,10 @@ def _issues(number=8, label="bug", created_at="2024-01-01T12:00:00Z", **closed):
         "number": number, "state": state, "labels": [{"name": label}],
         "created_at": created_at, **closed,
     }]).encode()
+
+
+def _closed_by(commit_id):
+    return json.dumps([{"event": "closed", "commit_id": commit_id}]).encode()
 
 
 def _commit(parent=SHA, message="m", date="2024-01-01T10:00:00Z", files=()):
@@ -150,9 +155,14 @@ def _commit(parent=SHA, message="m", date="2024-01-01T10:00:00Z", files=()):
     ({COMMITS: ONE_COMMIT, DETAIL: _commit(files=[{
         "filename": "f.txt", "status": "modified", "patch": "@@ -1,3 +1,1 @@\n-x"}])},
      DETAIL, "unexpected end of diff inside hunk"),
+    ({COMMITS: b"[]", ISSUES: _issues(closed_at="2024-01-02T12:00:00Z"),
+      EVENTS: _closed_by(["x"])}, EVENTS, "list ['x'] where str belongs"),
+    ({COMMITS: b"[]", ISSUES: _issues(closed_at="2024-01-02T12:00:00Z"),
+      EVENTS: _closed_by(7)}, EVENTS, "int 7 where str belongs"),
 ], ids=["no-sha", "object-for-list", "int-sha", "str-number", "bool-number",
         "int-label", "int-parent", "int-message", "int-created-at",
-        "word-closed-at", "int-commit-date", "cut-patch"])
+        "word-closed-at", "int-commit-date", "cut-patch", "list-closing-commit",
+        "int-closing-commit"])
 def test_answer_of_the_wrong_shape_is_a_data_error(
     answering, tmp_path, capsys, routes, path, detail
 ):

@@ -19,7 +19,7 @@ DATASET_FILES = ("file.csv", "class.csv", "method.csv", "method-p.csv")
 
 def quiet_run(config, **kwargs):
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", UserWarning)
         return run_pipeline(config, **kwargs)
 
 
@@ -331,6 +331,8 @@ def test_moved_class_goldens(moved_class_repo, tmp_path):
         assert got == want, f"{name} diverges from the golden copy"
     got = Path(out, "plan.txt").read_bytes()
     assert got == Path(golden, "plan.txt").read_bytes()
+    got = Path(out, "build", "drop_log.txt").read_bytes()
+    assert got == Path(golden, "drop_log.txt").read_bytes()
 
 
 def test_fresh_snapshot_run_parses_snapshot_once(fixture_repo, tmp_path, monkeypatch):
@@ -623,7 +625,7 @@ def test_cli_fetch_from_local_and_run(fixture_repo, tmp_path, capsys):
     assert os.path.exists(snap_path)
     out_dir = str(tmp_path / "out")
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", UserWarning)
         rc = main(
             [
                 "run",
@@ -644,7 +646,7 @@ def test_cli_fetch_from_local_and_run(fixture_repo, tmp_path, capsys):
 def test_cli_run_subtract_has_no_skipped_cell(fixture_repo, tmp_path):
     out_dir = str(tmp_path / "out")
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", UserWarning)
         rc = main([
             "run", "--out", out_dir,
             "--repo", fixture_repo["repo"], "--issues", fixture_repo["issues"],
@@ -754,7 +756,7 @@ def test_cli_evaluate_fails_on_failed_projection(pipeline_out, monkeypatch, caps
 
     monkeypatch.setattr(pipeline, "project_folds", _no_parents)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", UserWarning)
         rc = main([
             "evaluate", "--out", pipeline_out["out"], "--filter", "subtract",
             "--level", "method", "--level", "projected", "--algo", "one_r",
@@ -768,7 +770,7 @@ def test_cli_evaluate_fails_on_failed_projection(pipeline_out, monkeypatch, caps
 
 def test_cli_evaluate_prints_table(pipeline_out, capsys):
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", UserWarning)
         rc = main(
             [
                 "evaluate",
@@ -787,7 +789,7 @@ def test_cli_evaluate_prints_table(pipeline_out, capsys):
 
 def test_cli_evaluate_every_filter(pipeline_out, capsys):
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", UserWarning)
         rc = main([
             "evaluate", "--out", pipeline_out["out"], "--filter", "subtract",
             "--filter", "gcf", "--level", "method", "--algo", "one_r",
@@ -811,7 +813,7 @@ def test_cli_evaluate_reads_the_config_file(pipeline_out, tmp_path, capsys):
         eval_filters=["subtract"],
     )
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", UserWarning)
         assert main(["evaluate", "--config", config]) == 0
         # no --level and no config levels: the method level only
         assert [r.split()[:3] for r in capsys.readouterr().out.splitlines()[1:]] == [
