@@ -13,20 +13,23 @@ import os
 from dataclasses import dataclass
 
 from .atomic import atomic_open
-from .diffs import elements_touched, modified_ranges
+from .diffs import changed_lines, elements_touched
 from .errors import AnalysisMissingError
+from .ingest import read_csv
 from .linker import buggy_interval_positions
-from .metrics import COLUMNS_BY_LEVEL, MetricsVector
+from .metrics import COLUMNS_BY_LEVEL
 
 LEVELS = ("file", "class", "method")
 
 
 @dataclass(frozen=True)
 class DatasetEntry:
+    """One element at one commit; ``metrics`` maps metric column -> value."""
+
     commit_hash: str
     fqn: str
     level: str
-    metrics: "MetricsVector"
+    metrics: dict
     bug_count: int
     parent_fqn: str = None
 
@@ -46,14 +49,11 @@ def _code_lines_for(analyses, commit_hash, path):
 
 def _comment_only(diff, analyses, parent_hash, commit_hash):
     """True when no modified line on either side carries code tokens."""
-    old = modified_ranges(diff, "old")
-    new = modified_ranges(diff, "new")
+    old = changed_lines(diff, "old")
+    new = changed_lines(diff, "new")
     old_code = _code_lines_for(analyses, parent_hash, diff.old_path)
     new_code = _code_lines_for(analyses, commit_hash, diff.new_path)
-    touched_code = any(l in old_code for l in old.lines()) or any(
-        l in new_code for l in new.lines()
-    )
-    return not touched_code and (bool(old) or bool(new))
+    return bool(old or new) and old.isdisjoint(old_code) and new.isdisjoint(new_code)
 
 
 def accumulate_issue_touches(
@@ -78,16 +78,16 @@ def accumulate_issue_touches(
                     continue
             if not diff.is_add and parent_hash is not None:
                 old_elems = _elements_for(analyses, parent_hash, diff.old_path)
-                _add_touched(touches, modified_ranges(diff, "old"), old_elems)
+                _add_touched(touches, changed_lines(diff, "old"), old_elems)
             if not diff.is_delete:
                 new_elems = _elements_for(analyses, green_hash, diff.new_path)
-                _add_touched(touches, modified_ranges(diff, "new"), new_elems)
+                _add_touched(touches, changed_lines(diff, "new"), new_elems)
     return touches
 
 
-def _add_touched(touches, ranges, file_elements):
+def _add_touched(touches, lines, file_elements):
     first = {e.fqn: e for e in reversed(file_elements)}  # first element per FQN
-    for fqn in elements_touched(ranges, file_elements):
+    for fqn in elements_touched(lines, file_elements):
         _add_with_closure(touches, first[fqn])
 
 
@@ -153,7 +153,7 @@ def build_entries(bugs, metrics_by_commit, history) -> BuildResult:
                 commit_hash=commit_hash,
                 fqn=fqn,
                 level=level,
-                metrics=vec,
+                metrics=vec.values,
                 bug_count=bug_count(commit_hash, level, fqn),
                 parent_fqn=vec.element.parent_fqn if vec.element else None,
             )
@@ -199,28 +199,23 @@ def export_csv(entries, level, path, parent_column=False) -> None:
 
 
 def load_entries_csv(path, level) -> list:
-    """Read an exported CSV back into dataset entries (inverse of export)."""
+    """Read an exported CSV back into dataset entries (inverse of export).
+
+    A file that cannot be read or a cell that is not a number is a
+    ``SnapshotFormatError`` naming the file (and the line).
+    """
     columns = COLUMNS_BY_LEVEL[level]
-    entries = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            values = {}
-            for c in columns:
-                cell = rec.get(c, "")
-                if cell != "":
-                    values[c] = float(cell)
-            entries.append(
-                DatasetEntry(
-                    commit_hash=rec["hash"],
-                    fqn=rec["fqn"],
-                    level=level,
-                    metrics=MetricsVector(level=level, values=values),
-                    bug_count=int(rec["bug_count"]),
-                    parent_fqn=rec.get("parent_fqn") or None,
-                )
-            )
-    return entries
+    return read_csv(
+        path,
+        lambda rec: DatasetEntry(
+            commit_hash=rec["hash"],
+            fqn=rec["fqn"],
+            level=level,
+            metrics={c: float(rec[c]) for c in columns if rec.get(c, "") != ""},
+            bug_count=int(rec["bug_count"]),
+            parent_fqn=rec.get("parent_fqn") or None,
+        ),
+    )
 
 
 def export_dataset(entries_by_level, directory) -> dict:

@@ -42,34 +42,6 @@ class FileDiff:
         return self.new_path == "/dev/null"
 
 
-@dataclass(frozen=True)
-class LineRangeSet:
-    """Disjoint, sorted, inclusive 1-based line intervals."""
-
-    ranges: tuple = ()
-
-    @classmethod
-    def from_lines(cls, lines):
-        nums = sorted(set(lines))
-        ranges = []
-        for n in nums:
-            if ranges and n == ranges[-1][1] + 1:
-                ranges[-1][1] = n
-            else:
-                ranges.append([n, n])
-        return cls(tuple((a, b) for a, b in ranges))
-
-    def __bool__(self):
-        return bool(self.ranges)
-
-    def intersects(self, start, end):
-        return any(a <= end and start <= b for a, b in self.ranges)
-
-    def lines(self):
-        for a, b in self.ranges:
-            yield from range(a, b + 1)
-
-
 # git's C-style path quoting: octal bytes and single-character escapes
 _C_ESCAPE_RE = re.compile(rb"\\([0-3][0-7]{2}|.)", re.DOTALL)
 _C_ESCAPES = dict(zip(b"abtnvfr", b"\a\b\t\n\v\f\r"))
@@ -177,26 +149,28 @@ def parse_unified_diff(text: str) -> list:
     return diffs
 
 
-def modified_ranges(diff: FileDiff, side: str) -> LineRangeSet:
-    """Changed line numbers on one side; context lines never count."""
+def changed_lines(diff: FileDiff, side: str) -> frozenset:
+    """Numbers of the lines ``diff`` removed from the old file (``side="old"``)
+    or added to the new one (``"new"``); context lines never count."""
     if side not in ("old", "new"):
         raise ValueError(f"side must be 'old' or 'new', got {side!r}")
     mark = "-" if side == "old" else "+"
-    touched = []
+    changed = set()
     for hunk in diff.hunks:
         line_no = hunk.old_start if side == "old" else hunk.new_start
         for line in hunk.lines:
             if line[0] == mark:
-                touched.append(line_no)
+                changed.add(line_no)
             if line[0] in (" ", mark):
                 line_no += 1
-    return LineRangeSet.from_lines(touched)
+    return frozenset(changed)
 
 
-def elements_touched(ranges: LineRangeSet, elements) -> set:
-    """FQNs of all elements whose range intersects any modified range."""
+def elements_touched(lines, elements) -> set:
+    """FQNs of the elements whose lines include any of the set ``lines``."""
     return {
-        e.fqn for e in elements if ranges.intersects(e.start_line, e.end_line)
+        e.fqn for e in elements
+        if not lines.isdisjoint(range(e.start_line, e.end_line + 1))
     }
 
 

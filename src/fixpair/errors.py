@@ -88,6 +88,4 @@ class StageError(FixpairError):
     """A pipeline stage failed; earlier stage outputs are kept for resume."""
 
     def __init__(self, stage, cause):
-        self.stage = stage
-        self.cause = cause
         super().__init__(f"stage '{stage}' failed: {cause}")

@@ -28,7 +28,7 @@ STRATEGIES = ("none", "removal", "subtract", "single", "gcf")
 
 
 def _raw_features(entry) -> tuple:
-    return (entry.level, *map(entry.metrics.values.get, COLUMNS_BY_LEVEL[entry.level]))
+    return (entry.level, *map(entry.metrics.get, COLUMNS_BY_LEVEL[entry.level]))
 
 
 def _serialize(raw) -> tuple:

@@ -31,6 +31,7 @@ settings.
 """
 
 import csv
+import io
 import json
 import os
 import re
@@ -216,6 +217,32 @@ def read_input(path, parse=json.loads, error=SnapshotFormatError):
         raise error(f"{path}: not UTF-8 (byte {exc.start})") from None
     except (ValueError, csv.Error) as exc:
         raise error(f"{path}: {exc}") from None
+
+
+def csv_records(text):
+    """The header of a CSV text and its records, each with the line it ends on."""
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    return reader.fieldnames, [(reader.line_num, rec) for rec in reader]
+
+
+def read_csv(path, convert):
+    """``convert`` of each record of a CSV file whose first row names the
+    columns, read through :func:`read_input`: a missing column, or a
+    ``TypeError`` or ``ValueError`` from ``convert``, is a
+    ``SnapshotFormatError`` naming the file and the record's line."""
+
+    def parse(text):
+        converted = []
+        for line_num, rec in csv_records(text)[1]:
+            try:
+                converted.append(convert(rec))
+            except KeyError as exc:
+                raise ValueError(f"line {line_num}: no column {exc}") from None
+            except (TypeError, ValueError) as exc:  # a short row reads as None
+                raise ValueError(f"line {line_num}: {exc}") from None
+        return converted
+
+    return read_input(path, parse)
 
 
 # ---------------------------------------------------------------------------
@@ -457,16 +484,15 @@ def snapshot_from_local_repo(
 ) -> ProjectSnapshot:
     """Build a snapshot from a local clone plus an externally supplied issue
     list, through :func:`assemble_snapshot`."""
-    log = git(
-        repo_path, "log", "--date-order", "--format=%H%x01%P%x01%an%x01%cI%x01%B%x02"
-    ).stdout.decode("utf-8", "replace")
-    logged = []
-    for chunk in log.split("\x02"):
-        chunk = chunk.lstrip("\n")
-        if not chunk.strip():
-            continue
-        sha, parents, author, date, message = chunk.split("\x01", 4)
-        logged.append((sha, tuple(parents.split()), author, date, message))
+    # NUL ends every field and every commit: git refuses it in a message
+    fields = git(
+        repo_path, "log", "-z", "--date-order",
+        "--format=%H%x00%P%x00%an%x00%cI%x00%B",
+    ).stdout.decode("utf-8", "replace").split("\x00")
+    logged = [
+        (sha, tuple(parents.split()), author, date, message)
+        for sha, parents, author, date, message in zip(*[iter(fields)] * 5)
+    ]
     with closing(_first_parent_patches(repo_path, [c[:2] for c in logged])) as patches:
         commits = [
             CommitRecord(

@@ -1,15 +1,13 @@
 """Evaluation harness: labeling, under-sampling, stratified k-fold
 cross-validation, method-to-class projection, and P/R/F reporting."""
 
-import csv
-import io
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import FixpairError, SnapshotFormatError
-from ..ingest import read_input
+from ..ingest import csv_records, read_input
 from ..metrics import COLUMNS_BY_LEVEL, EMPTY_CLASS_COLUMNS, EMPTY_METHOD_COLUMNS
 from .models import _rng, train
 
@@ -269,16 +267,10 @@ def cross_validate_projected(
 _PREDICTION_LABELS = {"buggy": LABEL_BUGGY, "clean": LABEL_CLEAN}
 
 
-def _csv_records(text):
-    """The header of a CSV text and its records, each with the line it ends on."""
-    reader = csv.DictReader(io.StringIO(text, newline=""))
-    return reader.fieldnames, [(reader.line_num, rec) for rec in reader]
-
-
 def load_predictions_csv(path) -> list:
     """External predictions: columns fqn, parent_fqn, predicted, actual
     with buggy/clean values.  Covers learners the harness does not implement."""
-    fieldnames, records = read_input(path, _csv_records)
+    fieldnames, records = read_input(path, csv_records)
     for column in ("fqn", "predicted", "actual"):
         if column not in (fieldnames or ()):
             raise SnapshotFormatError("header lacks a column", path=path, field=column)

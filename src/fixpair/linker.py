@@ -271,14 +271,3 @@ def write_plan(plan, path):
         for e in plan.entries:
             fh.write(f"{e.commit_hash} {'full' if e.full_analysis else 'pos'}\n")
 
-
-def read_plan(path):
-    entries = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            commit_hash, _, mode = line.partition(" ")
-            entries.append(PlanEntry(commit_hash, mode.strip() == "full"))
-    return AnalysisPlan(entries=tuple(entries))

@@ -55,9 +55,6 @@ class MetricsVector:
     values: dict = field(default_factory=dict)
     element: SourceElement = None
 
-    def get(self, metric_id):
-        return self.values.get(metric_id)
-
 
 # ---------------------------------------------------------------------------
 # shared per-file token context

@@ -25,10 +25,10 @@ from .analyzer import (
     is_test_path,
 )
 from .atomic import atomic_open, remove_temp_files
-from .errors import ConfigError, FixpairError, StageError
+from .errors import ConfigError, FixpairError, SnapshotFormatError, StageError
 from .filters import STRATEGIES, filter_entries
 from .gitio import GitRepo, git
-from .ingest import load_issue_specs, load_snapshot, read_input, save_snapshot
+from .ingest import load_issue_specs, load_snapshot, read_csv, read_input, save_snapshot
 from .ingest import snapshot_from_local_repo
 from .java.structure import SourceElement
 from .learn.evaluate import cross_validate, instances_from_entries, prf, project_folds
@@ -37,7 +37,6 @@ from .linker import (
     BugFixTimeline,
     HistoryIndex,
     build_timeline,
-    read_plan,
     select_analysis_commits,
     write_plan,
 )
@@ -258,10 +257,16 @@ class _Stages:
         The producer returns the paths it wrote; the state records them
         relative to the output directory.  A fresh run deletes what the
         previous state recorded that this run did not write, and the temp
-        files killed writers left where this run wrote.
+        files killed writers left where this run wrote.  A state file that
+        does not hold a JSON object counts as absent.
         """
         state_path = os.path.join(self.state_dir, f"{name}.json")
-        state = _read_json(state_path) if os.path.exists(state_path) else {}
+        try:
+            state = _read_json(state_path)
+        except (FileNotFoundError, ValueError):  # absent, or not JSON
+            state = {}
+        if not isinstance(state, dict):
+            state = {}
         recorded = state.get("artifacts", [])
         cached = (
             state.get("fingerprint") == fingerprint
@@ -386,7 +391,7 @@ def _stage_chain(config, stages):
     # One analysis/<key>.json per distinct (path, blob) version, plus an
     # index commit -> {path: key}; a commit's mode only decides below
     # whether its vectors feed metrics_by_commit.
-    needed = _analysis_needs(snapshot, timelines, stages.rel("plan.txt"))
+    needed = _analysis_needs(snapshot, timelines, history)
     index_art = os.path.join("analysis", "index.json")
     analyze_fp = _fingerprint(
         "analyze-by-blob",
@@ -556,10 +561,10 @@ def _stage_chain(config, stages):
     yield "stats"
 
 
-def _analysis_needs(snapshot, timelines, plan_path) -> dict:
-    """Commit -> mode map: the link stage's plan commits plus green parents
-    (positions)."""
-    plan = read_plan(plan_path)
+def _analysis_needs(snapshot, timelines, history) -> dict:
+    """Commit -> ``"full"`` or ``"pos"``: the plan the link stage recorded in
+    ``plan.txt``, derived again from the timelines, plus green parents (pos)."""
+    plan = select_analysis_commits(timelines, history)
     needed = {e.commit_hash: ("full" if e.full_analysis else "pos") for e in plan.entries}
     for t in timelines:
         if not t.live:
@@ -601,7 +606,8 @@ def evaluate_filters(config):
     and levels, in order.
 
     ``results`` maps algorithm -> EvalResult, or is the ``FixpairError``
-    that stopped the level.  Each dataset file is cross-validated once:
+    that stopped the level; a dataset file that does not read raises.  Each
+    dataset file is cross-validated once:
     ``projected`` is the class projection of the ``method`` folds, so a
     failed method CV stops both levels, a failed projection only its own.
     """
@@ -616,6 +622,8 @@ def evaluate_filters(config):
                         path, source, config.algorithms,
                         seed=config.seed, repeats=config.repeats, k=config.folds,
                     )
+                except SnapshotFormatError:
+                    raise
                 except FixpairError as exc:
                     by_source[source] = exc
             results = by_source[source]
@@ -666,12 +674,10 @@ def emit_stats_tables(folds_csv, stats_dir):
     the paths written: ``summary.txt`` and one Nemenyi table per group.
     """
     per_group = {}
-    with open(folds_csv, encoding="utf-8", newline="") as fh:
-        for rec in csv.DictReader(fh):
-            key = (rec["filter"], rec["level"])
-            per_group.setdefault(key, {}).setdefault(rec["algorithm"], []).append(
-                float(rec["f_measure"])
-            )
+    rows = read_csv(folds_csv, lambda rec: (rec, float(rec["f_measure"])))
+    for rec, f_measure in rows:
+        key = (rec["filter"], rec["level"])
+        per_group.setdefault(key, {}).setdefault(rec["algorithm"], []).append(f_measure)
     summary, written = [], []
     for (strat, level), by_algo in sorted(per_group.items()):
         algos = sorted(by_algo)

@@ -15,7 +15,7 @@ import scipy.stats as sstats
 
 from fixpair.analyzer import analyze_source
 from fixpair.dataset import load_entries_csv
-from fixpair.diffs import LineRangeSet, apply_file_diff, elements_touched, parse_unified_diff
+from fixpair.diffs import apply_file_diff, elements_touched, parse_unified_diff
 from fixpair.filters import STRATEGIES, filter_entries
 from fixpair.learn.evaluate import (
     ConfusionMatrix,
@@ -147,8 +147,7 @@ def test_criterion_3_diff_replay_and_touch_oracle(fixture_repo):
         elements = _random_layout(rng)
         max_line = max(e.end_line for e in elements)
         lines = sorted(rng.sample(range(1, max_line + 5), rng.randrange(1, 12)))
-        ranges = LineRangeSet.from_lines(lines)
-        assert elements_touched(ranges, elements) == brute_force_touched(
+        assert elements_touched(set(lines), elements) == brute_force_touched(
             lines, elements
         )
     elapsed = report(

@@ -18,7 +18,6 @@ from fixpair.diffs import parse_unified_diff
 from fixpair.errors import AnalysisMissingError
 from fixpair.ingest import CommitRecord, IssueRecord, ProjectSnapshot
 from fixpair.linker import BugFixTimeline, HistoryIndex
-from fixpair.metrics import MetricsVector
 
 UTC = timezone.utc
 
@@ -203,10 +202,6 @@ def test_comment_only_diff_can_be_suppressed():
 
 # --- CSV ----------------------------------------------------------------------
 
-def vec(level, **values):
-    return MetricsVector(level=level, values=values)
-
-
 def test_export_header_only(tmp_path):
     path = tmp_path / "file.csv"
     export_csv([], "file", path)
@@ -222,7 +217,7 @@ def test_export_quotes_commas_rfc4180(tmp_path):
         commit_hash=sha("a"),
         fqn="p.A.m(int,long)void",
         level="method",
-        metrics=vec("method", LOC=1.0),
+        metrics={"LOC": 1.0},
         bug_count=2,
         parent_fqn="p.A",
     )
@@ -237,7 +232,7 @@ def test_export_quotes_commas_rfc4180(tmp_path):
 
 
 def test_export_level_mismatch_rejected(tmp_path):
-    entry = DatasetEntry(sha("a"), "X", "class", vec("class"), 0)
+    entry = DatasetEntry(sha("a"), "X", "class", {}, 0)
     with pytest.raises(ValueError):
         export_csv([entry], "method", tmp_path / "m.csv")
 
@@ -254,7 +249,7 @@ def test_csv_roundtrip(tmp_path):
         commit_hash=sha("a"),
         fqn="p.A.m()void",
         level="method",
-        metrics=vec("method", LOC=3.0, LLOC=2.0, McCC=1.5),
+        metrics={"LOC": 3.0, "LLOC": 2.0, "McCC": 1.5},
         bug_count=1,
         parent_fqn="p.A",
     )
@@ -267,7 +262,7 @@ def test_csv_roundtrip(tmp_path):
     assert got.fqn == entry.fqn
     assert got.parent_fqn == "p.A"
     assert got.bug_count == 1
-    assert got.metrics.values == {"LOC": 3.0, "LLOC": 2.0, "McCC": 1.5}
+    assert got.metrics == {"LOC": 3.0, "LLOC": 2.0, "McCC": 1.5}
 
 
 def test_hash_fqn_unique_and_level_closure(fixture_dataset):

@@ -2,17 +2,14 @@ import random
 import subprocess
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fixpair.diffs import (
     DiffParseError,
     FileDiff,
     Hunk,
-    LineRangeSet,
     apply_file_diff,
+    changed_lines,
     elements_touched,
-    modified_ranges,
     parse_unified_diff,
     render_unified,
 )
@@ -44,8 +41,8 @@ def test_example_diff_shape():
 
 def test_example_diff_modified_lines():
     d = parse_unified_diff(EXAMPLE)[0]
-    assert list(modified_ranges(d, "old").lines()) == [1]
-    assert list(modified_ranges(d, "new").lines()) == [1]
+    assert changed_lines(d, "old") == {1}
+    assert changed_lines(d, "new") == {1}
 
 
 def test_example_diff_replay():
@@ -115,15 +112,15 @@ def test_two_file_diff():
 def test_pure_addition_ranges():
     text = "--- a\n+++ b\n@@ -9,0 +10,3 @@\n+l1\n+l2\n+l3\n"
     d = parse_unified_diff(text)[0]
-    assert list(modified_ranges(d, "old").lines()) == []
-    assert list(modified_ranges(d, "new").lines()) == [10, 11, 12]
+    assert changed_lines(d, "old") == set()
+    assert changed_lines(d, "new") == {10, 11, 12}
 
 
 def test_context_only_hunk_has_empty_ranges():
     text = "--- a\n+++ b\n@@ -1,2 +1,2 @@\n x\n y\n"
     d = parse_unified_diff(text)[0]
-    assert not modified_ranges(d, "old")
-    assert not modified_ranges(d, "new")
+    assert not changed_lines(d, "old")
+    assert not changed_lines(d, "new")
 
 
 def test_no_newline_markers_roundtrip():
@@ -245,8 +242,7 @@ def test_elements_touched_matches_brute_force():
         lines = sorted(
             rng.sample(range(1, max_line + 5), rng.randrange(1, 12))
         )
-        ranges = LineRangeSet.from_lines(lines)
-        assert elements_touched(ranges, elements) == brute_force_touched(
+        assert elements_touched(set(lines), elements) == brute_force_touched(
             lines, elements
         )
 
@@ -254,8 +250,8 @@ def test_elements_touched_matches_brute_force():
 def test_touched_monotone_in_ranges():
     rng = random.Random(7)
     elements = _random_layout(rng)
-    small = LineRangeSet.from_lines([5, 6])
-    big = LineRangeSet.from_lines([5, 6, 30, 31])
+    small = {5, 6}
+    big = {5, 6, 30, 31}
     assert elements_touched(small, elements) <= elements_touched(big, elements)
 
 
@@ -266,7 +262,7 @@ def test_range_in_gap_touches_class_and_file_only():
         SourceElement("method", "C.a()", "F.java", 3, 8, parent_fqn="C"),
         SourceElement("method", "C.b()", "F.java", 12, 20, parent_fqn="C"),
     ]
-    touched = elements_touched(LineRangeSet.from_lines([10]), elements)
+    touched = elements_touched({10}, elements)
     assert touched == {"F.java", "C"}
 
 
@@ -277,16 +273,6 @@ def test_range_spanning_two_methods():
         SourceElement("method", "C.a()", "F.java", 3, 8, parent_fqn="C"),
         SourceElement("method", "C.b()", "F.java", 9, 20, parent_fqn="C"),
     ]
-    touched = elements_touched(LineRangeSet.from_lines([8, 9]), elements)
+    touched = elements_touched({8, 9}, elements)
     assert {"C.a()", "C.b()"} <= touched
 
-
-@settings(max_examples=150, deadline=None)
-@given(st.sets(st.integers(min_value=1, max_value=60), max_size=20))
-def test_line_range_set_properties(lines):
-    rs = LineRangeSet.from_lines(lines)
-    # disjoint, sorted, nonempty intervals
-    for (a1, b1), (a2, b2) in zip(rs.ranges, rs.ranges[1:]):
-        assert b1 + 1 < a2
-        assert a1 <= b1 and a2 <= b2
-    assert set(rs.lines()) == set(lines)

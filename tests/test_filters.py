@@ -10,7 +10,6 @@ from fixpair.filters import (
     filter_entries,
     group_entries,
 )
-from fixpair.metrics import MetricsVector
 
 
 def make_entries(n_buggy, n_clean, loc=7.0, start=0):
@@ -21,7 +20,7 @@ def make_entries(n_buggy, n_clean, loc=7.0, start=0):
                 commit_hash=f"{start + i:040x}",
                 fqn=f"p.C.m{start + i}()void",
                 level="method",
-                metrics=MetricsVector("method", {"LOC": loc, "McCC": 1.0}),
+                metrics={"LOC": loc, "McCC": 1.0},
                 bug_count=1 if i < n_buggy else 0,
             )
         )

@@ -486,6 +486,27 @@ def test_paths_under_a_top_level_b_directory_survive_a_reload(tmp_path):
     assert loaded == snap
 
 
+def test_control_bytes_in_messages_and_names_survive_a_capture(tmp_path):
+    from conftest import RepoBuilder, run_git
+
+    b = RepoBuilder(str(tmp_path / "repo"))
+    b.write("X.java", "class X {}\n")
+    b.commit("add", "add X")
+    b.write("X.java", "class X { int f; }\n")
+    b.commit("fix", "fix #1 with \x02 byte")
+    env = dict(os.environ, GIT_AUTHOR_NAME="Dev\x01Two", GIT_COMMITTER_NAME="Dev")
+    run_git(b.path, "commit", "-q", "--allow-empty", "-m", "note \x01 too", env=env)
+    snap = snapshot_from_local_repo(b.path, [], repo_id="demo/bytes")
+    assert [(c.author_id, c.message) for c in snap.commits] == [
+        ("Dev\x01Two", "note \x01 too"),
+        ("Dev One", "fix #1 with \x02 byte"),
+        ("Dev One", "add X"),
+    ]
+    path = tmp_path / "snapshot.json"
+    save_snapshot(snap, path)
+    assert load_snapshot(path) == snap
+
+
 def test_capture_ignores_porcelain_diff_settings(odd_repo, tmp_path, monkeypatch):
     repo, _ = odd_repo
     before = snapshot_to_json(_captured(repo))

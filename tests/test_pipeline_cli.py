@@ -200,6 +200,33 @@ def test_fresh_stage_removes_temp_files_of_killed_writers(fixture_repo, tmp_path
     assert [path.exists() for path in planted] == [False, False]
 
 
+@pytest.mark.parametrize("state", ['{"fingerprint": ', "[1]"])
+def test_a_damaged_stage_state_file_runs_its_stage_afresh(
+    fixture_repo, tmp_path, capsys, state
+):
+    out = tmp_path / "out"
+    args = ["filter", "--out", str(out), "--repo", fixture_repo["repo"],
+            "--issues", fixture_repo["issues"]]
+
+    def tree():
+        return {
+            os.path.relpath(path, out): path.read_bytes()
+            for path in out.rglob("*") if path.is_file()
+        }
+
+    assert main(args) == 0
+    first = tree()
+    (out / ".stages" / "link.json").write_text(state)
+    capsys.readouterr()
+    assert main(args) == 0
+    assert "link: fresh (2 artifacts)" in capsys.readouterr().out.splitlines()
+    second = tree()
+    # the manifest records this run's statuses: link fresh, the rest cached
+    first.pop("manifest.json")
+    second.pop("manifest.json")
+    assert second == first
+
+
 def test_artifacts_get_the_mode_of_a_plain_open(fixture_repo, tmp_path):
     out = tmp_path / "out"
     mask = os.umask(0o022)
@@ -766,6 +793,65 @@ def test_cli_evaluate_fails_on_failed_projection(pipeline_out, monkeypatch, caps
     assert "method    one_r" in captured.out
     assert "projected" not in captured.out
     assert "lacks a parent class" in captured.err
+
+
+@pytest.mark.parametrize("damage", ["missing", "bad cell", "no bug_count"])
+def test_cli_evaluate_on_a_damaged_dataset_is_a_data_error(
+    pipeline_out, tmp_path, capsys, damage
+):
+    out = str(tmp_path / "out")
+    shutil.copytree(pipeline_out["out"], out)
+    path = os.path.join(out, "dataset", "gcf", "class.csv")
+    if damage == "missing":
+        os.remove(path)
+        where = f"{path}: cannot read"
+    else:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        if damage == "bad cell":
+            rows[1][rows[0].index("LOC")] = "abc"
+            where = f"{path}: line 2: could not convert string to float: 'abc'"
+        else:
+            rows = [row[:-1] for row in rows]  # bug_count is the last column
+            where = f"{path}: line 2: no column 'bug_count'"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+    rc = main(["evaluate", "--out", out, "--filter", "gcf", "--level", "class",
+               "--algo", "one_r"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"data error: {where}")
+    assert captured.out.count("\n") == 1  # the table header only
+
+
+def test_a_damaged_dataset_fails_the_evaluate_stage(pipeline_out, tmp_path):
+    out = str(tmp_path / "out")
+    shutil.copytree(pipeline_out["out"], out)
+    path = os.path.join(out, "dataset", "subtract", "class.csv")
+    with open(path, "a") as fh:
+        fh.write("x,p.X,abc\n")
+    config = dataclasses.replace(pipeline_out["config"], out=out, levels=("class",))
+    with pytest.raises(StageError, match="stage 'evaluate' failed: .*class.csv"):
+        quiet_run(config)
+
+
+def test_cli_stats_on_a_malformed_folds_file_is_a_data_error(
+    pipeline_out, tmp_path, capsys
+):
+    out = str(tmp_path / "out")
+    shutil.copytree(pipeline_out["out"], out)
+    folds = os.path.join(out, "eval", "folds.csv")
+    with open(folds, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[3][rows[0].index("f_measure")] = "abc"
+    with open(folds, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    assert main(["stats", "--out", out]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"data error: {folds}: line 4: could not convert string to float: 'abc'\n"
+    )
+    assert captured.out == ""
 
 
 def test_cli_evaluate_prints_table(pipeline_out, capsys):
