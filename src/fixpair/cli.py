@@ -134,9 +134,11 @@ def _cmd_evaluate(args):
 
         config = _config_from_args(args, {"out": None, "levels": ("method",)})
         rows = load_predictions_csv(args.external_predictions)
-        res = evaluate_external(rows, projected="projected" in config.levels)
+        projected = "projected" in config.levels
+        res = evaluate_external(rows, projected=projected)
         print(
-            f"external {res.level}: precision={res.precision:.4f} "
+            f"external {'projected' if projected else 'instances'}: "
+            f"precision={res.precision:.4f} "
             f"recall={res.recall:.4f} f={res.f_measure:.4f}"
         )
         return EXIT_OK

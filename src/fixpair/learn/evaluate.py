@@ -15,14 +15,6 @@ LABEL_CLEAN = 0
 LABEL_BUGGY = 1
 
 
-@dataclass(frozen=True)
-class LabeledInstance:
-    features: tuple
-    label: int  # 1 = buggy, 0 = clean
-    fqn: str = ""
-    parent_fqn: str = None
-
-
 @dataclass
 class ConfusionMatrix:
     tp: int = 0
@@ -75,13 +67,6 @@ def prf(m: ConfusionMatrix) -> PrfResult:
     return PrfResult(precision, recall, f)
 
 
-def label_entries(entries) -> list:
-    """Binary labeling: zero bugs -> clean, one or more -> buggy."""
-    return [
-        (e, LABEL_BUGGY if e.bug_count > 0 else LABEL_CLEAN) for e in entries
-    ]
-
-
 def feature_columns(level):
     empty = EMPTY_METHOD_COLUMNS if level == "method" else EMPTY_CLASS_COLUMNS
     if level == "file":
@@ -89,131 +74,100 @@ def feature_columns(level):
     return [c for c in COLUMNS_BY_LEVEL[level] if c not in empty]
 
 
-def instances_from_entries(entries, level) -> list:
-    """Dense instances over the computed metric columns of the level.
+def instances_from_entries(entries, level):
+    """A level's rows as ``(X, y, names)``: the metric matrix over the
+    computed columns, the labels (zero bugs -> clean, one or more -> buggy)
+    and each row's ``(fqn, parent_fqn)``.
 
     Structurally empty columns are dropped from the feature vector, never
     imputed.
     """
     cols = feature_columns(level)
-    out = []
-    for e, lab in label_entries(entries):
-        values = tuple(float(e.metrics.get(c) or 0.0) for c in cols)
-        out.append(
-            LabeledInstance(
-                features=values, label=lab, fqn=e.fqn, parent_fqn=e.parent_fqn
-            )
-        )
-    return out
+    X = np.array(
+        [[float(e.metrics.get(c) or 0.0) for c in cols] for e in entries],
+        dtype=np.float64,
+    )
+    y = np.array([e.bug_count > 0 for e in entries], dtype=np.int64)
+    return X, y, [(e.fqn, e.parent_fqn) for e in entries]
 
 
-def undersample(instances, rng_seed) -> list:
-    """Randomly shrink the majority class to the minority size (seeded)."""
-    buggy = [i for i in instances if i.label == LABEL_BUGGY]
-    clean = [i for i in instances if i.label == LABEL_CLEAN]
-    if not buggy or not clean:
+def undersample(y, rows, rng_seed):
+    """The training ``rows`` with the majority class randomly shrunk to the
+    minority size (seeded), in their given order."""
+    buggy = y[rows] == LABEL_BUGGY
+    n_buggy = int(buggy.sum())
+    n_minority = min(n_buggy, len(rows) - n_buggy)
+    if not n_minority:
         raise FixpairError("under-sampling needs both classes to be nonempty")
-    rng = _rng(rng_seed)
-    if len(buggy) > len(clean):
-        majority, minority = buggy, clean
-    else:
-        majority, minority = clean, buggy
-    keep = set(rng.permutation(len(majority))[: len(minority)].tolist())
-    kept_major = [inst for k, inst in enumerate(majority) if k in keep]
-    kept = set(map(id, kept_major)) | set(map(id, minority))
-    return [inst for inst in instances if id(inst) in kept]
+    majority = buggy if n_buggy > n_minority else ~buggy
+    drawn = _rng(rng_seed).permutation(len(rows) - n_minority)[:n_minority]
+    keep = ~majority
+    keep[np.flatnonzero(majority)[drawn]] = True
+    return rows[keep]
 
 
-def stratified_folds(instances, k, seed):
-    """Round-robin stratified fold assignment; returns a list of index lists."""
-    by_class = {LABEL_CLEAN: [], LABEL_BUGGY: []}
-    for idx, inst in enumerate(instances):
-        by_class[inst.label].append(idx)
-    min_class = min(len(v) for v in by_class.values() if v) if instances else 0
+def stratified_folds(y, k, seed):
+    """Round-robin stratified fold assignment; returns one sorted row-index
+    array per fold."""
+    by_class = [np.flatnonzero(y == label) for label in (LABEL_CLEAN, LABEL_BUGGY)]
+    min_class = min(map(len, by_class))
+    if min_class < 2:
+        raise FixpairError(
+            "cross-validation needs at least 2 rows per class, "
+            f"got {len(by_class[1])} buggy and {len(by_class[0])} clean"
+        )
     if k > min_class:
         warnings.warn(
             f"k={k} exceeds minority class size {min_class}; reducing k",
             stacklevel=2,
         )
-        k = max(2, min_class)
-    if k < 2 or min_class < 2:
-        raise FixpairError("cross-validation needs at least 2 folds per class")
+        k = min_class
     rng = _rng(seed)
-    folds = [[] for _ in range(k)]
-    for label in (LABEL_CLEAN, LABEL_BUGGY):
-        idxs = by_class[label]
-        order = rng.permutation(len(idxs))
-        for slot, j in enumerate(order):
-            folds[slot % k].append(idxs[j])
-    return [sorted(f) for f in folds]
+    dealt = [rows[rng.permutation(len(rows))] for rows in by_class]
+    return [np.sort(np.concatenate([d[f::k] for d in dealt])) for f in range(k)]
 
 
 @dataclass
 class EvalResult:
-    algorithm: str
-    level: str
     precision: float
     recall: float
     f_measure: float
     fold_matrices: list = field(default_factory=list)
-    repeats: int = 1
     predictions: list = field(default_factory=list)  # (fqn, parent, pred, actual)
 
     @classmethod
-    def from_matrices(cls, algorithm, level, matrices, repeats, predictions=()):
+    def from_matrices(cls, matrices, predictions=()):
         p = prf(sum(matrices, ConfusionMatrix()))
-        return cls(
-            algorithm=algorithm,
-            level=level,
-            precision=p.precision,
-            recall=p.recall,
-            f_measure=p.f_measure,
-            fold_matrices=list(matrices),
-            repeats=repeats,
-            predictions=list(predictions),
-        )
-
-
-def _xy(instances):
-    X = np.array([i.features for i in instances], dtype=np.float64)
-    y = np.array([i.label for i in instances], dtype=np.int64)
-    return X, y
+        return cls(p.precision, p.recall, p.f_measure, list(matrices), list(predictions))
 
 
 def cross_validate(algorithm, instances, k=10, repeats=1, seed=0) -> EvalResult:
-    """Stratified k-fold CV with per-training-fold random under-sampling.
+    """Stratified k-fold CV of ``instances`` (``(X, y, names)``) with
+    per-training-fold random under-sampling.
 
     Folds are fixed by ``seed``; each repeat redraws the under-sample and
     retrains.  Confusion matrices are summed over folds and repeats and
     P/R/F recomputed from the sum, never averaged from per-fold ratios.
     """
-    if repeats < 1:
-        raise FixpairError(f"cross-validation needs at least 1 repeat, got {repeats}")
-    instances = list(instances)
-    folds = stratified_folds(instances, k, seed)
+    X, y, names = instances
+    folds = stratified_folds(y, k, seed)
     matrices = []
     predictions = []
     for r in range(repeats):
-        for fi, test_idx in enumerate(folds):
-            train_idx = [i for f in folds for i in f if f is not test_idx]
-            train_set = undersample(
-                [instances[i] for i in train_idx], rng_seed=seed * 7_919 + r * 101 + fi
+        for fi, test in enumerate(folds):
+            train_rows = undersample(
+                y, np.concatenate(folds[:fi] + folds[fi + 1:]),
+                rng_seed=seed * 7_919 + r * 101 + fi,
             )
-            X, y = _xy(train_set)
-            model = train(algorithm, X, y, rng_seed=seed * 31 + r * 7 + fi)
-            test_set = [instances[i] for i in test_idx]
-            Xt, yt = _xy(test_set)
-            pred = model.predict(Xt)
+            model = train(algorithm, X[train_rows], y[train_rows],
+                          rng_seed=seed * 31 + r * 7 + fi)
+            pred = model.predict(X[test]).tolist()
             m = ConfusionMatrix()
-            for inst, p_lab, a_lab in zip(test_set, pred, yt):
-                m.record(int(p_lab), int(a_lab))
-                predictions.append(
-                    (inst.fqn, inst.parent_fqn, int(p_lab), int(a_lab))
-                )
+            for row, p_lab, a_lab in zip(test.tolist(), pred, y[test].tolist()):
+                m.record(p_lab, a_lab)
+                predictions.append((*names[row], p_lab, a_lab))
             matrices.append(m)
-    return EvalResult.from_matrices(
-        algorithm, "instances", matrices, repeats, predictions
-    )
+    return EvalResult.from_matrices(matrices, predictions)
 
 
 def project_to_class(method_predictions) -> ConfusionMatrix:
@@ -250,9 +204,7 @@ def project_folds(result) -> EvalResult:
         stop = start + m.total()
         matrices.append(project_to_class(result.predictions[start:stop]))
         start = stop
-    return EvalResult.from_matrices(
-        result.algorithm, "projected", matrices, result.repeats
-    )
+    return EvalResult.from_matrices(matrices)
 
 
 def cross_validate_projected(
@@ -298,6 +250,4 @@ def evaluate_external(rows, projected=False) -> EvalResult:
         matrix = ConfusionMatrix()
         for _, _, predicted, actual in rows:
             matrix.record(predicted, actual)
-    return EvalResult.from_matrices(
-        "external", "projected" if projected else "instances", [matrix], 1, rows
-    )
+    return EvalResult.from_matrices([matrix])

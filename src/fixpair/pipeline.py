@@ -258,14 +258,15 @@ class _Stages:
         relative to the output directory.  A fresh run deletes what the
         previous state recorded that this run did not write, and the temp
         files killed writers left where this run wrote.  A state file that
-        does not hold a JSON object counts as absent.
+        does not hold a JSON object, or whose ``artifacts`` is not a list of
+        relative paths inside the output directory, counts as absent.
         """
         state_path = os.path.join(self.state_dir, f"{name}.json")
         try:
             state = _read_json(state_path)
         except (FileNotFoundError, ValueError):  # absent, or not JSON
             state = {}
-        if not isinstance(state, dict):
+        if not (isinstance(state, dict) and _paths_inside(state.get("artifacts", []))):
             state = {}
         recorded = state.get("artifacts", [])
         cached = (
@@ -295,6 +296,17 @@ class _Stages:
             "artifacts": recorded,
         }
         return cached
+
+
+def _paths_inside(paths):
+    """Whether ``paths`` is a list of relative paths none of which leaves
+    the directory they are relative to."""
+    return isinstance(paths, list) and all(
+        isinstance(p, str)
+        and not os.path.isabs(p)
+        and os.path.normpath(p).split(os.sep)[0] not in (os.curdir, os.pardir)
+        for p in paths
+    )
 
 
 def _fingerprint(*parts):

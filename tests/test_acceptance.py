@@ -20,7 +20,6 @@ from fixpair.filters import STRATEGIES, filter_entries
 from fixpair.learn.evaluate import (
     ConfusionMatrix,
     EvalResult,
-    LabeledInstance,
     cross_validate,
     cross_validate_projected,
     prf,
@@ -274,17 +273,14 @@ def test_criterion_6_evaluation_formulas():
             for actual in (1, 1, 0, 0):
                 m.record(label, actual)
             fold_matrices.append(m)
-    combined = EvalResult.from_matrices("constant", "instances", fold_matrices, 1)
+    combined = EvalResult.from_matrices(fold_matrices)
     assert (combined.precision, combined.recall, combined.f_measure) == (0.5, 0.5, 0.5)
 
     # under-sampling balances 10 buggy / 50 clean to 10-10
-    instances = []
-    for i in range(60):
-        lab = 1 if i < 10 else 0
-        instances.append(LabeledInstance(features=(float(i),), label=lab, fqn=f"m{i}"))
-    balanced = undersample(instances, rng_seed=3)
-    assert sum(1 for i in balanced if i.label == 1) == 10
-    assert sum(1 for i in balanced if i.label == 0) == 10
+    y = np.array([1 if i < 10 else 0 for i in range(60)], dtype=np.int64)
+    balanced = undersample(y, np.arange(60), rng_seed=3)
+    assert sum(1 for i in balanced if y[i] == 1) == 10
+    assert sum(1 for i in balanced if y[i] == 0) == 10
     report(
         "6 (evaluation formulas)",
         "100 matrices at 1e-12; constant classifier 0.5 exact; 10-10 balance", t0,
@@ -374,7 +370,7 @@ def test_criterion_8_statistics():
 
 def _planted_instances(seed, n_classes=120, methods_per=3, d=10, shift=2.0, shuffle=False):
     rng = np.random.default_rng(seed)
-    instances = []
+    rows, labels, names = [], [], []
     for c in range(n_classes):
         buggy = c < n_classes // 2
         class_offset = rng.normal(0, 0.4, size=d)
@@ -382,25 +378,13 @@ def _planted_instances(seed, n_classes=120, methods_per=3, d=10, shift=2.0, shuf
             feats = rng.normal(0, 1, size=d) + class_offset
             if buggy:
                 feats[:3] += shift  # 2 sigma on 3 features
-            instances.append(
-                LabeledInstance(
-                    features=tuple(feats),
-                    label=1 if buggy else 0,
-                    fqn=f"C{c}.m{m}()",
-                    parent_fqn=f"C{c}",
-                )
-            )
+            rows.append(feats)
+            labels.append(1 if buggy else 0)
+            names.append((f"C{c}.m{m}()", f"C{c}"))
+    y = np.array(labels, dtype=np.int64)
     if shuffle:
-        labels = [i.label for i in instances]
-        perm = rng.permutation(len(labels))
-        instances = [
-            LabeledInstance(
-                features=inst.features, label=labels[perm[k]],
-                fqn=inst.fqn, parent_fqn=inst.parent_fqn,
-            )
-            for k, inst in enumerate(instances)
-        ]
-    return instances
+        y = y[rng.permutation(len(y))]
+    return np.array(rows), y, names
 
 
 def test_criterion_9_planted_signal():

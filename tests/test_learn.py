@@ -1,18 +1,21 @@
+import hashlib
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 
+from fixpair import dataset as ds
+from fixpair import pipeline
 from fixpair.errors import FixpairError
 from fixpair.learn.evaluate import (
     ConfusionMatrix,
     EvalResult,
-    LabeledInstance,
     cross_validate,
     cross_validate_projected,
     evaluate_external,
-    label_entries,
+    instances_from_entries,
     load_predictions_csv,
     prf,
     project_folds,
@@ -28,21 +31,21 @@ from fixpair.learn.models import (
     OneRModel,
     train,
 )
+from fixpair.metrics import COLUMNS_BY_LEVEL
 
 
-def make_instances(n_buggy, n_clean, rng, d=4, shift=0.0, label_order=None):
-    out = []
-    labels = [1] * n_buggy + [0] * n_clean
-    if label_order:
-        labels = label_order
-    for i, lab in enumerate(labels):
-        feats = tuple(rng.gauss(shift * lab, 1.0) for _ in range(d))
-        out.append(
-            LabeledInstance(
-                features=feats, label=lab, fqn=f"C{i // 3}.m{i}()", parent_fqn=f"C{i // 3}"
-            )
-        )
-    return out
+def make_instances(n_buggy, n_clean, rng, d=4, shift=0.0, decimals=None):
+    """``(X, y, names)``: ``n_buggy`` buggy then ``n_clean`` clean rows, three
+    methods to a class."""
+    y = np.array([1] * n_buggy + [0] * n_clean, dtype=np.int64)
+    rows = []
+    for lab in y.tolist():
+        feats = [rng.gauss(shift * lab, 1.0) for _ in range(d)]
+        if decimals is not None:  # ties, and with few features duplicate rows
+            feats = [round(v, decimals) for v in feats]
+        rows.append(feats)
+    names = [(f"C{i // 3}.m{i}()", f"C{i // 3}") for i in range(len(y))]
+    return np.array(rows, dtype=np.float64), y, names
 
 
 # --- kernels -------------------------------------------------------------------
@@ -350,41 +353,46 @@ def test_logistic_matches_mean_gradient_loop():
 # --- labeling / undersampling ------------------------------------------------
 
 class _Entry:
+    fqn, parent_fqn, metrics = "C", None, {}
+
     def __init__(self, bug_count):
         self.bug_count = bug_count
 
 
 def test_label_rule():
-    labeled = label_entries([_Entry(0), _Entry(3)])
-    assert [lab for _, lab in labeled] == [0, 1]
-    assert label_entries([]) == []
+    _, y, _ = instances_from_entries([_Entry(0), _Entry(3)], "file")
+    assert y.tolist() == [0, 1]
+    assert instances_from_entries([], "file")[1].tolist() == []
 
 
 def test_undersample_balances_10_50():
     rng = random.Random(2)
-    instances = make_instances(10, 50, rng)
-    balanced = undersample(instances, rng_seed=0)
-    buggy = sum(1 for i in balanced if i.label == 1)
+    _, y, _ = make_instances(10, 50, rng)
+    balanced = undersample(y, np.arange(len(y)), rng_seed=0)
+    buggy = sum(1 for i in balanced if y[i] == 1)
     assert buggy == 10
     assert len(balanced) == 20
 
 
 def test_undersample_noop_when_balanced():
     rng = random.Random(2)
-    instances = make_instances(7, 7, rng)
-    assert undersample(instances, rng_seed=0) == instances
+    _, y, _ = make_instances(7, 7, rng)
+    rows = np.arange(len(y))
+    assert undersample(y, rows, rng_seed=0).tolist() == rows.tolist()
 
 
 def test_undersample_deterministic():
     rng = random.Random(2)
-    instances = make_instances(12, 40, rng)
-    assert undersample(instances, 5) == undersample(instances, 5)
+    _, y, _ = make_instances(12, 40, rng)
+    rows = np.arange(len(y))
+    assert undersample(y, rows, 5).tolist() == undersample(y, rows, 5).tolist()
 
 
 def test_undersample_requires_both_classes():
     rng = random.Random(2)
+    _, y, _ = make_instances(5, 0, rng)
     with pytest.raises(FixpairError):
-        undersample(make_instances(5, 0, rng), 0)
+        undersample(y, np.arange(len(y)), 0)
 
 
 # --- prf -----------------------------------------------------------------------
@@ -483,7 +491,7 @@ def test_matrix_cells_sum_to_instances_times_repeats():
     rng = random.Random(13)
     instances = make_instances(20, 20, rng, shift=1.0)
     res = cross_validate("one_r", instances, k=4, repeats=3, seed=1)
-    assert sum(res.fold_matrices, ConfusionMatrix()).total() == len(instances) * 3
+    assert sum(res.fold_matrices, ConfusionMatrix()).total() == len(instances[1]) * 3
 
 
 def test_fold_reduction_warns():
@@ -491,6 +499,15 @@ def test_fold_reduction_warns():
     instances = make_instances(3, 40, rng)
     with pytest.warns(UserWarning, match="reducing k"):
         cross_validate("one_r", instances, k=10, repeats=1, seed=0)
+
+
+@pytest.mark.parametrize("n_buggy", [0, 1])
+def test_a_class_under_two_rows_fails_before_k_is_reduced(n_buggy):
+    instances = make_instances(n_buggy, 30, random.Random(14))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FixpairError, match=f"got {n_buggy} buggy and 30 clean"):
+            cross_validate("one_r", instances, k=10, repeats=1, seed=0)
 
 
 def test_constant_classifiers_on_balanced_data(monkeypatch):
@@ -511,10 +528,7 @@ def test_constant_classifiers_on_balanced_data(monkeypatch):
     res_c = cross_validate("always_clean", instances, k=4, repeats=1, seed=2)
     # each stratified fold is balanced, so the buggy-constant run is exact
     assert (res_b.precision, res_b.recall) == (0.5, 1.0)
-    combined = EvalResult.from_matrices(
-        "constant", "instances",
-        res_b.fold_matrices + res_c.fold_matrices, repeats=1,
-    )
+    combined = EvalResult.from_matrices(res_b.fold_matrices + res_c.fold_matrices)
     assert combined.precision == 0.5
     assert combined.recall == 0.5
     assert combined.f_measure == 0.5
@@ -524,7 +538,12 @@ def test_projected_cross_validation_runs():
     rng = random.Random(16)
     instances = make_instances(24, 24, rng, shift=2.0)
     res = cross_validate_projected("decision_tree", instances, k=4, seed=5)
-    assert res.level == "projected"
+    # each projected fold counts the classes of its test methods
+    folds = stratified_folds(instances[1], 4, 5)
+    names = instances[2]
+    assert [m.total() for m in res.fold_matrices] == [
+        len({names[i][1] for i in fold}) for fold in folds
+    ]
     assert 0.0 <= res.f_measure <= 1.0
 
 
@@ -539,7 +558,7 @@ def test_projected_folds_project_method_folds(algo, repeats):
     method = cross_validate(algo, instances, k=5, repeats=repeats, seed=3)
     projected = cross_validate_projected(algo, instances, k=5, repeats=repeats, seed=3)
     expected, start = [], 0
-    for fold in stratified_folds(instances, 5, 3) * repeats:
+    for fold in stratified_folds(instances[1], 5, 3) * repeats:
         stop = start + len(fold)
         expected.append(project_to_class(method.predictions[start:stop]))
         start = stop
@@ -547,7 +566,80 @@ def test_projected_folds_project_method_folds(algo, repeats):
     assert len(projected.fold_matrices) == 5 * repeats
     assert projected.fold_matrices == expected
     assert project_folds(method).fold_matrices == expected
-    assert (projected.level, projected.repeats) == ("projected", repeats)
+
+
+# --- pins: every fold matrix, prediction and P/R/F of the harness ---------------
+
+def _digest_result(h, result):
+    for m in result.fold_matrices:
+        h.update(repr((m.tp, m.fp, m.tn, m.fn)).encode())
+    for row in result.predictions:
+        h.update(repr(row).encode())
+    h.update(repr((result.precision, result.recall, result.f_measure)).encode())
+
+
+CROSS_VALIDATE_PIN = "96e443b288dc1f90cb0503344843fce6aff1f58d63a212cb0dee6581bd430407"
+
+
+def test_cross_validate_is_pinned():
+    """Six learners at one and two repeats, on distinct rows and on rounded
+    rows full of ties and duplicates; each result and its class projection."""
+    h = hashlib.sha256()
+    for d, decimals in ((3, None), (2, 0)):
+        instances = make_instances(23, 37, random.Random(25), d=d, shift=1.0,
+                                   decimals=decimals)
+        for algo in ALGORITHMS:
+            for repeats in (1, 2):
+                res = cross_validate(algo, instances, k=5, repeats=repeats, seed=4)
+                _digest_result(h, res)
+                _digest_result(h, project_folds(res))
+    assert h.hexdigest() == CROSS_VALIDATE_PIN
+
+
+def _seeded_entries(rng, level, n):
+    """Entries whose metrics mix integers, floats and absent (empty) cells,
+    with values in the structurally empty columns too; rows 0 and 1 are
+    duplicates with different labels."""
+    entries = []
+    for i in range(n):
+        buggy = rng.random() < 0.4
+        metrics = {}
+        for c in COLUMNS_BY_LEVEL[level]:
+            roll = rng.random()
+            if roll < 0.15:
+                continue
+            if roll < 0.6:
+                metrics[c] = float(rng.randrange(0, 6) + 2 * buggy)
+            else:
+                metrics[c] = round(rng.gauss(buggy, 1.0), 3)
+        if i == 1:
+            metrics, buggy = dict(entries[0].metrics), not entries[0].bug_count
+        entries.append(ds.DatasetEntry(
+            commit_hash=f"{i:040x}", fqn=f"p.C{i // 3}.m{i}()", level=level,
+            metrics=metrics, bug_count=rng.randrange(1, 4) if buggy else 0,
+            parent_fqn=f"p.C{i // 3}" if level == "method" else None,
+        ))
+    return entries
+
+
+EVALUATE_LEVEL_PIN = "89b9e2c48f89c0159aac5a2d4e767760949a57a9354e539a92306158ae55e4d6"
+
+
+def test_evaluate_level_is_pinned(tmp_path):
+    rng = random.Random(2025)
+    entries = {level: _seeded_entries(rng, level, n)
+               for level, n in (("file", 40), ("class", 45), ("method", 60))}
+    ds.export_dataset(entries, str(tmp_path))
+    h = hashlib.sha256()
+    for level in ("file", "class", "method"):
+        results = pipeline.evaluate_level(
+            str(tmp_path), level, ALGORITHMS, seed=7, repeats=2, k=5
+        )
+        for algo in ALGORITHMS:
+            _digest_result(h, results[algo])
+            if level == "method":
+                _digest_result(h, project_folds(results[algo]))
+    assert h.hexdigest() == EVALUATE_LEVEL_PIN
 
 
 # --- external predictions ---------------------------------------------------------

@@ -200,13 +200,21 @@ def test_fresh_stage_removes_temp_files_of_killed_writers(fixture_repo, tmp_path
     assert [path.exists() for path in planted] == [False, False]
 
 
-@pytest.mark.parametrize("state", ['{"fingerprint": ', "[1]"])
+@pytest.mark.parametrize("state", [
+    '{"fingerprint": ',
+    "[1]",
+    '{"fingerprint": "x", "artifacts": 5}',
+    '{"fingerprint": "x", "artifacts": [1, null]}',
+    '{"fingerprint": "x", "artifacts": ["../victim.txt"]}',
+])
 def test_a_damaged_stage_state_file_runs_its_stage_afresh(
     fixture_repo, tmp_path, capsys, state
 ):
     out = tmp_path / "out"
     args = ["filter", "--out", str(out), "--repo", fixture_repo["repo"],
             "--issues", fixture_repo["issues"]]
+    victim = tmp_path / "victim.txt"
+    victim.write_text("outside --out\n")
 
     def tree():
         return {
@@ -225,6 +233,7 @@ def test_a_damaged_stage_state_file_runs_its_stage_afresh(
     first.pop("manifest.json")
     second.pop("manifest.json")
     assert second == first
+    assert victim.read_text() == "outside --out\n"
 
 
 def test_artifacts_get_the_mode_of_a_plain_open(fixture_repo, tmp_path):
