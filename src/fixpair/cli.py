@@ -10,6 +10,7 @@ import dataclasses
 import math
 import os
 import sys
+import warnings
 
 from .errors import ConfigError, FixpairError, SnapshotFormatError, StageError
 
@@ -282,11 +283,19 @@ def build_parser():
     return parser
 
 
+def _show_warning(message, *location):
+    """Show a warning as one plain line, without its category and source
+    location."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -109,13 +109,8 @@ class CommitRecord:
         return bad
 
 
-@dataclass(frozen=True)
-class ProjectSnapshot:
-    repo_id: str
-    captured_at: datetime
-    issues: tuple
-    commits: tuple
-    bug_labels: frozenset
+class _Commits:
+    """Lookup of a ``commits`` tuple listed head first."""
 
     def commit(self, hash_):
         return self._by_hash.get(hash_)
@@ -128,6 +123,32 @@ class ProjectSnapshot:
     def head(self):
         """Default-branch head: the first commit in the stored list."""
         return self.commits[0] if self.commits else None
+
+
+@dataclass(frozen=True)
+class CommitNode:
+    """A commit's place in history, without its message and patches."""
+
+    hash: str
+    parents: tuple
+    timestamp: datetime
+
+
+@dataclass(frozen=True)
+class CommitGraph(_Commits):
+    """The commits of a snapshot file as :class:`CommitNode` records, head
+    first (:func:`read_commit_graph`)."""
+
+    commits: tuple
+
+
+@dataclass(frozen=True)
+class ProjectSnapshot(_Commits):
+    repo_id: str
+    captured_at: datetime
+    issues: tuple
+    commits: tuple
+    bug_labels: frozenset
 
     def validate(self):
         problems = []
@@ -348,10 +369,21 @@ def _issue_from_json(doc, path, where, spec=False):
     )
 
 
-def _commit_from_json(doc, path, where):
+def _node_from_json(doc, path, where):
+    """The CommitNode of the commit object ``doc``; its patches are not read."""
     _object(doc, path, where, "commits")
     hash_ = _require(doc, "hash", str, path, where)
     where = f"commit {hash_[:12]}"
+    return CommitNode(
+        hash=hash_,
+        parents=tuple(_strings(doc, "parents", path, where)),
+        timestamp=_timestamp(doc, "timestamp", path, where),
+    )
+
+
+def _commit_from_json(doc, path, where):
+    node = _node_from_json(doc, path, where)
+    where = f"commit {node.hash[:12]}"
     file_diffs = []
     for n, fd in enumerate(_require(doc, "file_diffs", list, path, where)):
         entry = f"{where}.file_diffs[{n}]"
@@ -372,24 +404,43 @@ def _commit_from_json(doc, path, where):
             )
         file_diffs.append(parsed[0])
     return CommitRecord(
-        hash=hash_,
-        parents=tuple(_strings(doc, "parents", path, where)),
+        hash=node.hash,
+        parents=node.parents,
         author_id=_require(doc, "author_id", str, path, where),
-        timestamp=_timestamp(doc, "timestamp", path, where),
+        timestamp=node.timestamp,
         message=_require(doc, "message", str, path, where),
         file_diffs=tuple(file_diffs),
     )
 
 
-def load_snapshot(path) -> ProjectSnapshot:
-    """Load and fully validate a snapshot file."""
-    path = str(path)
+def _snapshot_doc(path):
+    """The top-level object of a snapshot file of the supported version."""
     doc = read_input(path)
     version = _require(_object(doc, path, "snapshot"), "version", int, path, "snapshot")
     if version != SNAPSHOT_VERSION:
         raise SnapshotFormatError(
             f"unsupported snapshot version {version}", path=path, field="version"
         )
+    return doc
+
+
+def read_commit_graph(path) -> CommitGraph:
+    """The commit graph of a snapshot file: every commit's hash, parents and
+    timestamp.  No patch is parsed and no invariant checked, so the graph is
+    only as sound as a file :func:`load_snapshot` has accepted."""
+    path = str(path)
+    commits = _require(_snapshot_doc(path), "commits", list, path, "snapshot")
+    return CommitGraph(
+        commits=tuple(
+            _node_from_json(c, path, f"commits[{n}]") for n, c in enumerate(commits)
+        )
+    )
+
+
+def load_snapshot(path) -> ProjectSnapshot:
+    """Load and fully validate a snapshot file."""
+    path = str(path)
+    doc = _snapshot_doc(path)
     snapshot = ProjectSnapshot(
         repo_id=_require(doc, "repo", str, path, "snapshot"),
         captured_at=_timestamp(doc, "captured_at", path, "snapshot"),

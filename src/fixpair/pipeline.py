@@ -14,6 +14,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import warnings
 from dataclasses import dataclass
 
 from . import dataset as ds
@@ -28,8 +29,8 @@ from .atomic import atomic_open, remove_temp_files
 from .errors import ConfigError, FixpairError, SnapshotFormatError, StageError
 from .filters import STRATEGIES, filter_entries
 from .gitio import GitRepo, git
-from .ingest import load_issue_specs, load_snapshot, read_csv, read_input, save_snapshot
-from .ingest import snapshot_from_local_repo
+from .ingest import load_issue_specs, load_snapshot, read_commit_graph, read_csv
+from .ingest import read_input, save_snapshot, snapshot_from_local_repo
 from .java.structure import SourceElement
 from .learn.evaluate import cross_validate, instances_from_entries, prf, project_folds
 from .learn.models import ALGORITHMS
@@ -250,16 +251,19 @@ class _Stages:
     def rel(self, *parts):
         return os.path.join(self.out, *parts)
 
-    def run(self, name, fingerprint, producer):
+    def run(self, name, fingerprint, producer, load_inputs=None):
         """Run ``producer`` unless the stored fingerprint matches and every
         artifact the state records still exists.
 
-        The producer returns the paths it wrote; the state records them
-        relative to the output directory.  A fresh run deletes what the
-        previous state recorded that this run did not write, and the temp
-        files killed writers left where this run wrote.  A state file that
-        does not hold a JSON object, or whose ``artifacts`` is not a list of
-        relative paths inside the output directory, counts as absent.
+        A fresh run first calls ``load_inputs``, if given, outside the
+        producer's error wrapping: an input that does not load raises its
+        own error, not a ``StageError``.  The producer returns the paths it
+        wrote; the state records them relative to the output directory.  A
+        fresh run deletes what the previous state recorded that this run did
+        not write, and the temp files killed writers left where this run
+        wrote.  A state file that does not hold a JSON object, or whose
+        ``artifacts`` is not a list of relative paths inside the output
+        directory, counts as absent.
         """
         state_path = os.path.join(self.state_dir, f"{name}.json")
         try:
@@ -275,6 +279,8 @@ class _Stages:
             and all(os.path.exists(self.rel(a)) for a in recorded)
         )
         if not cached:
+            if load_inputs is not None:
+                load_inputs()
             # until the producer returns, the state has no fingerprint, so a
             # run that fails part-way never looks cached
             if state:
@@ -326,6 +332,11 @@ def run_pipeline(config: PipelineConfig, stop_after=None) -> dict:
     returns the artifact manifest."""
     config.validate()
     stages = _Stages(config.out)
+    # a fresh stage removes the temp files where it writes; these two
+    # directories hold the state files and the manifest, which no stage writes
+    for directory in (stages.out, stages.state_dir):
+        if os.path.isdir(directory):
+            remove_temp_files(directory)
     for name in _stage_chain(config, stages):
         if name == stop_after:
             break
@@ -338,7 +349,18 @@ def _stage_chain(config, stages):
     """Run the stages in order, yielding each one's name once it has run."""
     # -- snapshot ----------------------------------------------------------
     snap_art = os.path.join("snapshot", "snapshot.json")
-    snapshot = None
+    # A cached stage reads only what its fingerprint covers.  Link and build
+    # read the whole snapshot, so the copy is loaded (and validated) only
+    # when one of them runs fresh; analyze's key needs only its commit graph.
+    snapshot = history = None
+
+    def load_whole_snapshot():
+        # a history built for analyze's key may index the commit graph alone
+        nonlocal snapshot, history
+        if snapshot is None:
+            snapshot = load_snapshot(stages.rel(snap_art))
+        if history is None or history.snapshot is not snapshot:
+            history = HistoryIndex(snapshot)
 
     def produce_snapshot():
         nonlocal snapshot
@@ -367,14 +389,10 @@ def _stage_chain(config, stages):
         )
     stages.run("snapshot", snap_fp, produce_snapshot)
     yield "snapshot"
-    if snapshot is None:  # cached: the producer did not load it
-        snapshot = load_snapshot(stages.rel(snap_art))
-    history = HistoryIndex(snapshot)
+    snap_digest = _digest_file(stages.rel(snap_art))
 
     # -- link ---------------------------------------------------------------
-    link_fp = _fingerprint(
-        "link", _digest_file(stages.rel(snap_art)), config.keywords_only
-    )
+    link_fp = _fingerprint("link", snap_digest, config.keywords_only)
 
     def produce_link():
         timelines = [
@@ -392,7 +410,7 @@ def _stage_chain(config, stages):
             ),
         ]
 
-    stages.run("link", link_fp, produce_link)
+    stages.run("link", link_fp, produce_link, load_inputs=load_whole_snapshot)
     yield "link"
     timelines = [
         _from_doc(BugFixTimeline, d)
@@ -403,14 +421,20 @@ def _stage_chain(config, stages):
     # One analysis/<key>.json per distinct (path, blob) version, plus an
     # index commit -> {path: key}; a commit's mode only decides below
     # whether its vectors feed metrics_by_commit.
-    needed = _analysis_needs(snapshot, timelines, history)
+    if history is None:
+        # link is cached, so the copy is the one a validated snapshot was
+        # linked from: its commit graph is read without parsing a patch
+        history = HistoryIndex(
+            snapshot if snapshot is not None else read_commit_graph(stages.rel(snap_art))
+        )
+    needed = _analysis_needs(history, timelines)
     index_art = os.path.join("analysis", "index.json")
     analyze_fp = _fingerprint(
         "analyze-by-blob",
         ANALYZER_VERSION,
         sorted(needed.items()),
         config.test_globs,
-        _digest_file(stages.rel(snap_art)),
+        snap_digest,
     )
 
     def produce_analyze():
@@ -492,7 +516,7 @@ def _stage_chain(config, stages):
                 fh.write(f"{issue_id}\t{commit}\t{level}\t{fqn}\t{reason}\n")
         return [*written.values(), drop_log]
 
-    stages.run("build", build_fp, produce_build)
+    stages.run("build", build_fp, produce_build, load_inputs=load_whole_snapshot)
     yield "build"
 
     # -- filter -------------------------------------------------------------
@@ -573,9 +597,11 @@ def _stage_chain(config, stages):
     yield "stats"
 
 
-def _analysis_needs(snapshot, timelines, history) -> dict:
+def _analysis_needs(history, timelines) -> dict:
     """Commit -> ``"full"`` or ``"pos"``: the plan the link stage recorded in
-    ``plan.txt``, derived again from the timelines, plus green parents (pos)."""
+    ``plan.txt``, derived again from the timelines, plus green parents (pos).
+    Only the commit graph ``history`` indexes is read."""
+    snapshot = history.snapshot
     plan = select_analysis_commits(timelines, history)
     needed = {e.commit_hash: ("full" if e.full_analysis else "pos") for e in plan.entries}
     for t in timelines:
@@ -622,6 +648,8 @@ def evaluate_filters(config):
     dataset file is cross-validated once:
     ``projected`` is the class projection of the ``method`` folds, so a
     failed method CV stops both levels, a failed projection only its own.
+    Each distinct warning of a cross-validation is warned again once, naming
+    the filter and the level.
     """
     for strat in config.eval_filters:
         path = dataset_dir(config.out, strat)
@@ -630,14 +658,22 @@ def evaluate_filters(config):
             source = "method" if level == "projected" else level
             if source not in by_source:
                 try:
-                    by_source[source] = evaluate_level(
-                        path, source, config.algorithms,
-                        seed=config.seed, repeats=config.repeats, k=config.folds,
-                    )
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always")
+                        by_source[source] = evaluate_level(
+                            path, source, config.algorithms,
+                            seed=config.seed, repeats=config.repeats, k=config.folds,
+                        )
                 except SnapshotFormatError:
                     raise
                 except FixpairError as exc:
                     by_source[source] = exc
+                for category, message in dict.fromkeys(
+                    (w.category, str(w.message)) for w in caught
+                ):
+                    warnings.warn(
+                        f"filter {strat}, level {level}: {message}", category
+                    )
             results = by_source[source]
             if level == "projected" and not isinstance(results, FixpairError):
                 try:

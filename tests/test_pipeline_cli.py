@@ -200,6 +200,22 @@ def test_fresh_stage_removes_temp_files_of_killed_writers(fixture_repo, tmp_path
     assert [path.exists() for path in planted] == [False, False]
 
 
+def test_a_cached_rerun_removes_temp_files_of_killed_writers(fixture_repo, tmp_path):
+    out = tmp_path / "out"
+    config = PipelineConfig(out=str(out), repo=fixture_repo["repo"],
+                            issues=fixture_repo["issues"], seed=7)
+    quiet_run(config, stop_after="filter")
+    # a state file and the manifest are no stage's artifacts
+    planted = [out / ".manifest.json.1.0.tmp", out / ".stages" / ".link.json.1.0.tmp"]
+    kept = out / ".stages" / "notes.tmp"
+    for path in [*planted, kept]:
+        path.write_text("torn")
+    stages = quiet_run(config, stop_after="filter")["stages"]
+    assert {s["status"] for s in stages.values()} == {"cached"}
+    assert [path.exists() for path in planted] == [False, False]
+    assert kept.read_text() == "torn"
+
+
 @pytest.mark.parametrize("state", [
     '{"fingerprint": ',
     "[1]",
@@ -371,31 +387,101 @@ def test_moved_class_goldens(moved_class_repo, tmp_path):
     assert got == Path(golden, "drop_log.txt").read_bytes()
 
 
-def test_fresh_snapshot_run_parses_snapshot_once(fixture_repo, tmp_path, monkeypatch):
-    from fixpair import pipeline
+def _count_snapshot_reads(monkeypatch):
+    """Lists that record each ``load_snapshot`` path and each patch parsed."""
+    from fixpair import ingest, pipeline
 
+    loads, patches = [], []
+
+    def counting(calls, real):
+        def call(arg):
+            calls.append(arg)
+            return real(arg)
+        return call
+
+    monkeypatch.setattr(pipeline, "load_snapshot", counting(loads, pipeline.load_snapshot))
+    monkeypatch.setattr(
+        ingest, "parse_unified_diff", counting(patches, ingest.parse_unified_diff)
+    )
+    return loads, patches
+
+
+def _tree(out):
+    return {
+        os.path.relpath(path, out): path.read_bytes()
+        for path in Path(out).rglob("*") if path.is_file()
+    }
+
+
+def test_fresh_snapshot_run_parses_snapshot_once(fixture_repo, tmp_path, monkeypatch):
     snap_path = str(tmp_path / "snap.json")
     assert main([
         "fetch", "--from-local", fixture_repo["repo"],
         "--issues", fixture_repo["issues"], "--out", snap_path,
     ]) == 0
-    loads = []
-    real = pipeline.load_snapshot
-
-    def counting(path):
-        loads.append(path)
-        return real(path)
-
-    monkeypatch.setattr(pipeline, "load_snapshot", counting)
+    loads, patches = _count_snapshot_reads(monkeypatch)
     config = PipelineConfig(
         out=str(tmp_path / "out"), snapshot=snap_path, repo=fixture_repo["repo"]
     )
     quiet_run(config, stop_after="link")
     assert loads == [snap_path]
-    loads.clear()
-    manifest = quiet_run(config, stop_after="link")
-    assert manifest["stages"]["snapshot"]["status"] == "cached"
-    assert len(loads) == 1  # the cached copy under --out
+    # a cached stage reads only what its fingerprint covers: no patch
+    for stop_after in ("link", "filter"):
+        quiet_run(config, stop_after=stop_after)  # runs what is not cached yet
+        loads.clear()
+        patches.clear()
+        manifest = quiet_run(config, stop_after=stop_after)
+        assert {s["status"] for s in manifest["stages"].values()} == {"cached"}
+        assert (loads, patches) == ([], [])
+    # a changed --snapshot input runs every stage from it afresh
+    assert main([
+        "fetch", "--from-local", fixture_repo["repo"], "--repo-id", "demo/other",
+        "--issues", fixture_repo["issues"], "--out", snap_path,
+    ]) == 0
+    manifest = quiet_run(config, stop_after="filter")
+    assert {s["status"] for s in manifest["stages"].values()} == {"fresh"}
+    assert loads == [snap_path]
+
+
+def test_a_fresh_build_after_a_cached_link_loads_the_snapshot_once(
+    fixture_repo, tmp_path, monkeypatch
+):
+    config = PipelineConfig(out=str(tmp_path / "out"), repo=fixture_repo["repo"],
+                            issues=fixture_repo["issues"], seed=7)
+    quiet_run(config, stop_after="filter")
+    changed = dataclasses.replace(config, ignore_comment_only=True)
+    loads, _ = _count_snapshot_reads(monkeypatch)
+    stages = quiet_run(changed, stop_after="filter")["stages"]
+    assert [s["status"] for s in stages.values()] == [
+        "cached", "cached", "cached", "fresh", "fresh"
+    ]
+    assert loads == [os.path.join(config.out, "snapshot", "snapshot.json")]
+    fresh = dataclasses.replace(changed, out=str(tmp_path / "fresh"))
+    quiet_run(fresh, stop_after="filter")
+    mixed, clean = _tree(changed.out), _tree(fresh.out)
+    assert mixed.pop("manifest.json") != clean.pop("manifest.json")  # statuses
+    assert mixed == clean
+
+
+def test_a_damaged_snapshot_copy_is_a_data_error(fixture_repo, tmp_path, capsys):
+    out = tmp_path / "out"
+    args = ["filter", "--out", str(out), "--repo", fixture_repo["repo"],
+            "--issues", fixture_repo["issues"]]
+    assert main(args) == 0
+    copy = out / "snapshot" / "snapshot.json"
+    text = copy.read_text()
+    at = text.index("@@ -")  # the first hunk header of the head commit
+    copy.write_text(text[:at] + "@@ -x" + text[at + 4:])
+    commit = json.loads(text)["commits"][0]["hash"]
+    before = _tree(out)
+    capsys.readouterr()
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err == (
+        f"data error: {copy}: commit {commit[:12]}.file_diffs[0]: malformed hunk "
+        f"header: '@@ -x6,7 +6,7 @@' (line 3, byte 80) (field: file_diffs)\n"
+    )
+    assert _tree(out) == before
 
 
 def test_new_commit_invalidates_local_snapshot(fixture_repo, tmp_path):
@@ -677,6 +763,21 @@ def test_cli_fetch_from_local_and_run(fixture_repo, tmp_path, capsys):
     captured = capsys.readouterr().out
     assert "evaluate: fresh" in captured
     assert os.path.exists(os.path.join(out_dir, "dataset", "subtract", "method.csv"))
+
+
+def test_cli_prints_each_level_warning_as_one_plain_line(fixture_repo, tmp_path, capsys):
+    out_dir = str(tmp_path / "out")
+    common = ["--out", out_dir, "--repo", fixture_repo["repo"],
+              "--issues", fixture_repo["issues"], "--seed", "7",
+              "--level", "method", "--level", "projected"]
+    reduce_k = ("warning: filter subtract, level method: "
+                "k=10 exceeds minority class size 2; reducing k")
+    assert main(["run", *common]) == 0
+    assert capsys.readouterr().err.splitlines() == [reduce_k]
+    assert main(["evaluate", *common, "--algo", "one_r"]) == 0
+    err = capsys.readouterr().err
+    assert err.splitlines() == [reduce_k]
+    assert ".py:" not in err
 
 
 def test_cli_run_subtract_has_no_skipped_cell(fixture_repo, tmp_path):
