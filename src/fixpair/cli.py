@@ -7,6 +7,7 @@ problem, 4 stage failure.
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -97,31 +98,31 @@ def _cmd_stage(args, stage):
 
 
 def _cmd_fetch(args):
-    bug_labels = frozenset(args.bug_labels or ["bug"])
-    if args.from_local:
-        if not args.issues:
-            raise ConfigError("--from-local needs --issues")
-        from .ingest import load_issue_specs, save_snapshot, snapshot_from_local_repo
-
-        snapshot = snapshot_from_local_repo(
-            args.from_local,
-            load_issue_specs(args.issues),
-            bug_labels=bug_labels,
-            repo_id=args.repo_id,
+    if not args.from_local:
+        raise ConfigError(
+            "fetch --repo needs --from-local CLONE: the history comes from a "
+            "local clone of the repository" if args.repo else
+            "fetch needs --from-local CLONE, with --repo owner/name or --issues"
         )
-        save_snapshot(snapshot, args.out)
-    elif args.repo:
-        from .github import fetch_remote
+    if args.repo and args.issues:
+        raise ConfigError("--repo and --issues exclude each other")
+    if not (args.repo or args.issues):
+        raise ConfigError("--from-local needs --issues")
+    from .ingest import load_issue_specs, save_snapshot, snapshot_from_local_repo
 
-        snapshot = fetch_remote(
-            args.repo,
-            credentials=args.token,
-            out=args.out,
-            bug_labels=bug_labels,
-            api_base=args.api_base,
-        )
+    if args.repo:
+        from .github import fetch_issues
+
+        issues = fetch_issues(args.repo, args.token, api_base=args.api_base)
     else:
-        raise ConfigError("fetch needs --repo owner/name or --from-local")
+        issues = load_issue_specs(args.issues)
+    snapshot = snapshot_from_local_repo(
+        args.from_local,
+        issues,
+        bug_labels=frozenset(args.bug_labels or ["bug"]),
+        repo_id=args.repo_id or args.repo,
+    )
+    save_snapshot(snapshot, args.out)
     print(
         f"snapshot: {len(snapshot.issues)} issues, "
         f"{len(snapshot.commits)} commits -> {args.out}"
@@ -236,7 +237,10 @@ def _is_float(s):
         return False
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once: ``parse_args`` keeps no state
+    between calls."""
     parser = argparse.ArgumentParser(
         prog="fixpair",
         description=(
@@ -246,12 +250,18 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fetch", help="capture a snapshot (GitHub API or local clone)")
-    p.add_argument("--repo", help="owner/name on the hosting service")
-    p.add_argument("--from-local", help="local git clone to snapshot instead")
-    p.add_argument("--issues", help="issues JSON (required with --from-local)")
+    about = ("capture a snapshot: a local clone's history plus the issues "
+             "read from GitHub (--repo) or from a file (--issues)")
+    p = sub.add_parser("fetch", help=about, description=about)
+    p.add_argument("--from-local", help="local git clone whose history is captured")
+    p.add_argument("--repo", help="owner/name on GitHub whose issues are read")
+    p.add_argument("--issues", help="issues JSON file, read instead of --repo")
     p.add_argument("--out", required=True, help="snapshot file to write")
-    p.add_argument("--repo-id", dest="repo_id")
+    p.add_argument(
+        "--repo-id", dest="repo_id",
+        help="repository id for the snapshot (default: --repo, else the "
+        "clone's directory name)",
+    )
     p.add_argument("--bug-label", dest="bug_labels", action="append")
     p.add_argument("--token", help="API token (or set FIXPAIR_GITHUB_TOKEN)")
     p.add_argument("--api-base", default="https://api.github.com")
@@ -290,8 +300,7 @@ def _show_warning(message, *location):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning

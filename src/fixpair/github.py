@@ -1,14 +1,15 @@
-"""GitHub REST v3 client that captures a project snapshot.
+"""GitHub REST v3 client that reads a project's issues and the commits that
+closed them.
 
-Network use is confined to this module.  ``fetch_remote`` honors the
-per-hour request quota by sleeping until the advertised reset time
-(bounded), and never leaves a partial snapshot file on disk (the write is
-atomic).  Any other HTTP error status, a URL that cannot
-be requested, a failed connection (refused, unresolved, timed out), a body
-that is not JSON, JSON of the wrong shape, a value of the wrong type (an
-issue number, a label name, a commit hash or message, a closing commit id), a
-bad timestamp or a patch that does not parse raises a ``FixpairError`` naming
-the URL: a data error, exit 3 on the command line.
+Network use is confined to this module, and it reads no commit: the history
+of a snapshot always comes from a local clone
+(:func:`fixpair.ingest.snapshot_from_local_repo`).  ``fetch_issues`` honors
+the per-hour request quota by sleeping until the advertised reset time
+(bounded).  Any other HTTP error status, a URL that cannot be requested, a
+failed connection (refused, unresolved, timed out), a body that is not JSON,
+JSON of the wrong shape, a value of the wrong type (an issue number, a label
+name, a closing commit id) or a bad timestamp raises a ``FixpairError``
+naming the URL: a data error, exit 3 on the command line.
 """
 
 import http.client
@@ -16,25 +17,14 @@ import json
 import os
 import time
 from dataclasses import replace
-from datetime import datetime, timezone
-from functools import partial
 from urllib.error import HTTPError
 from urllib.parse import urlencode
 from urllib.request import Request, urlopen
 
 from .errors import AuthenticationError, FixpairError, RateLimitExhausted
-from .ingest import (
-    CommitRecord,
-    IssueRecord,
-    ProjectSnapshot,
-    assemble_snapshot,
-    parse_utc,
-    save_snapshot,
-)
-from .diffs import header_path, parse_unified_diff
+from .ingest import IssueRecord, parse_utc
 
 TOKEN_ENV_VAR = "FIXPAIR_GITHUB_TOKEN"
-DEFAULT_API_BASE = "https://api.github.com"
 _PER_PAGE = 100
 _MAX_RATE_LIMIT_WAITS = 3
 _TIMEOUT_S = 60.0
@@ -132,42 +122,6 @@ def _typed(value, kind):
     return value
 
 
-def _commit_record(sha, detail):
-    """The commit ``sha`` of a commit's detail answer."""
-    file_diffs = []
-    for f in detail.get("files", []):
-        patch = f.get("patch")
-        status = f.get("status")
-        old_path = f.get("previous_filename") or f["filename"]
-        new_path = f["filename"]
-        if status == "added":
-            old_path = "/dev/null"
-        if status == "removed":
-            new_path, old_path = "/dev/null", f["filename"]
-        if patch:
-            text = (f"--- {header_path(old_path, 'a/')}\n"
-                    f"+++ {header_path(new_path, 'b/')}\n{patch}\n")
-            file_diffs.extend(parse_unified_diff(text))
-    author = detail.get("author") or {}
-    commit_info = detail["commit"]
-    return CommitRecord(
-        hash=sha,
-        parents=tuple(_typed(p["sha"], str) for p in detail.get("parents", [])),
-        author_id=str(author.get("login") or commit_info["author"].get("name", "")),
-        timestamp=parse_utc(commit_info["committer"]["date"]),
-        message=_typed(commit_info.get("message", ""), str),
-        file_diffs=tuple(file_diffs),
-    )
-
-
-def _fetch_commits(client, repo_id):
-    path = f"/repos/{repo_id}/commits"
-    return [
-        client.get_json(f"{path}/{sha}", partial(_commit_record, sha))
-        for sha in client.paginate(path, lambda item: _typed(item["sha"], str))
-    ]
-
-
 def _issue_record(item):
     """The issue of an issues-list item, without its fixing commits; None for
     a pull request, which the issues endpoint interleaves."""
@@ -189,8 +143,16 @@ def _closing_commit(event):
     return commit if commit is None else _typed(commit, str)
 
 
-def _fetch_issues(client, repo_id):
-    """Issues with the bare hashes of the commits that closed them."""
+def fetch_issues(repo_id, credentials=None, *, api_base, sleeper=time.sleep) -> list:
+    """The issues of ``repo_id``, pull requests left out, each closed one
+    with the bare hashes of the commits that closed it.
+
+    ``credentials`` falls back to the FIXPAIR_GITHUB_TOKEN environment
+    variable.  The list is what :func:`fixpair.ingest.snapshot_from_local_repo`
+    takes from an issues file.
+    """
+    token = credentials or os.environ.get(TOKEN_ENV_VAR)
+    client = _Client(api_base, token, sleeper=sleeper)
     issues = []
     listed = client.paginate(f"/repos/{repo_id}/issues", _issue_record, {"state": "all"})
     for issue in filter(None, listed):
@@ -200,33 +162,3 @@ def _fetch_issues(client, repo_id):
             issue = replace(issue, fixing_commits=tuple(filter(None, closing)))
         issues.append(issue)
     return issues
-
-
-def fetch_remote(
-    repo_id,
-    credentials=None,
-    out=None,
-    *,
-    bug_labels=frozenset({"bug"}),
-    api_base=DEFAULT_API_BASE,
-    sleeper=time.sleep,
-) -> ProjectSnapshot:
-    """Capture ``repo_id`` as a validated snapshot, optionally saved to ``out``.
-
-    ``credentials`` falls back to the FIXPAIR_GITHUB_TOKEN environment
-    variable.  Authentication failures and exhausted rate limits raise before
-    anything is written.
-    """
-    token = credentials or os.environ.get(TOKEN_ENV_VAR)
-    client = _Client(api_base, token, sleeper=sleeper)
-    commits = _fetch_commits(client, repo_id)
-    snapshot = assemble_snapshot(
-        repo_id,
-        datetime.now(timezone.utc),
-        commits,
-        _fetch_issues(client, repo_id),
-        bug_labels,
-    )
-    if out is not None:
-        save_snapshot(snapshot, out)
-    return snapshot

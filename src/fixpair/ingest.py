@@ -22,12 +22,14 @@ are kept as written.  The marker ``\\ No newline at end of file`` follows the
 last line of a side that has no final newline, and an empty body line is an
 empty context line (``" "``).
 
-A snapshot of a local clone (:func:`snapshot_from_local_repo`) runs two git
-processes whatever the length of the history: one ``git log`` for the
-commits and one ``git diff-tree --stdin`` that diffs every commit against its
-first parent, reading the commit list from a temporary file.  ``diff-tree``
-is plumbing, so the patches do not depend on the user's porcelain ``diff.*``
-settings.
+Every snapshot's history is captured from a local clone
+(:func:`snapshot_from_local_repo`); its issues come from an issues file
+(:func:`load_issue_specs`) or from GitHub (:mod:`fixpair.github`).  The
+capture runs two git processes whatever the length of the history: one
+``git log`` for the commits and one ``git diff-tree --stdin`` that diffs
+every commit against its first parent, reading the commit list from a
+temporary file.  ``diff-tree`` is plumbing, so the patches do not depend on
+the user's porcelain ``diff.*`` settings.
 """
 
 import csv
@@ -196,31 +198,6 @@ def filter_bug_issues(issues, bug_labels) -> list:
             continue
         out.append(issue)
     return out
-
-
-def assemble_snapshot(repo_id, captured_at, commits, issues, bug_labels):
-    """The validated snapshot of ``commits`` (head first) and ``issues``,
-    however they were captured.
-
-    Each issue's fixing commits are hashes; one takes the date of the
-    captured commit with that hash, and one that was not captured is dropped.
-    Only bug issues are kept (:func:`filter_bug_issues`), sorted by id.
-    """
-    dates = {c.hash: c.timestamp for c in commits}
-    resolved = []
-    for issue in issues:
-        fixing = [(h, dates[h]) for h in issue.fixing_commits if h in dates]
-        fixing.sort(key=lambda p: (p[1], p[0]))
-        resolved.append(replace(issue, fixing_commits=tuple(fixing)))
-    return ProjectSnapshot(
-        repo_id=repo_id,
-        captured_at=captured_at,
-        issues=tuple(
-            sorted(filter_bug_issues(resolved, bug_labels), key=lambda i: i.id)
-        ),
-        commits=tuple(commits),
-        bug_labels=frozenset(bug_labels),
-    ).validate()
 
 
 def read_input(path, parse=json.loads, error=SnapshotFormatError):
@@ -458,7 +435,7 @@ def load_snapshot(path) -> ProjectSnapshot:
 
 
 # ---------------------------------------------------------------------------
-# snapshot from a local clone (offline ingestion used by fixtures and CI)
+# snapshot from a local clone
 # ---------------------------------------------------------------------------
 
 _HEADER_RE = re.compile(rb"(?:[0-9a-f]{40}|[0-9a-f]{64})\n")  # a bare commit id
@@ -533,8 +510,15 @@ def snapshot_from_local_repo(
     bug_labels=frozenset({"bug"}),
     repo_id=None,
 ) -> ProjectSnapshot:
-    """Build a snapshot from a local clone plus an externally supplied issue
-    list, through :func:`assemble_snapshot`."""
+    """The validated snapshot of a local clone's history and ``issues``, read
+    from an issues file or from GitHub.
+
+    Each issue's fixing commits are hashes; one takes the date of the
+    captured commit with that hash, and one that was not captured is dropped.
+    Only bug issues are kept (:func:`filter_bug_issues`), sorted by id.  The
+    snapshot is stamped with its newest commit's time, so two captures of the
+    same state are equal.
+    """
     # NUL ends every field and every commit: git refuses it in a message
     fields = git(
         repo_path, "log", "-z", "--date-order",
@@ -545,7 +529,7 @@ def snapshot_from_local_repo(
         for sha, parents, author, date, message in zip(*[iter(fields)] * 5)
     ]
     with closing(_first_parent_patches(repo_path, [c[:2] for c in logged])) as patches:
-        commits = [
+        commits = tuple(
             CommitRecord(
                 hash=sha,
                 parents=parents,
@@ -555,18 +539,24 @@ def snapshot_from_local_repo(
                 file_diffs=tuple(parse_unified_diff(patch_text)),
             )
             for (sha, parents, author, date, message), patch_text in zip(logged, patches)
-        ]
-    captured_at = max(
-        (c.timestamp for c in commits),
-        default=datetime(1970, 1, 1, tzinfo=timezone.utc),
-    )
-    return assemble_snapshot(
-        repo_id or os.path.basename(os.path.abspath(repo_path)),
-        captured_at,
-        commits,
-        issues,
-        bug_labels,
-    )
+        )
+    dates = {c.hash: c.timestamp for c in commits}
+    resolved = []
+    for issue in issues:
+        fixing = [(h, dates[h]) for h in issue.fixing_commits if h in dates]
+        fixing.sort(key=lambda p: (p[1], p[0]))
+        resolved.append(replace(issue, fixing_commits=tuple(fixing)))
+    return ProjectSnapshot(
+        repo_id=repo_id or os.path.basename(os.path.abspath(repo_path)),
+        captured_at=max(
+            dates.values(), default=datetime(1970, 1, 1, tzinfo=timezone.utc)
+        ),
+        issues=tuple(
+            sorted(filter_bug_issues(resolved, bug_labels), key=lambda i: i.id)
+        ),
+        commits=commits,
+        bug_labels=frozenset(bug_labels),
+    ).validate()
 
 
 def _strings(doc, key, path, where, optional=False):
@@ -582,7 +572,7 @@ def _strings(doc, key, path, where, optional=False):
 
 
 def load_issue_specs(path) -> list:
-    """Read the sidecar issues JSON used by offline ingestion."""
+    """Read an issues JSON file, the offline source of a snapshot's issues."""
     docs = read_input(path)
     if not isinstance(docs, list):
         raise SnapshotFormatError("issues file must hold a list of issues", path=path)

@@ -29,7 +29,7 @@ SRC = os.path.join(ROOT, "src", "fixpair")
 # (module, function, parameter) -> why no call inside the package sets it
 ALLOWED = {
     ("cli.py", "main", "argv"): "the console entry point reads sys.argv",
-    ("github.py", "fetch_remote", "sleeper"):
+    ("github.py", "fetch_issues", "sleeper"):
         "the rate-limit tests pause without sleeping",
     **{
         ("learn/evaluate.py", "cross_validate_projected", p):

@@ -39,7 +39,7 @@ def test_fetch_from_local_loads_no_learner(fixture_repo, tmp_path):
     )
     assert out.exists()
     assert "fixpair.ingest" in loaded
-    for name in ("numpy", "requests", "fixpair.learn", "fixpair.stats"):
+    for name in ("numpy", "requests", "fixpair.learn", "fixpair.stats", "fixpair.github"):
         assert name not in loaded
 
 

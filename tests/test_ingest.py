@@ -469,21 +469,30 @@ def test_missing_final_newlines_keep_their_markers(tmp_path):
     assert load_snapshot(path) == snap
 
 
-def test_paths_under_a_top_level_b_directory_survive_a_reload(tmp_path):
+def _reload_fix_of_top_level(tmp_path, top):
+    """The (old, new) paths of a fix to ``top/X.java``, taken from a reloaded
+    snapshot, and whether the reload equals the capture."""
     from conftest import RepoBuilder
 
     b = RepoBuilder(str(tmp_path / "repo"))
-    b.write("b/X.java", "class X {\n  int f() { return 1; }\n}\n")
+    b.write(f"{top}/X.java", "class X {\n  int f() { return 1; }\n}\n")
     b.commit("add", "add X")
-    b.write("b/X.java", "class X {\n  int f() { return 2; }\n}\n")
+    b.write(f"{top}/X.java", "class X {\n  int f() { return 2; }\n}\n")
     b.commit("fix", "Fix #1")
-    snap = snapshot_from_local_repo(b.path, [], repo_id="demo/b")
+    snap = snapshot_from_local_repo(b.path, [], repo_id=f"demo/{top}")
     path = tmp_path / "snapshot.json"
     save_snapshot(snap, path)
     loaded = load_snapshot(path)
     diffs = loaded.commit(b.hashes["fix"]).file_diffs
-    assert [(d.old_path, d.new_path) for d in diffs] == [("b/X.java", "b/X.java")]
-    assert loaded == snap
+    return [(d.old_path, d.new_path) for d in diffs], loaded == snap
+
+
+def test_paths_under_a_top_level_b_directory_survive_a_reload(tmp_path):
+    assert _reload_fix_of_top_level(tmp_path, "b") == ([("b/X.java", "b/X.java")], True)
+
+
+def test_paths_under_a_top_level_a_directory_survive_a_reload(tmp_path):
+    assert _reload_fix_of_top_level(tmp_path, "a") == ([("a/X.java", "a/X.java")], True)
 
 
 def test_control_bytes_in_messages_and_names_survive_a_capture(tmp_path):

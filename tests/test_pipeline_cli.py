@@ -1325,3 +1325,25 @@ def test_cli_exit_codes(tmp_path, capsys):
     # data error: stats without eval output
     rc = main(["stats", "--out", str(tmp_path / "empty")])
     assert rc == 3
+
+
+def test_successive_cli_calls_share_no_parsed_state(tmp_path, monkeypatch):
+    # the parser is built once; what one call appends must not reach the next
+    seen = []
+
+    def record(config, stop_after=None):
+        seen.append((config.levels, config.eval_filters, config.algorithms))
+        return {"stages": {}}
+
+    monkeypatch.setattr("fixpair.pipeline.run_pipeline", record)
+    out = str(tmp_path)
+    assert main(["run", "--out", out, "--level", "class", "--filter", "gcf",
+                 "--algo", "one_r"]) == 0
+    assert main(["run", "--out", out]) == 0
+    assert main(["run", "--out", out, "--level", "file"]) == 0
+    default = PipelineConfig(out=out)
+    assert seen == [
+        (("class",), ("gcf",), ("one_r",)),
+        (default.levels, default.eval_filters, default.algorithms),
+        (("file",), default.eval_filters, default.algorithms),
+    ]
