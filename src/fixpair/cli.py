@@ -8,7 +8,6 @@ problem, 4 stage failure.
 import argparse
 import dataclasses
 import functools
-import math
 import os
 import sys
 import warnings
@@ -110,16 +109,19 @@ def _cmd_fetch(args):
         raise ConfigError("--from-local needs --issues")
     from .ingest import load_issue_specs, save_snapshot, snapshot_from_local_repo
 
+    bug_labels = frozenset(args.bug_labels or ["bug"])
     if args.repo:
         from .github import fetch_issues
 
-        issues = fetch_issues(args.repo, args.token, api_base=args.api_base)
+        issues = fetch_issues(
+            args.repo, args.token, bug_labels=bug_labels, api_base=args.api_base
+        )
     else:
         issues = load_issue_specs(args.issues)
     snapshot = snapshot_from_local_repo(
         args.from_local,
         issues,
-        bug_labels=frozenset(args.bug_labels or ["bug"]),
+        bug_labels=bug_labels,
         repo_id=args.repo_id or args.repo,
     )
     save_snapshot(snapshot, args.out)
@@ -201,7 +203,7 @@ def _read_matrix(path):
     import csv
     from io import StringIO
 
-    from .ingest import read_input
+    from .ingest import finite, read_input
     from .stats import PairedSampleMatrix
 
     records = read_input(path, lambda t: list(csv.reader(StringIO(t, newline=""))))
@@ -214,19 +216,12 @@ def _read_matrix(path):
         rows = []
         for row, rec in enumerate(records[first - 1:], start=first):
             try:
-                rows.append([_finite(v) for v in rec[1:]])
+                rows.append([finite(v) for v in rec[1:]])
             except ValueError as exc:
                 raise FixpairError(f"row {row}: {exc}") from None
         return PairedSampleMatrix.from_rows(rows, col_labels=labels)
     except FixpairError as exc:
         raise SnapshotFormatError(str(exc), path=path) from None
-
-
-def _finite(s):
-    value = float(s)
-    if not math.isfinite(value):
-        raise ValueError(f"not a finite number: {s!r}")
-    return value
 
 
 def _is_float(s):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .atomic import atomic_open
 from .diffs import changed_lines, elements_touched
 from .errors import AnalysisMissingError
-from .ingest import read_csv
+from .ingest import finite, read_csv
 from .linker import buggy_interval_positions
 from .metrics import COLUMNS_BY_LEVEL
 
@@ -201,7 +201,7 @@ def export_csv(entries, level, path, parent_column=False) -> None:
 def load_entries_csv(path, level) -> list:
     """Read an exported CSV back into dataset entries (inverse of export).
 
-    A file that cannot be read or a cell that is not a number is a
+    A file that cannot be read or a cell that is not a finite number is a
     ``SnapshotFormatError`` naming the file (and the line).
     """
     columns = COLUMNS_BY_LEVEL[level]
@@ -211,7 +211,7 @@ def load_entries_csv(path, level) -> list:
             commit_hash=rec["hash"],
             fqn=rec["fqn"],
             level=level,
-            metrics={c: float(rec[c]) for c in columns if rec.get(c, "") != ""},
+            metrics={c: finite(rec[c]) for c in columns if rec.get(c, "") != ""},
             bug_count=int(rec["bug_count"]),
             parent_fqn=rec.get("parent_fqn") or None,
         ),

@@ -22,7 +22,7 @@ from urllib.parse import urlencode
 from urllib.request import Request, urlopen
 
 from .errors import AuthenticationError, FixpairError, RateLimitExhausted
-from .ingest import IssueRecord, parse_utc
+from .ingest import IssueRecord, is_bug, parse_utc
 
 TOKEN_ENV_VAR = "FIXPAIR_GITHUB_TOKEN"
 _PER_PAGE = 100
@@ -143,10 +143,15 @@ def _closing_commit(event):
     return commit if commit is None else _typed(commit, str)
 
 
-def fetch_issues(repo_id, credentials=None, *, api_base, sleeper=time.sleep) -> list:
-    """The issues of ``repo_id``, pull requests left out, each closed one
-    with the bare hashes of the commits that closed it.
+def fetch_issues(
+    repo_id, credentials=None, *, bug_labels=("bug",), api_base, sleeper=time.sleep
+) -> list:
+    """The issues of ``repo_id``, pull requests left out, each closed bug
+    (an issue carrying one of ``bug_labels``) with the bare hashes of the
+    commits that closed it.
 
+    Only a closed bug's events are asked for: the fixing commits of any
+    other closed issue are left empty, as the snapshot drops it anyway.
     ``credentials`` falls back to the FIXPAIR_GITHUB_TOKEN environment
     variable.  The list is what :func:`fixpair.ingest.snapshot_from_local_repo`
     takes from an issues file.
@@ -156,7 +161,7 @@ def fetch_issues(repo_id, credentials=None, *, api_base, sleeper=time.sleep) -> 
     issues = []
     listed = client.paginate(f"/repos/{repo_id}/issues", _issue_record, {"state": "all"})
     for issue in filter(None, listed):
-        if issue.state == "closed":
+        if issue.state == "closed" and is_bug(issue, bug_labels):
             events = f"/repos/{repo_id}/issues/{issue.id}/events"
             closing = client.paginate(events, _closing_commit)
             issue = replace(issue, fixing_commits=tuple(filter(None, closing)))

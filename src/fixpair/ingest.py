@@ -35,6 +35,7 @@ the user's porcelain ``diff.*`` settings.
 import csv
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -183,21 +184,24 @@ class ProjectSnapshot(_Commits):
         return self
 
 
+def is_bug(issue, bug_labels) -> bool:
+    """Whether ``issue`` carries one of ``bug_labels``, case ignored."""
+    return not {l.lower() for l in issue.labels}.isdisjoint(
+        l.lower() for l in bug_labels
+    )
+
+
 def filter_bug_issues(issues, bug_labels) -> list:
     """Issues carrying a configured bug label; closed ones need a fixing commit.
 
     Open issues are kept as created-only records.  Idempotent; shrinking
     ``bug_labels`` never grows the result.
     """
-    labels = {l.lower() for l in bug_labels}
-    out = []
-    for issue in issues:
-        if not {l.lower() for l in issue.labels} & labels:
-            continue
-        if issue.state == "closed" and not issue.fixing_commits:
-            continue
-        out.append(issue)
-    return out
+    return [
+        issue for issue in issues
+        if is_bug(issue, bug_labels)
+        and (issue.state != "closed" or issue.fixing_commits)
+    ]
 
 
 def read_input(path, parse=json.loads, error=SnapshotFormatError):
@@ -221,6 +225,14 @@ def csv_records(text):
     """The header of a CSV text and its records, each with the line it ends on."""
     reader = csv.DictReader(io.StringIO(text, newline=""))
     return reader.fieldnames, [(reader.line_num, rec) for rec in reader]
+
+
+def finite(s):
+    """The number a CSV cell holds; ``nan`` or an infinity is a ``ValueError``."""
+    value = float(s)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {s!r}")
+    return value
 
 
 def read_csv(path, convert):

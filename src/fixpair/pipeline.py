@@ -1,5 +1,13 @@
-"""Pipeline orchestration: fetch -> link -> analyze -> build -> filter ->
+"""Pipeline orchestration: snapshot -> link -> analyze -> build -> filter ->
 evaluate -> stats, with cached, resumable stage outputs.
+
+The stages are one table, ``_STAGES``: each row names a stage, the parts of
+its fingerprint, its producer and the values it loads before it runs fresh.
+:func:`run_pipeline` walks the table through ``_Stages.run``, the one place
+that decides cached or fresh.  Producers are functions of a :class:`_Run`,
+which defines each value a stage hands on (the snapshot, its history, the
+timelines, the commits to analyse) once, read from the output directory on
+first use unless a fresh stage left it there.
 
 Every stage writes its artifacts under the output directory, each whole
 through :func:`atomic_open`, plus a state file with a fingerprint of its
@@ -11,6 +19,7 @@ across runs (no timestamps or absolute paths are ever written).
 import concurrent.futures
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -30,7 +39,7 @@ from .errors import ConfigError, FixpairError, SnapshotFormatError, StageError
 from .filters import STRATEGIES, filter_entries
 from .gitio import GitRepo, git
 from .ingest import load_issue_specs, load_snapshot, read_commit_graph, read_csv
-from .ingest import read_input, save_snapshot, snapshot_from_local_repo
+from .ingest import finite, read_input, save_snapshot, snapshot_from_local_repo
 from .java.structure import SourceElement
 from .learn.evaluate import cross_validate, instances_from_entries, prf, project_folds
 from .learn.models import ALGORITHMS
@@ -327,6 +336,10 @@ def _fingerprint(*parts):
 # the pipeline
 # ---------------------------------------------------------------------------
 
+_SNAPSHOT_COPY = os.path.join("snapshot", "snapshot.json")
+_INDEX = os.path.join("analysis", "index.json")
+
+
 def run_pipeline(config: PipelineConfig, stop_after=None) -> dict:
     """Execute the stage chain (optionally only up to ``stop_after``);
     returns the artifact manifest."""
@@ -337,7 +350,11 @@ def run_pipeline(config: PipelineConfig, stop_after=None) -> dict:
     for directory in (stages.out, stages.state_dir):
         if os.path.isdir(directory):
             remove_temp_files(directory)
-    for name in _stage_chain(config, stages):
+    run = _Run(config, stages)
+    for name, parts, producer, inputs in _STAGES:
+        run.keys[name] = _fingerprint(*parts(run))
+        stages.run(name, run.keys[name], functools.partial(producer, run),
+                   load_inputs=lambda: [getattr(run, value) for value in inputs])
         if name == stop_after:
             break
     manifest = {"stages": stages.manifest}
@@ -345,276 +362,235 @@ def run_pipeline(config: PipelineConfig, stop_after=None) -> dict:
     return manifest
 
 
-def _stage_chain(config, stages):
-    """Run the stages in order, yielding each one's name once it has run."""
-    # -- snapshot ----------------------------------------------------------
-    snap_art = os.path.join("snapshot", "snapshot.json")
-    # A cached stage reads only what its fingerprint covers.  Link and build
-    # read the whole snapshot, so the copy is loaded (and validated) only
-    # when one of them runs fresh; analyze's key needs only its commit graph.
-    snapshot = history = None
+class _Run:
+    """One walk of the stage chain: the config, the stage runner, each
+    walked stage's fingerprint (``keys``) and the values stages hand on,
+    each read from ``--out`` on first use unless a fresh stage set it."""
 
-    def load_whole_snapshot():
-        # a history built for analyze's key may index the commit graph alone
-        nonlocal snapshot, history
-        if snapshot is None:
-            snapshot = load_snapshot(stages.rel(snap_art))
-        if history is None or history.snapshot is not snapshot:
-            history = HistoryIndex(snapshot)
+    def __init__(self, config, stages):
+        self.config = config
+        self.stages = stages
+        self.keys = {}
 
-    def produce_snapshot():
-        nonlocal snapshot
-        if config.snapshot:
-            snapshot = load_snapshot(config.snapshot)
-        else:
-            issues = load_issue_specs(config.issues)
-            snapshot = snapshot_from_local_repo(
-                config.repo,
-                issues,
-                bug_labels=frozenset(config.bug_labels),
-                repo_id=config.repo_id,
-            )
-        save_snapshot(snapshot, stages.rel(snap_art))
-        return [stages.rel(snap_art)]
+    @functools.cached_property
+    def snapshot(self):
+        return load_snapshot(self.stages.rel(_SNAPSHOT_COPY))
 
-    if config.snapshot:
-        snap_fp = _fingerprint("snapshot", _digest_file(config.snapshot))
-    else:
-        snap_fp = _fingerprint(
-            "local",
-            _digest_file(config.issues),
-            config.bug_labels,
-            config.repo_id,
-            _digest_refs(config.repo),
-        )
-    stages.run("snapshot", snap_fp, produce_snapshot)
-    yield "snapshot"
-    snap_digest = _digest_file(stages.rel(snap_art))
+    @functools.cached_property
+    def history(self):
+        return HistoryIndex(self.snapshot)
 
-    # -- link ---------------------------------------------------------------
-    link_fp = _fingerprint("link", snap_digest, config.keywords_only)
+    @functools.cached_property
+    def snap_digest(self):
+        return _digest_file(self.stages.rel(_SNAPSHOT_COPY))
 
-    def produce_link():
-        timelines = [
-            build_timeline(i, snapshot, history, config.keywords_only)
-            for i in snapshot.issues
-            if i.state == "closed" and i.fixing_commits
-        ]
-        plan = select_analysis_commits(timelines, history)
-        write_plan(plan, stages.rel("plan.txt"))
+    @functools.cached_property
+    def timelines(self):
         return [
-            stages.rel("plan.txt"),
-            _write_json(
-                stages.rel("link", "timelines.json"),
-                {"timelines": [_to_doc(t, _TIMELINE_KEYS) for t in timelines]},
-            ),
+            _from_doc(BugFixTimeline, d)
+            for d in _read_json(self.stages.rel("link", "timelines.json"))["timelines"]
         ]
 
-    stages.run("link", link_fp, produce_link, load_inputs=load_whole_snapshot)
-    yield "link"
-    timelines = [
-        _from_doc(BugFixTimeline, d)
-        for d in _read_json(stages.rel("link", "timelines.json"))["timelines"]
+    @functools.cached_property
+    def needed(self):
+        """Commit -> ``"full"`` or ``"pos"``: the plan the link stage
+        recorded in ``plan.txt``, derived again from the timelines, plus
+        green parents (pos).  While the snapshot is not loaded, link is
+        cached, so the copy is the one a validated snapshot was linked from:
+        its commit graph is read without parsing a patch."""
+        history = (
+            self.history if "snapshot" in vars(self)
+            else HistoryIndex(read_commit_graph(self.stages.rel(_SNAPSHOT_COPY)))
+        )
+        graph = history.snapshot
+        plan = select_analysis_commits(self.timelines, history)
+        needed = {e.commit_hash: ("full" if e.full_analysis else "pos") for e in plan.entries}
+        for t in self.timelines:
+            for green_hash in t.green if t.live else ():
+                commit = graph.commit(green_hash)
+                if commit and commit.parents and graph.commit(commit.parents[0]):
+                    needed.setdefault(commit.parents[0], "pos")
+        return needed
+
+
+def _snapshot_parts(run):
+    config = run.config
+    if config.snapshot:
+        return "snapshot", _digest_file(config.snapshot)
+    return ("local", _digest_file(config.issues), config.bug_labels, config.repo_id,
+            _digest_refs(config.repo))
+
+
+def _produce_snapshot(run):
+    config = run.config
+    if config.snapshot:
+        run.snapshot = load_snapshot(config.snapshot)
+    else:
+        run.snapshot = snapshot_from_local_repo(
+            config.repo,
+            load_issue_specs(config.issues),
+            bug_labels=frozenset(config.bug_labels),
+            repo_id=config.repo_id,
+        )
+    save_snapshot(run.snapshot, run.stages.rel(_SNAPSHOT_COPY))
+    return [run.stages.rel(_SNAPSHOT_COPY)]
+
+
+def _produce_link(run):
+    run.timelines = [
+        build_timeline(i, run.snapshot, run.history, run.config.keywords_only)
+        for i in run.snapshot.issues
+        if i.state == "closed" and i.fixing_commits
+    ]
+    plan = select_analysis_commits(run.timelines, run.history)
+    write_plan(plan, run.stages.rel("plan.txt"))
+    return [
+        run.stages.rel("plan.txt"),
+        _write_json(
+            run.stages.rel("link", "timelines.json"),
+            {"timelines": [_to_doc(t, _TIMELINE_KEYS) for t in run.timelines]},
+        ),
     ]
 
-    # -- analyze ------------------------------------------------------------
-    # One analysis/<key>.json per distinct (path, blob) version, plus an
-    # index commit -> {path: key}; a commit's mode only decides below
-    # whether its vectors feed metrics_by_commit.
-    if history is None:
-        # link is cached, so the copy is the one a validated snapshot was
-        # linked from: its commit graph is read without parsing a patch
-        history = HistoryIndex(
-            snapshot if snapshot is not None else read_commit_graph(stages.rel(snap_art))
+
+def _produce_analyze(run):
+    """One analysis/<key>.json per distinct (path, blob) version, plus an
+    index commit -> {path: key}; a commit's mode only decides in build
+    whether its vectors feed metrics_by_commit."""
+    config, stages = run.config, run.stages
+    if config.repo is None:
+        raise ConfigError("analysis requires a local repository checkout")
+    index, versions = {}, {}
+    with GitRepo(config.repo) as repo:
+        for h in sorted(run.needed):
+            files = index[h] = {}
+            for path, sha in sorted(repo.tree_blobs(h).items()):
+                if path.endswith(".java") and not is_test_path(path, config.test_globs):
+                    files[path] = key = analysis_key(path, sha)
+                    versions[key] = (path, sha)
+        keys = sorted(versions)
+        sources = (
+            (path, repo.read_object(sha).decode("utf-8", "replace"))
+            for path, sha in map(versions.get, keys)
         )
-    needed = _analysis_needs(history, timelines)
-    index_art = os.path.join("analysis", "index.json")
-    analyze_fp = _fingerprint(
-        "analyze-by-blob",
-        ANALYZER_VERSION,
-        sorted(needed.items()),
-        config.test_globs,
-        snap_digest,
-    )
 
-    def produce_analyze():
-        if config.repo is None:
-            raise ConfigError("analysis requires a local repository checkout")
-        index, versions = {}, {}
-        with GitRepo(config.repo) as repo:
-            for h in sorted(needed):
-                files = index[h] = {}
-                for path, sha in sorted(repo.tree_blobs(h).items()):
-                    if path.endswith(".java") and not is_test_path(
-                        path, config.test_globs
-                    ):
-                        files[path] = key = analysis_key(path, sha)
-                        versions[key] = (path, sha)
-            keys = sorted(versions)
-            sources = (
-                (path, repo.read_object(sha).decode("utf-8", "replace"))
-                for path, sha in map(versions.get, keys)
+        def write_all(docs):
+            return [
+                _write_json(stages.rel("analysis", f"{key}.json"), doc)
+                for key, doc in zip(keys, docs)
+            ]
+
+        if config.jobs > 1:
+            # the pool shuts down inside the reader's block: forked workers
+            # hold copies of its pipes, so they must exit before closing the
+            # reader's input can end it
+            with concurrent.futures.ProcessPoolExecutor(config.jobs) as pool:
+                written = write_all(pool.map(_analyze_file, sources))
+        else:
+            written = write_all(map(_analyze_file, sources))
+    return written + [_write_json(stages.rel(_INDEX), index)]
+
+
+def _produce_build(run):
+    stages = run.stages
+    decoded = {}  # key -> FileAnalysis, shared by every commit holding it
+
+    def load(key):
+        if key not in decoded:
+            decoded[key] = analysis_from_json(
+                _read_json(stages.rel("analysis", f"{key}.json"))
             )
+        return decoded[key]
 
-            def write_all(docs):
-                return [
-                    _write_json(stages.rel("analysis", f"{key}.json"), doc)
-                    for key, doc in zip(keys, docs)
-                ]
+    analyses = {
+        h: {path: load(key) for path, key in files.items()}
+        for h, files in _read_json(stages.rel(_INDEX)).items()
+    }
+    metrics_by_commit = {
+        h: {k: v for fa in analyses[h].values() for k, v in fa.vectors.items()}
+        for h, mode in run.needed.items()
+        if mode == "full"
+    }
+    bugs = [
+        (t, ds.accumulate_issue_touches(
+            t, run.snapshot, analyses, run.config.ignore_comment_only
+        ))
+        for t in run.timelines
+        if t.live
+    ]
+    result = ds.build_entries(bugs, metrics_by_commit, run.history)
+    written = ds.export_dataset(result.entries_by_level, stages.rel("dataset", "full"))
+    drop_log = stages.rel("build", "drop_log.txt")
+    with atomic_open(drop_log) as fh:
+        for issue_id, commit, level, fqn, reason in result.drop_log:
+            fh.write(f"{issue_id}\t{commit}\t{level}\t{fqn}\t{reason}\n")
+    return [*written.values(), drop_log]
 
-            if config.jobs > 1:
-                # the pool shuts down inside the reader's block: forked
-                # workers hold copies of its pipes, so they must exit before
-                # closing the reader's input can end it
-                with concurrent.futures.ProcessPoolExecutor(config.jobs) as pool:
-                    written = write_all(pool.map(_analyze_file, sources))
-            else:
-                written = write_all(map(_analyze_file, sources))
-        return written + [_write_json(stages.rel(index_art), index)]
 
-    stages.run("analyze", analyze_fp, produce_analyze)
-    yield "analyze"
-
-    # -- build --------------------------------------------------------------
-    build_fp = _fingerprint(
-        "build", analyze_fp, config.ignore_comment_only
-    )
-
-    def produce_build():
-        decoded = {}  # key -> FileAnalysis, shared by every commit holding it
-
-        def load(key):
-            if key not in decoded:
-                decoded[key] = analysis_from_json(
-                    _read_json(stages.rel("analysis", f"{key}.json"))
-                )
-            return decoded[key]
-
-        analyses = {
-            h: {path: load(key) for path, key in files.items()}
-            for h, files in _read_json(stages.rel(index_art)).items()
-        }
-        metrics_by_commit = {
-            h: {k: v for fa in analyses[h].values() for k, v in fa.vectors.items()}
-            for h, mode in needed.items()
-            if mode == "full"
-        }
-        bugs = [
-            (t, ds.accumulate_issue_touches(
-                t, snapshot, analyses, config.ignore_comment_only
-            ))
-            for t in timelines
-            if t.live
-        ]
-        result = ds.build_entries(bugs, metrics_by_commit, history)
-        written = ds.export_dataset(
-            result.entries_by_level, stages.rel("dataset", "full")
+def _produce_filter(run):
+    entries_by_level = {
+        level: ds.load_entries_csv(
+            run.stages.rel("dataset", "full", _entries_csv(level)), level
         )
-        drop_log = stages.rel("build", "drop_log.txt")
-        with atomic_open(drop_log) as fh:
-            for issue_id, commit, level, fqn, reason in result.drop_log:
-                fh.write(f"{issue_id}\t{commit}\t{level}\t{fqn}\t{reason}\n")
-        return [*written.values(), drop_log]
-
-    stages.run("build", build_fp, produce_build, load_inputs=load_whole_snapshot)
-    yield "build"
-
-    # -- filter -------------------------------------------------------------
-    filter_fp = _fingerprint("filter-with-parents", build_fp, config.seed)
-
-    def produce_filter():
-        entries_by_level = {
-            level: ds.load_entries_csv(
-                stages.rel("dataset", "full", _entries_csv(level)), level
-            )
-            for level in ds.LEVELS
-        }
-        written = []
-        for strat in STRATEGIES:
-            if strat == "none":  # evaluated on dataset/full
-                continue
-            filtered = {
-                level: filter_entries(entries, strat, rng_seed=config.seed)
-                for level, entries in entries_by_level.items()
-            }
-            written += ds.export_dataset(filtered, stages.rel("dataset", strat)).values()
-        return written
-
-    stages.run("filter", filter_fp, produce_filter)
-    yield "filter"
-
-    # -- evaluate -----------------------------------------------------------
-    eval_fp = _fingerprint(
-        "evaluate",
-        filter_fp,
-        config.levels,
-        config.algorithms,
-        config.eval_filters,
-        config.seed,
-        config.repeats,
-        config.folds,
-    )
-
-    def produce_evaluate():
-        rows, fold_rows = [], []
-        for strat, level, result_set in evaluate_filters(config):
-            if isinstance(result_set, FixpairError):
-                rows.append((strat, level, "-", "", "", "", f"skipped: {result_set}"))
-                continue
-            for algo, res in result_set.items():
-                rows.append(
-                    (
-                        strat,
-                        level,
-                        algo,
-                        f"{res.precision:.4f}",
-                        f"{res.recall:.4f}",
-                        f"{res.f_measure:.4f}",
-                        "",
-                    )
-                )
-                for fi, m in enumerate(res.fold_matrices):
-                    p = prf(m)
-                    fold_rows.append(
-                        (
-                            strat, level, algo, fi,
-                            m.tp, m.fp, m.tn, m.fn,
-                            f"{p.f_measure:.6f}",
-                        )
-                    )
-        return _write_results(stages.rel("eval"), rows, fold_rows)
-
-    stages.run("evaluate", eval_fp, produce_evaluate)
-    yield "evaluate"
-
-    # -- stats --------------------------------------------------------------
-    stats_fp = _fingerprint("stats", eval_fp)
-
-    def produce_stats():
-        return emit_stats_tables(stages.rel("eval", "folds.csv"), stages.rel("stats"))
-
-    stages.run("stats", stats_fp, produce_stats)
-    yield "stats"
-
-
-def _analysis_needs(history, timelines) -> dict:
-    """Commit -> ``"full"`` or ``"pos"``: the plan the link stage recorded in
-    ``plan.txt``, derived again from the timelines, plus green parents (pos).
-    Only the commit graph ``history`` indexes is read."""
-    snapshot = history.snapshot
-    plan = select_analysis_commits(timelines, history)
-    needed = {e.commit_hash: ("full" if e.full_analysis else "pos") for e in plan.entries}
-    for t in timelines:
-        if not t.live:
+        for level in ds.LEVELS
+    }
+    written = []
+    for strat in STRATEGIES:
+        if strat == "none":  # evaluated on dataset/full
             continue
-        for green_hash in t.green:
-            commit = snapshot.commit(green_hash)
-            if commit is None or not commit.parents:
-                continue
-            parent = commit.parents[0]
-            if snapshot.commit(parent) is not None:
-                needed.setdefault(parent, "pos")
-    return needed
+        filtered = {
+            level: filter_entries(entries, strat, rng_seed=run.config.seed)
+            for level, entries in entries_by_level.items()
+        }
+        written += ds.export_dataset(filtered, run.stages.rel("dataset", strat)).values()
+    return written
+
+
+def _produce_evaluate(run):
+    rows, fold_rows = [], []
+    for strat, level, result_set in evaluate_filters(run.config):
+        if isinstance(result_set, FixpairError):
+            rows.append((strat, level, "-", "", "", "", f"skipped: {result_set}"))
+            continue
+        for algo, res in result_set.items():
+            rows.append((
+                strat, level, algo,
+                f"{res.precision:.4f}", f"{res.recall:.4f}", f"{res.f_measure:.4f}",
+                "",
+            ))
+            for fi, m in enumerate(res.fold_matrices):
+                fold_rows.append((
+                    strat, level, algo, fi, m.tp, m.fp, m.tn, m.fn,
+                    f"{prf(m).f_measure:.6f}",
+                ))
+    return _write_results(run.stages.rel("eval"), rows, fold_rows)
+
+
+def _produce_stats(run):
+    return emit_stats_tables(run.stages.rel("eval", "folds.csv"), run.stages.rel("stats"))
+
+
+# The stage chain in order: (name, fingerprint parts, producer, inputs).  A
+# stage's parts hold the key of the stage it reads, or the digest of the
+# snapshot copy; a fresh run first loads its inputs, outside the producer's
+# error wrapping, so a damaged snapshot copy is a data error.
+_STAGES = (
+    ("snapshot", _snapshot_parts, _produce_snapshot, ()),
+    ("link", lambda r: ("link", r.snap_digest, r.config.keywords_only),
+     _produce_link, ("history",)),
+    ("analyze", lambda r: ("analyze-by-blob", ANALYZER_VERSION, sorted(r.needed.items()),
+                           r.config.test_globs, r.snap_digest),
+     _produce_analyze, ()),
+    ("build", lambda r: ("build", r.keys["analyze"], r.config.ignore_comment_only),
+     _produce_build, ("history",)),
+    ("filter", lambda r: ("filter-with-parents", r.keys["build"], r.config.seed),
+     _produce_filter, ()),
+    ("evaluate", lambda r: ("evaluate", r.keys["filter"], r.config.levels,
+                            r.config.algorithms, r.config.eval_filters,
+                            r.config.seed, r.config.repeats, r.config.folds),
+     _produce_evaluate, ()),
+    ("stats", lambda r: ("stats", r.keys["evaluate"]), _produce_stats, ()),
+)
 
 
 def dataset_dir(out, strategy):
@@ -722,7 +698,7 @@ def emit_stats_tables(folds_csv, stats_dir):
     the paths written: ``summary.txt`` and one Nemenyi table per group.
     """
     per_group = {}
-    rows = read_csv(folds_csv, lambda rec: (rec, float(rec["f_measure"])))
+    rows = read_csv(folds_csv, lambda rec: (rec, finite(rec["f_measure"])))
     for rec, f_measure in rows:
         key = (rec["filter"], rec["level"])
         per_group.setdefault(key, {}).setdefault(rec["algorithm"], []).append(f_measure)

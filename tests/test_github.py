@@ -3,6 +3,7 @@
 
 import json
 import threading
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from urllib.parse import parse_qs, urlparse
 
@@ -101,7 +102,10 @@ def fake_api(fixture_repo):
     _Handler.behavior = {"mode": "ok", "rate_hits": 0, "requests": 0}
     _Handler.routes = routes
     server = HTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll: shutdown() waits for serve_forever's next poll
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}", _Handler.behavior, routes
     server.shutdown()
@@ -143,10 +147,12 @@ def test_fetch_repo_gives_the_bytes_of_fetch_with_an_issues_file(
 
 def test_fetch_builds_validated_snapshot(fake_api, fixture_repo, tmp_path):
     base, _, _ = fake_api
-    # the issues GitHub gives are those of the issues file, the PR left out
-    assert fetch_issues("demo/proj", "tok", api_base=base) == load_issue_specs(
-        fixture_repo["issues"]
-    )
+    # the issues GitHub gives are those of the issues file, the PR left out;
+    # issue 5 is closed but no bug, so its closing commits are not asked for
+    assert fetch_issues("demo/proj", "tok", api_base=base) == [
+        replace(issue, fixing_commits=()) if issue.id == 5 else issue
+        for issue in load_issue_specs(fixture_repo["issues"])
+    ]
     out = tmp_path / "snap.json"
     assert _fetch_repo(base, fixture_repo["repo"], out) == 0
     snap = load_snapshot(out)
@@ -154,6 +160,21 @@ def test_fetch_builds_validated_snapshot(fake_api, fixture_repo, tmp_path):
     assert snap.issues[0].id == 1
     assert snap.issues[0].fixing_commits == ((fix, snap.commit(fix).timestamp),)
     assert snap.issues[-1].id == 4 and snap.issues[-1].fixing_commits == ()
+
+
+def test_fetch_repo_asks_only_for_the_events_of_closed_bugs(
+    fake_api, fixture_repo, tmp_path
+):
+    base, behavior, _ = fake_api
+    assert _fetch_repo(base, fixture_repo["repo"], tmp_path / "snap.json") == 0
+    # the issues list, then the events of issues 1, 2 and 3; issue 4 is open
+    # and issue 5 (label enhancement) is no bug
+    assert behavior["requests"] == 4
+    behavior["requests"] = 0
+    assert _fetch_repo(base, fixture_repo["repo"], tmp_path / "all.json",
+                       "--bug-label", "BUG", "--bug-label", "Enhancement") == 0
+    assert behavior["requests"] == 5
+    assert [i.id for i in load_snapshot(tmp_path / "all.json").issues] == [1, 2, 3, 4, 5]
 
 
 def test_fetch_drops_closing_commits_that_were_not_captured(

@@ -44,7 +44,10 @@ def answering():
             "routes": routes or {},
         })
         server = HTTPServer(("127.0.0.1", 0), handler)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
+        # a short poll: shutdown() waits for serve_forever's next poll
+        threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        ).start()
         servers.append(server)
         return f"http://127.0.0.1:{server.server_port}"
 

@@ -138,6 +138,44 @@ def test_stage_resume_after_artifact_removal(fixture_repo, tmp_path):
     assert os.path.exists(os.path.join(out, "dataset", "full", "method.csv"))
 
 
+# Every fingerprint of the fixture's `run --seed 7 --level method --level
+# projected`.  A change to a stage's fingerprint parts or their order
+# re-runs that stage, and every later one, in each existing --out; a
+# change here must be meant (an ANALYZER_VERSION bump changes analyze on).
+PINNED_KEYS = {
+    "link": "fb8a41ce0ae4e814ed5ccdb5dc5907b428e1425944f5da6ea7b417801ca2f020",
+    "analyze": "0cb2d348c9941972c183b7a9e70562fbe075ac8df2224b198759bec1943c3c11",
+    "build": "2a4cdeceae533cd0453594e9775298fb7675530d4d98ccb4d9636b9e4a47abf0",
+    "filter": "21d68ea794edc94007eca5ebfa9f092d61501e88e048db49b52f97d94b4d22f7",
+    "evaluate": "e1f7ba0caac54ee3fd52287288e7ae316ab0dd18ea19f1be4732a66933450284",
+    "stats": "798b6ae011c95d4f5762fb69f2d4735f7404959261baa23f4f64bc1d57f250ca",
+}
+PINNED_SNAPSHOT_KEYS = {
+    "local": "8bf0f797ebe230c93631f1a71c7c738eacac73e207c26dcdf8e75dd25794e5df",
+    "snapshot": "d8d19017b3f15bc0912f70571b9cef4cbc398cb5c83e5c89009172479025c23b",
+}
+
+
+@pytest.mark.parametrize("mode", ["local", "snapshot"])
+def test_stage_fingerprints_are_pinned(fixture_repo, tmp_path, mode):
+    snap = str(tmp_path / "snap.json")
+    assert main(["fetch", "--from-local", fixture_repo["repo"],
+                 "--issues", fixture_repo["issues"], "--out", snap]) == 0
+    source = ["--issues", fixture_repo["issues"]] if mode == "local" else [
+        "--snapshot", snap]
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        assert main(["run", "--out", str(out), "--repo", fixture_repo["repo"],
+                     *source, "--seed", "7", "--level", "method",
+                     "--level", "projected"]) == 0
+    keys = {
+        state.stem: json.loads(state.read_text())["fingerprint"]
+        for state in (out / ".stages").glob("*.json")
+    }
+    assert keys == {"snapshot": PINNED_SNAPSHOT_KEYS[mode], **PINNED_KEYS}
+
+
 def test_failed_stage_is_not_cached_on_resume(tmp_path):
     stages = _Stages(str(tmp_path))
     artifact = tmp_path / "artifact.txt"
@@ -905,7 +943,7 @@ def test_cli_evaluate_fails_on_failed_projection(pipeline_out, monkeypatch, caps
     assert "lacks a parent class" in captured.err
 
 
-@pytest.mark.parametrize("damage", ["missing", "bad cell", "no bug_count"])
+@pytest.mark.parametrize("damage", ["missing", "bad cell", "nan", "inf", "no bug_count"])
 def test_cli_evaluate_on_a_damaged_dataset_is_a_data_error(
     pipeline_out, tmp_path, capsys, damage
 ):
@@ -921,6 +959,9 @@ def test_cli_evaluate_on_a_damaged_dataset_is_a_data_error(
         if damage == "bad cell":
             rows[1][rows[0].index("LOC")] = "abc"
             where = f"{path}: line 2: could not convert string to float: 'abc'"
+        elif damage in ("nan", "inf"):
+            rows[1][rows[0].index("LOC")] = damage
+            where = f"{path}: line 2: not a finite number: '{damage}'"
         else:
             rows = [row[:-1] for row in rows]  # bug_count is the last column
             where = f"{path}: line 2: no column 'bug_count'"
@@ -953,15 +994,17 @@ def test_cli_stats_on_a_malformed_folds_file_is_a_data_error(
     folds = os.path.join(out, "eval", "folds.csv")
     with open(folds, newline="") as fh:
         rows = list(csv.reader(fh))
-    rows[3][rows[0].index("f_measure")] = "abc"
-    with open(folds, "w", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(rows)
-    assert main(["stats", "--out", out]) == 3
-    captured = capsys.readouterr()
-    assert captured.err == (
-        f"data error: {folds}: line 4: could not convert string to float: 'abc'\n"
-    )
-    assert captured.out == ""
+    for cell, problem in (
+        ("abc", "could not convert string to float: 'abc'"),
+        ("nan", "not a finite number: 'nan'"),
+    ):
+        rows[3][rows[0].index("f_measure")] = cell
+        with open(folds, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        assert main(["stats", "--out", out]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"data error: {folds}: line 4: {problem}\n"
+        assert captured.out == ""
 
 
 def test_cli_evaluate_prints_table(pipeline_out, capsys):
