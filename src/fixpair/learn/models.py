@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
+from . import ALGORITHMS, kernels
 from .kernels import entropy
 
 # C4.5-style pessimistic pruning confidence (CF = 0.25, one-tailed z).
@@ -193,25 +193,31 @@ class TreeModel:
         return out
 
 
-def _grow(X, y, idx, min_leaf, feature_sampler):
-    yn = y[idx]
-    node = _Node(n=len(idx), pos=int(yn.sum()))
-    if node.pos in (0, node.n) or node.n < 2 * min_leaf:
-        return node
-    feat_idx = feature_sampler()
-    Xn = X[idx]
-    f, thr, score = kernels.best_split(Xn, yn, feat_idx, min_leaf)
-    if f < 0:
-        return node
-    parent_h = entropy(node.pos, node.n)
-    if parent_h - score <= 1e-12:
-        return node
-    mask = Xn[:, f] < thr
-    node.feature = int(f)
-    node.threshold = float(thr)
-    node.left = _grow(X, y, idx[mask], min_leaf, feature_sampler)
-    node.right = _grow(X, y, idx[~mask], min_leaf, feature_sampler)
-    return node
+def _grow(X, y, min_leaf, feature_sampler):
+    """A tree over every row of ``X``, grown from an explicit stack in
+    preorder: a node's split is chosen before any split of its left
+    subtree, and those before any of its right subtree, so the feature
+    sampler draws in that order however deep the tree grows."""
+    root = _Node()
+    stack = [(root, np.arange(X.shape[0]))]
+    while stack:
+        node, idx = stack.pop()
+        yn = y[idx]
+        node.n, node.pos = len(idx), int(yn.sum())
+        if node.pos in (0, node.n) or node.n < 2 * min_leaf:
+            continue
+        feat_idx = feature_sampler()
+        Xn = X[idx]
+        f, thr, score = kernels.best_split(Xn, yn, feat_idx, min_leaf)
+        if f < 0 or entropy(node.pos, node.n) - score <= 1e-12:
+            continue
+        mask = Xn[:, f] < thr
+        node.feature = int(f)
+        node.threshold = float(thr)
+        node.left, node.right = _Node(), _Node()
+        stack.append((node.right, idx[~mask]))
+        stack.append((node.left, idx[mask]))
+    return root
 
 
 def _pessimistic_errors(n, e):
@@ -224,21 +230,31 @@ def _pessimistic_errors(n, e):
     return n * (num / (1 + z * z / n))
 
 
-def _prune(node):
-    if node.is_leaf:
-        return _pessimistic_errors(node.n, min(node.pos, node.n - node.pos))
-    subtree = _prune(node.left) + _prune(node.right)
-    as_leaf = _pessimistic_errors(node.n, min(node.pos, node.n - node.pos))
-    if as_leaf <= subtree + 1e-9:
-        node.feature = -1
-        node.left = node.right = None
-        return as_leaf
-    return subtree
+def _prune(root):
+    """C4.5 pessimistic pruning, children before parents: a split whose
+    subtree is not estimated to err less than one leaf becomes that leaf."""
+    preorder, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        preorder.append(node)
+        if not node.is_leaf:
+            stack += (node.right, node.left)
+    errors = {}  # id(node) -> estimated errors of its (pruned) subtree
+    for node in reversed(preorder):
+        estimate = _pessimistic_errors(node.n, min(node.pos, node.n - node.pos))
+        if not node.is_leaf:
+            subtree = errors.pop(id(node.left)) + errors.pop(id(node.right))
+            if estimate <= subtree + 1e-9:
+                node.feature = -1
+                node.left = node.right = None
+            else:
+                estimate = subtree
+        errors[id(node)] = estimate
 
 
 def train_decision_tree(X, y, seed):
     all_features = np.arange(X.shape[1], dtype=np.int64)
-    root = _grow(X, y, np.arange(X.shape[0]), TREE_MIN_LEAF, lambda: all_features)
+    root = _grow(X, y, TREE_MIN_LEAF, lambda: all_features)
     _prune(root)
     return TreeModel(root=root)
 
@@ -250,8 +266,7 @@ def _random_tree(X, y, rng):
     def sampler():
         return np.sort(rng.choice(d, size=k, replace=False))
 
-    root = _grow(X, y, np.arange(X.shape[0]), RANDOM_TREE_MIN_LEAF, sampler)
-    return TreeModel(root=root)
+    return TreeModel(root=_grow(X, y, RANDOM_TREE_MIN_LEAF, sampler))
 
 
 def train_random_tree(X, y, seed):
@@ -289,8 +304,7 @@ TRAINERS = {
     "random_tree": train_random_tree,
     "random_forest": train_random_forest,
 }
-
-ALGORITHMS = tuple(TRAINERS)
+assert tuple(TRAINERS) == ALGORITHMS
 
 
 def train(algorithm, X, y, *, rng_seed=0):

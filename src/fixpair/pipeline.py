@@ -14,6 +14,9 @@ through :func:`atomic_open`, plus a state file with a fingerprint of its
 inputs and the files it wrote; a rerun with unchanged inputs reports the
 stage as cached.  Given fixed seeds the whole artifact tree is byte-identical
 across runs (no timestamps or absolute paths are ever written).
+
+The learners and the significance tests are imported inside the functions
+of the evaluate and stats stages, so the mining stages load no numpy.
 """
 
 import concurrent.futures
@@ -41,8 +44,7 @@ from .gitio import GitRepo, git
 from .ingest import load_issue_specs, load_snapshot, read_commit_graph, read_csv
 from .ingest import finite, read_input, save_snapshot, snapshot_from_local_repo
 from .java.structure import SourceElement
-from .learn.evaluate import cross_validate, instances_from_entries, prf, project_folds
-from .learn.models import ALGORITHMS
+from .learn import ALGORITHMS
 from .linker import (
     BugFixTimeline,
     HistoryIndex,
@@ -51,7 +53,6 @@ from .linker import (
     write_plan,
 )
 from .metrics import MetricsVector
-from .stats import PairedSampleMatrix, format_significance_table, friedman, nemenyi
 
 EVAL_LEVELS = ("file", "class", "method", "projected")
 DEFAULT_SEED = 42
@@ -547,6 +548,8 @@ def _produce_filter(run):
 
 
 def _produce_evaluate(run):
+    from .learn.evaluate import prf
+
     rows, fold_rows = [], []
     for strat, level, result_set in evaluate_filters(run.config):
         if isinstance(result_set, FixpairError):
@@ -607,6 +610,8 @@ def _entries_csv(level):
 
 def evaluate_level(dataset_dir, level, algorithms, seed, repeats, k=10):
     """Cross-validate every algorithm on one exported dataset level."""
+    from .learn.evaluate import cross_validate, instances_from_entries
+
     entries = ds.load_entries_csv(os.path.join(dataset_dir, _entries_csv(level)), level)
     instances = instances_from_entries(entries, level)
     return {
@@ -627,6 +632,8 @@ def evaluate_filters(config):
     Each distinct warning of a cross-validation is warned again once, naming
     the filter and the level.
     """
+    from .learn.evaluate import project_folds
+
     for strat in config.eval_filters:
         path = dataset_dir(config.out, strat)
         by_source = {}
@@ -697,6 +704,8 @@ def emit_stats_tables(folds_csv, stats_dir):
     folds, which share indices across algorithms by construction.  Returns
     the paths written: ``summary.txt`` and one Nemenyi table per group.
     """
+    from .stats import PairedSampleMatrix, format_significance_table, friedman, nemenyi
+
     per_group = {}
     rows = read_csv(folds_csv, lambda rec: (rec, finite(rec["f_measure"])))
     for rec, f_measure in rows:

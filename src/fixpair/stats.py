@@ -153,26 +153,34 @@ def _bracket(f, a, b, width):
         t = min(1.0 - tl, max(tl, t))
 
 
-@lru_cache(maxsize=256)
-def studentized_range_isf(alpha, k, df=None):
-    """Critical value q with P(Q > q) = alpha, by 42 bisection steps on
-    [1e-6, 60].
+_Q_LO, _Q_HI = 1e-6, 60.0  # the range the critical value is bisected on
 
-    The steps are replayed against a bracket of the root that
-    ``_bracket`` narrowed to about the last step's width: a midpoint at or
+
+def _tail_excess(alpha, k, df):
+    """``q -> P(Q > q) - alpha``, evaluated at most once per point."""
+    memo = {}
+
+    def excess(q):
+        if q not in memo:
+            memo[q] = studentized_range_sf(q, k, df) - alpha
+        return memo[q]
+
+    return excess
+
+
+def _replay_bisection(excess, a, b):
+    """42 bisection steps on [_Q_LO, _Q_HI] of a decreasing ``excess``
+    whose root lies in [a, b].
+
+    The steps are replayed against a bracket of the root that ``_bracket``
+    narrowed from [a, b] to about the last step's width: a midpoint at or
     below the bracket's low end sets ``lo``, one at or above its high end
-    sets ``hi``, and only a midpoint inside the bracket costs a CDF
+    sets ``hi``, and only a midpoint inside the bracket costs an
     evaluation, which narrows the bracket.  That needs the computed tail to
     fall across the bracket, which the pinned critical values check.
     """
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must be in (0, 1)")
-
-    def excess(q):
-        return studentized_range_sf(q, k, df) - alpha
-
-    lo, hi = 1e-6, 60.0
-    low, high = _bracket(excess, lo, hi, 1.4e-11)  # about (hi - lo) / 2**42
+    lo, hi = _Q_LO, _Q_HI
+    low, high = _bracket(excess, a, b, 1.4e-11)  # about (hi - lo) / 2**42
     for _ in range(42):
         mid = (lo + hi) / 2.0
         if mid <= low:
@@ -184,6 +192,34 @@ def studentized_range_isf(alpha, k, df=None):
         else:
             hi = high = mid
     return (lo + hi) / 2.0
+
+
+@lru_cache(maxsize=256)
+def studentized_range_isf(alpha, k, df=None):
+    """Critical value q with P(Q > q) = alpha, by 42 bisection steps on
+    [1e-6, 60] (see :func:`_replay_bisection`).
+
+    The root at infinite ``df``, q_inf, is cheap to find.  For a finite
+    ``df`` the root's bracket starts at q_inf * (1 + c / df), with
+    c = (q_inf**2 + 1) / 8 an estimate of the root's first-order term in
+    1 / df, c widened by 15% and the factor by 2 / df**2 either way; when
+    the tail at the bracket's ends shows the root outside it, the bracket
+    becomes the rest of [1e-6, 60] beyond that end.
+    """
+    if not 0 < alpha < 1:
+        raise ValueError("alpha must be in (0, 1)")
+    q_inf = _replay_bisection(_tail_excess(alpha, k, None), _Q_LO, _Q_HI)
+    if df is None:
+        return q_inf
+    excess = _tail_excess(alpha, k, df)
+    shift, slack = (q_inf * q_inf + 1.0) / (8.0 * df), 2.0 / (df * df)
+    a = max(_Q_LO, q_inf * (1.0 + 0.85 * shift - slack))
+    b = min(_Q_HI, q_inf * (1.0 + 1.15 * shift + slack))
+    if excess(a) <= 0:
+        a, b = _Q_LO, a
+    elif excess(b) > 0:
+        a, b = b, _Q_HI
+    return _replay_bisection(excess, a, b)
 
 
 # ---------------------------------------------------------------------------

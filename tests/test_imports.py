@@ -43,6 +43,21 @@ def test_fetch_from_local_loads_no_learner(fixture_repo, tmp_path):
         assert name not in loaded
 
 
+def test_filter_loads_no_learner(fixture_repo, tmp_path):
+    out = tmp_path / "out"
+    loaded = _modules_after(
+        "from fixpair.cli import main\n"
+        "assert main(['filter', '--repo', sys.argv[2], '--issues', sys.argv[3],\n"
+        "             '--out', sys.argv[4]]) == 0",
+        fixture_repo["repo"], fixture_repo["issues"], str(out),
+    )
+    assert (out / "dataset" / "gcf" / "method.csv").exists()
+    assert "fixpair.filters" in loaded
+    for name in ("numpy", "fixpair.learn.models", "fixpair.learn.evaluate",
+                 "fixpair.learn.kernels", "fixpair.stats"):
+        assert name not in loaded
+
+
 def test_github_client_loads_no_requests():
     loaded = _modules_after("import fixpair.github")
     assert "fixpair.github" in loaded

@@ -218,6 +218,17 @@ def test_decision_tree_learns_separable_rule():
     assert (model.predict(X) == y).mean() > 0.95
 
 
+def test_trees_deeper_than_the_recursion_limit():
+    """Alternating labels over one increasing feature grow a chain of
+    splits about as deep as there are rows."""
+    X = np.arange(1100, dtype=np.float64)[:, None]
+    y = np.arange(1100) % 2
+    random_tree = train("random_tree", X, y, rng_seed=3)
+    assert (random_tree.predict(X) == y).all()  # one leaf per row
+    decision_tree = train("decision_tree", X, y)
+    assert set(decision_tree.predict(X).tolist()) <= {0, 1}
+
+
 @pytest.mark.parametrize("algo", ALGORITHMS)
 def test_degenerate_single_class_warns_and_is_constant(algo):
     X = np.zeros((10, 2))

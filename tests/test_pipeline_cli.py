@@ -888,9 +888,9 @@ def test_evaluate_trains_each_method_model_once(pipeline_out, tmp_path, monkeypa
 
 
 def test_failed_projection_skips_only_projected(pipeline_out, tmp_path, monkeypatch):
-    from fixpair import pipeline
+    from fixpair.learn import evaluate
 
-    monkeypatch.setattr(pipeline, "project_folds", _no_parents)
+    monkeypatch.setattr(evaluate, "project_folds", _no_parents)
     rows = _evaluate_copy(
         pipeline_out, tmp_path, levels=("method", "projected", "file"),
         algorithms=("one_r",),
@@ -927,9 +927,9 @@ def test_failed_method_cv_skips_both_method_levels(pipeline_out, tmp_path, monke
 
 
 def test_cli_evaluate_fails_on_failed_projection(pipeline_out, monkeypatch, capsys):
-    from fixpair import pipeline
+    from fixpair.learn import evaluate
 
-    monkeypatch.setattr(pipeline, "project_folds", _no_parents)
+    monkeypatch.setattr(evaluate, "project_folds", _no_parents)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         rc = main([

@@ -294,6 +294,23 @@ def test_q_crit_replays_the_bisection(monkeypatch):
     assert 0 < len(calls) < 30
 
 
+def test_q_crit_brackets_at_the_infinite_df_root(monkeypatch):
+    """A cold finite-df call starts its bracket near the infinite-df root,
+    so it evaluates the finite-df tail only a few times, never twice at one
+    point."""
+    finite = []
+
+    def counted(q, k, df=None):
+        if df is not None:
+            finite.append(q)
+        return studentized_range_sf(q, k, df)
+
+    monkeypatch.setattr(stats, "studentized_range_sf", counted)
+    assert studentized_range_isf.__wrapped__(0.05, 6, 20) == Q_CRIT_05[20][6 - 2]
+    assert len(finite) <= 8
+    assert len(set(finite)) == len(finite)
+
+
 # --- friedman ----------------------------------------------------------------
 
 def test_friedman_all_tied_rows():
