@@ -63,9 +63,8 @@ def extract_issue_refs(message: str, keywords_only: bool = False) -> set:
 class HistoryIndex:
     """First-parent chain positions plus merge-resolution for side commits.
 
-    It indexes a snapshot or just its commit graph.  Over a snapshot it also
-    answers which commits reference an issue: the message of every commit is
-    scanned once per ``keywords_only`` mode, on first use.
+    It also answers which commits reference an issue: the message of every
+    commit is scanned once per ``keywords_only`` mode, on first use.
     """
 
     def __init__(self, snapshot):

@@ -9,6 +9,12 @@ which defines each value a stage hands on (the snapshot, its history, the
 timelines, the commits to analyse) once, read from the output directory on
 first use unless a fresh stage left it there.
 
+Keys chain: a stage's fingerprint holds the key of the stage it reads, or
+the digest of the snapshot copy, so a cached rerun reads no byte of the
+snapshot beyond that digest.  Analyze's key holds link's, which fixes the
+timelines and the commit graph that decide what to analyse; a fresh analyze
+keeps each stored analysis that is current and analyses only the rest.
+
 Every stage writes its artifacts under the output directory, each whole
 through :func:`atomic_open`, plus a state file with a fingerprint of its
 inputs and the files it wrote; a rerun with unchanged inputs reports the
@@ -41,7 +47,7 @@ from .atomic import atomic_open, remove_temp_files
 from .errors import ConfigError, FixpairError, SnapshotFormatError, StageError
 from .filters import STRATEGIES, filter_entries
 from .gitio import GitRepo, git
-from .ingest import load_issue_specs, load_snapshot, read_commit_graph, read_csv
+from .ingest import load_issue_specs, load_snapshot, read_csv
 from .ingest import finite, read_input, save_snapshot, snapshot_from_local_repo
 from .java.structure import SourceElement
 from .learn import ALGORITHMS
@@ -393,23 +399,31 @@ class _Run:
         ]
 
     @functools.cached_property
+    def clone(self):
+        """The path of the clone analyze reads; a missing or bad ``--repo``
+        is a configuration error."""
+        if self.config.repo is None:
+            raise ConfigError("analysis requires a local repository checkout")
+        try:
+            GitRepo(self.config.repo)
+        except FixpairError as exc:
+            raise ConfigError(str(exc)) from None
+        return self.config.repo
+
+    @functools.cached_property
     def needed(self):
         """Commit -> ``"full"`` or ``"pos"``: the plan the link stage
         recorded in ``plan.txt``, derived again from the timelines, plus
-        green parents (pos).  While the snapshot is not loaded, link is
-        cached, so the copy is the one a validated snapshot was linked from:
-        its commit graph is read without parsing a patch."""
-        history = (
-            self.history if "snapshot" in vars(self)
-            else HistoryIndex(read_commit_graph(self.stages.rel(_SNAPSHOT_COPY)))
-        )
-        graph = history.snapshot
-        plan = select_analysis_commits(self.timelines, history)
+        green parents (pos).  Only a fresh analyze or build reads it, and
+        both load the snapshot first: analyze's key holds link's, which fixes
+        the timelines and the commit graph this derives from."""
+        snapshot = self.snapshot
+        plan = select_analysis_commits(self.timelines, self.history)
         needed = {e.commit_hash: ("full" if e.full_analysis else "pos") for e in plan.entries}
         for t in self.timelines:
             for green_hash in t.green if t.live else ():
-                commit = graph.commit(green_hash)
-                if commit and commit.parents and graph.commit(commit.parents[0]):
+                commit = snapshot.commit(green_hash)
+                if commit and commit.parents and snapshot.commit(commit.parents[0]):
                     needed.setdefault(commit.parents[0], "pos")
         return needed
 
@@ -457,39 +471,55 @@ def _produce_link(run):
 def _produce_analyze(run):
     """One analysis/<key>.json per distinct (path, blob) version, plus an
     index commit -> {path: key}; a commit's mode only decides in build
-    whether its vectors feed metrics_by_commit."""
+    whether its vectors feed metrics_by_commit.  A version whose stored
+    analysis is current is not analysed again."""
     config, stages = run.config, run.stages
-    if config.repo is None:
-        raise ConfigError("analysis requires a local repository checkout")
     index, versions = {}, {}
-    with GitRepo(config.repo) as repo:
+    with GitRepo(run.clone) as repo:
         for h in sorted(run.needed):
             files = index[h] = {}
             for path, sha in sorted(repo.tree_blobs(h).items()):
                 if path.endswith(".java") and not is_test_path(path, config.test_globs):
                     files[path] = key = analysis_key(path, sha)
                     versions[key] = (path, sha)
-        keys = sorted(versions)
+        keys = [
+            key for key in sorted(versions)
+            if not _is_current(stages.rel("analysis", f"{key}.json"), versions[key][0])
+        ]
         sources = (
             (path, repo.read_object(sha).decode("utf-8", "replace"))
             for path, sha in map(versions.get, keys)
         )
 
         def write_all(docs):
-            return [
+            for key, doc in zip(keys, docs):
                 _write_json(stages.rel("analysis", f"{key}.json"), doc)
-                for key, doc in zip(keys, docs)
-            ]
 
         if config.jobs > 1:
             # the pool shuts down inside the reader's block: forked workers
             # hold copies of its pipes, so they must exit before closing the
             # reader's input can end it
             with concurrent.futures.ProcessPoolExecutor(config.jobs) as pool:
-                written = write_all(pool.map(_analyze_file, sources))
+                write_all(pool.map(_analyze_file, sources))
         else:
-            written = write_all(map(_analyze_file, sources))
-    return written + [_write_json(stages.rel(_INDEX), index)]
+            write_all(map(_analyze_file, sources))
+    return [stages.rel("analysis", f"{key}.json") for key in versions] + [
+        _write_json(stages.rel(_INDEX), index)
+    ]
+
+
+def _is_current(path, version_path):
+    """Whether ``path`` holds this analyzer's analysis of a file at
+    ``version_path``; a missing, unreadable or outdated one is not."""
+    try:
+        doc = _read_json(path)
+    except (OSError, ValueError):
+        return False
+    return (
+        isinstance(doc, dict)
+        and doc.get("analyzer_version") == ANALYZER_VERSION
+        and doc.get("path") == version_path
+    )
 
 
 def _produce_build(run):
@@ -576,14 +606,15 @@ def _produce_stats(run):
 # The stage chain in order: (name, fingerprint parts, producer, inputs).  A
 # stage's parts hold the key of the stage it reads, or the digest of the
 # snapshot copy; a fresh run first loads its inputs, outside the producer's
-# error wrapping, so a damaged snapshot copy is a data error.
+# error wrapping, so a damaged snapshot copy is a data error and a missing
+# or bad clone a configuration error.
 _STAGES = (
     ("snapshot", _snapshot_parts, _produce_snapshot, ()),
     ("link", lambda r: ("link", r.snap_digest, r.config.keywords_only),
      _produce_link, ("history",)),
-    ("analyze", lambda r: ("analyze-by-blob", ANALYZER_VERSION, sorted(r.needed.items()),
-                           r.config.test_globs, r.snap_digest),
-     _produce_analyze, ()),
+    ("analyze", lambda r: ("analyze-by-blob", ANALYZER_VERSION, r.keys["link"],
+                           r.config.test_globs),
+     _produce_analyze, ("clone", "history")),
     ("build", lambda r: ("build", r.keys["analyze"], r.config.ignore_comment_only),
      _produce_build, ("history",)),
     ("filter", lambda r: ("filter-with-parents", r.keys["build"], r.config.seed),

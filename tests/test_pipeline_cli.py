@@ -144,11 +144,11 @@ def test_stage_resume_after_artifact_removal(fixture_repo, tmp_path):
 # change here must be meant (an ANALYZER_VERSION bump changes analyze on).
 PINNED_KEYS = {
     "link": "fb8a41ce0ae4e814ed5ccdb5dc5907b428e1425944f5da6ea7b417801ca2f020",
-    "analyze": "0cb2d348c9941972c183b7a9e70562fbe075ac8df2224b198759bec1943c3c11",
-    "build": "2a4cdeceae533cd0453594e9775298fb7675530d4d98ccb4d9636b9e4a47abf0",
-    "filter": "21d68ea794edc94007eca5ebfa9f092d61501e88e048db49b52f97d94b4d22f7",
-    "evaluate": "e1f7ba0caac54ee3fd52287288e7ae316ab0dd18ea19f1be4732a66933450284",
-    "stats": "798b6ae011c95d4f5762fb69f2d4735f7404959261baa23f4f64bc1d57f250ca",
+    "analyze": "11c94be3638bc434113603c86f604e2cd1e7a172bb55922f9b28bc9a663818d6",
+    "build": "3d0ef916e2e586d572764942865ca3951b5d9b9ea050f1fbb4c07e4607146991",
+    "filter": "4838acc643a28014b120bb1793b0734171985163940d1b1f32b0bd7cd4321856",
+    "evaluate": "3539a71bde53d581080de1bb2f523bee2854e3d010cc75472b265ff3dfa9636a",
+    "stats": "3c74a53c4dbdc6e79356084010cdf5788a913dbdaea368c4d44fc9957e364619",
 }
 PINNED_SNAPSHOT_KEYS = {
     "local": "8bf0f797ebe230c93631f1a71c7c738eacac73e207c26dcdf8e75dd25794e5df",
@@ -405,6 +405,158 @@ def test_each_file_version_analyzed_once(fixture_repo, tmp_path, monkeypatch):
     calls.clear()
     manifest = quiet_run(config, stop_after="analyze")
     assert manifest["stages"]["analyze"]["status"] == "cached" and not calls
+
+
+def _record_analyses(monkeypatch):
+    """A list that records the analysis key of each ``analyze_source`` call."""
+    import hashlib
+
+    from fixpair import pipeline
+
+    calls = []
+    real = pipeline.analyze_source
+
+    def recording(path, text):
+        blob = f"blob {len(text.encode())}\0{text}".encode()  # git's blob sha
+        calls.append(pipeline.analysis_key(path, hashlib.sha1(blob).hexdigest()))
+        return real(path, text)
+
+    monkeypatch.setattr(pipeline, "analyze_source", recording)
+    return calls
+
+
+def _index_keys(out):
+    index = json.loads((Path(out) / "analysis" / "index.json").read_text())
+    return {key for files in index.values() for key in files.values()}
+
+
+def test_analyze_reanalyzes_only_what_it_lacks(fixture_repo, tmp_path, monkeypatch):
+    config = PipelineConfig(out=str(tmp_path / "out"), repo=fixture_repo["repo"],
+                            issues=fixture_repo["issues"], seed=7)
+    quiet_run(config, stop_after="filter")
+    analysis = tmp_path / "out" / "analysis"
+    missing, outdated, torn = (
+        analysis / f"{key}.json" for key in sorted(_index_keys(config.out))[:3]
+    )
+    missing.unlink()
+    doc = json.loads(outdated.read_text())
+    doc["analyzer_version"] = "0"
+    outdated.write_text(json.dumps(doc))
+    torn.write_text(torn.read_text()[:40])
+    calls = _record_analyses(monkeypatch)
+    stages = quiet_run(config, stop_after="filter")["stages"]
+    assert [s["status"] for s in stages.values()] == [
+        "cached", "cached", "fresh", "cached", "cached"
+    ]
+    assert sorted(calls) == sorted(p.stem for p in (missing, outdated, torn))
+    fresh = dataclasses.replace(config, out=str(tmp_path / "fresh"))
+    quiet_run(fresh, stop_after="filter")
+    mixed, clean = _tree(config.out), _tree(fresh.out)
+    assert mixed.pop("manifest.json") != clean.pop("manifest.json")  # statuses
+    assert mixed == clean
+
+
+def test_a_grown_history_analyzes_only_its_new_versions(
+    fixture_repo, tmp_path, monkeypatch
+):
+    import subprocess
+    import sys
+
+    sys.path.insert(0, os.path.dirname(__file__))
+    from conftest import fixture_issue_specs, run_git
+
+    clone = str(tmp_path / "clone")
+    subprocess.run(["git", "clone", "-q", fixture_repo["repo"], clone], check=True)
+    issues = tmp_path / "issues.json"
+    specs = fixture_issue_specs(fixture_repo["hashes"])
+    issues.write_text(json.dumps(specs))
+    config = PipelineConfig(out=str(tmp_path / "out"), repo=clone,
+                            issues=str(issues), seed=7)
+    quiet_run(config, stop_after="filter")
+    before = _index_keys(config.out)
+    # one more fix commit, and the bug report it closes
+    calc = Path(clone, "src/main/java/com/example/Calc.java")
+    calc.write_text(
+        calc.read_text().replace("return a / b;", "return b == 0 ? 0 : a / b;")
+    )
+    env = dict(
+        os.environ,
+        GIT_AUTHOR_NAME="Dev One", GIT_AUTHOR_EMAIL="dev@example.com",
+        GIT_COMMITTER_NAME="Dev One", GIT_COMMITTER_EMAIL="dev@example.com",
+        GIT_AUTHOR_DATE="2024-02-01T10:00:00 +0000",
+        GIT_COMMITTER_DATE="2024-02-01T10:00:00 +0000",
+    )
+    run_git(clone, "commit", "-q", "-a", "-m", "Keep division total, fixes #6", env=env)
+    fix = run_git(clone, "rev-parse", "HEAD").strip()
+    specs.append({"id": 6, "state": "closed", "created_at": "2024-01-11T12:00:00Z",
+                  "closed_at": "2024-02-02T12:00:00Z", "labels": ["bug"],
+                  "fixing_commits": [fix]})
+    issues.write_text(json.dumps(specs))
+    calls = _record_analyses(monkeypatch)
+    quiet_run(config, stop_after="filter")
+    new = _index_keys(config.out) - before
+    assert new and sorted(calls) == sorted(new)
+    fresh = dataclasses.replace(config, out=str(tmp_path / "fresh"))
+    quiet_run(fresh, stop_after="filter")
+    assert _tree(config.out) == _tree(fresh.out)
+
+
+def test_a_keywords_only_toggle_reruns_analyze_without_analyzing(
+    fixture_repo, tmp_path, monkeypatch
+):
+    config = PipelineConfig(out=str(tmp_path / "out"), repo=fixture_repo["repo"],
+                            issues=fixture_repo["issues"], seed=7)
+    quiet_run(config, stop_after="filter")
+    toggled = dataclasses.replace(config, keywords_only=True)
+    calls = _record_analyses(monkeypatch)
+    stages = quiet_run(toggled, stop_after="filter")["stages"]
+    assert stages["analyze"]["status"] == "fresh" and calls == []
+    fresh = dataclasses.replace(toggled, out=str(tmp_path / "fresh"))
+    quiet_run(fresh, stop_after="filter")
+    mixed, clean = _tree(toggled.out), _tree(fresh.out)
+    mixed.pop("manifest.json")
+    clean.pop("manifest.json")
+    assert mixed == clean
+
+
+def test_a_cached_rerun_reads_no_snapshot(fixture_repo, tmp_path, monkeypatch):
+    from fixpair import ingest
+
+    config = PipelineConfig(out=str(tmp_path / "out"), repo=fixture_repo["repo"],
+                            issues=fixture_repo["issues"], seed=7)
+    quiet_run(config, stop_after="filter")
+    reads = []
+    real = ingest.read_input
+
+    def recording(path, *args, **kwargs):
+        reads.append(os.fspath(path))
+        return real(path, *args, **kwargs)
+
+    monkeypatch.setattr(ingest, "read_input", recording)
+    manifest = quiet_run(config, stop_after="filter")
+    assert {s["status"] for s in manifest["stages"].values()} == {"cached"}
+    assert os.path.join(config.out, "snapshot", "snapshot.json") not in reads
+
+
+def test_a_missing_or_bad_repo_is_a_config_error(fixture_repo, tmp_path, capsys):
+    snap = str(tmp_path / "snap.json")
+    assert main(["fetch", "--from-local", fixture_repo["repo"],
+                 "--issues", fixture_repo["issues"], "--out", snap]) == 0
+    args = ["--out", str(tmp_path / "out"), "--snapshot", snap]
+    assert main(["link", *args]) == 0  # no stage before analyze reads the clone
+    nowhere = str(tmp_path / "nonexistent")
+    for repo, message in (
+        ([], "analysis requires a local repository checkout"),
+        (["--repo", nowhere], f"{nowhere} is not a git repository"),
+    ):
+        capsys.readouterr()
+        assert main(["filter", *args, *repo]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+    assert main(["filter", *args, "--repo", fixture_repo["repo"]]) == 0
+    capsys.readouterr()
+    # a cached analyze reads no clone
+    assert main(["filter", *args]) == 0
+    assert "analyze: cached" in capsys.readouterr().out
 
 
 def test_moved_class_goldens(moved_class_repo, tmp_path):
